@@ -35,7 +35,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/knn"
-	knnindex "repro/internal/knn/index"
 	"repro/internal/measures"
 	"repro/internal/netlog"
 	"repro/internal/offline"
@@ -251,11 +250,6 @@ type Predictor struct {
 	// loaded from (empty when trained in-process) — the identity the ring
 	// repair loop compares across replicas.
 	checksum string
-	// idxFromSnapshot records that the metric index was decoded from a
-	// snapshot section rather than rebuilt; idxOff records an explicit
-	// SetIndexing(false) (the -index=false operator path).
-	idxFromSnapshot bool
-	idxOff          bool
 }
 
 // ckptStageTrain is the training-stage checkpoint record: the complete
@@ -313,11 +307,6 @@ func (f *Framework) TrainPredictorContext(ctx context.Context, I MeasureSet, met
 		Workers:    cfg.Workers,
 		Fallback:   cfg.Fallback,
 	})
-	// Index at train time, so Save persists the built tree and serving
-	// starts cold with it. The build is deterministic, so a resumed run
-	// that rebuilds from the checkpointed model re-encodes byte-identical
-	// snapshots (the kill-resume-compare contract).
-	clf.BuildIndex()
 	p = &Predictor{clf: clf, I: I, method: method, cfg: cfg, norm: f.Analysis.Normalizer}
 	if ck != nil {
 		// Persist the finished model so a killed-and-resumed run skips
@@ -358,11 +347,7 @@ func resumeTrainedModel(ck *checkpoint.Manager, I MeasureSet, method Method, cfg
 			return nil
 		}
 	}
-	// Sections are deliberately not checkpointed: the resumed path
-	// rebuilds the index from the restored model, and because the build
-	// is deterministic the resumed Save re-encodes the exact bytes an
-	// uninterrupted run would have written.
-	p, err := predictorFromModel(&m, nil)
+	p, err := predictorFromModel(&m)
 	if err != nil {
 		return nil
 	}
@@ -466,55 +451,6 @@ func (p *Predictor) Measure(name string) (Measure, error) {
 	return nil, fmt.Errorf("repro: measure %q is not in the model's configuration %v", name, p.I.Names())
 }
 
-// SetIndexing toggles the vantage-point metric index (DESIGN.md §12).
-// Disabling reverts every prediction to the plain linear scan — a
-// recovery knob, not a model parameter: answers are bit-identical either
-// way. Re-enabling rebuilds the index if the predictor has none.
-func (p *Predictor) SetIndexing(enabled bool) {
-	if !enabled {
-		p.idxOff = true
-		p.idxFromSnapshot = false
-		p.clf.DisableIndex()
-		return
-	}
-	p.idxOff = false
-	if p.clf.Index() == nil {
-		p.clf.BuildIndex()
-	}
-}
-
-// IndexStatus reports how the predictor's metric index came to be:
-// "snapshot" (decoded from a snapshot section — the cold-start fast
-// path), "rebuilt" (constructed in-process, at train time or because the
-// snapshot predated the section), or "off" (explicitly disabled).
-func (p *Predictor) IndexStatus() string {
-	switch {
-	case p.idxOff:
-		return "off"
-	case p.idxFromSnapshot:
-		return "snapshot"
-	default:
-		return "rebuilt"
-	}
-}
-
-// snapshotSections returns the trailing sections Save/WriteSnapshot
-// append after the model envelope: the serialized metric index, unless
-// indexing is off. The wire form carries tree structure only — derived
-// bounds are recomputed on decode — and the build is deterministic, so
-// train→save→load→save round-trips byte-identically.
-func (p *Predictor) snapshotSections() ([]snapshot.Section, error) {
-	t := p.clf.Index()
-	if p.idxOff || t == nil {
-		return nil, nil
-	}
-	sec, err := snapshot.MarshalSection(snapshot.SectionKNNIndex, snapshot.KNNIndexVersion, t.Encode())
-	if err != nil {
-		return nil, err
-	}
-	return []snapshot.Section{sec}, nil
-}
-
 // snapshotModel returns the serializable form of the trained model,
 // building and caching it on first use. A predictor restored from a
 // snapshot or checkpoint already carries its model verbatim; only the
@@ -565,36 +501,28 @@ func (p *Predictor) buildModel() *snapshot.Model {
 
 // WriteSnapshot serializes the trained model to w in the versioned
 // snapshot format (see internal/snapshot): a restored predictor produces
-// bit-identical predictions, abstentions included. The prebuilt metric
-// index trails the envelope as a versioned section, so loaders start
-// serving without an index rebuild; pre-section readers ignore the tail.
+// bit-identical predictions, abstentions included.
 func (p *Predictor) WriteSnapshot(w io.Writer) error {
-	secs, err := p.snapshotSections()
-	if err != nil {
-		return err
-	}
-	return snapshot.WriteSections(w, p.snapshotModel(), secs...)
+	return snapshot.Write(w, p.snapshotModel())
 }
 
 // Save writes the model snapshot to a file path atomically: a crash or
 // write error mid-save never leaves a truncated snapshot visible.
 func (p *Predictor) Save(path string) error {
-	secs, err := p.snapshotSections()
-	if err != nil {
-		return err
-	}
-	return snapshot.SaveSections(path, p.snapshotModel(), secs...)
+	return snapshot.Save(path, p.snapshotModel())
 }
 
 // ReadPredictor reconstructs a predictor from a snapshot stream. Measure
 // names resolve against the built-in registry — models configured with
 // user-defined (Func) measures cannot be restored by name and fail here.
+// Trailing sections, such as the metric index older builds appended, are
+// verified and discarded (see internal/snapshot).
 func ReadPredictor(r io.Reader) (*Predictor, error) {
-	m, secs, err := snapshot.ReadSections(r)
+	m, err := snapshot.Read(r)
 	if err != nil {
 		return nil, err
 	}
-	return predictorFromModel(m, secs)
+	return predictorFromModel(m)
 }
 
 // LoadPredictor reads a model snapshot from a file path (the counterpart
@@ -602,11 +530,11 @@ func ReadPredictor(r io.Reader) (*Predictor, error) {
 // checksum, which /v1/model reports so the ring repair loop can compare
 // replica snapshots without re-downloading them.
 func LoadPredictor(path string) (*Predictor, error) {
-	m, secs, err := snapshot.LoadSections(path)
+	m, err := snapshot.Load(path)
 	if err != nil {
 		return nil, err
 	}
-	p, err := predictorFromModel(m, secs)
+	p, err := predictorFromModel(m)
 	if err != nil {
 		return nil, err
 	}
@@ -616,15 +544,8 @@ func LoadPredictor(path string) (*Predictor, error) {
 	return p, nil
 }
 
-// predictorFromModel rebuilds a predictor from a decoded model plus any
-// trailing snapshot sections. A SectionKNNIndex section attaches the
-// persisted metric index (its structure re-validated against the decoded
-// training set — a section that passed its checksum but fails validation
-// is corruption and surfaces as an error, never a silent rebuild); with
-// no section — an older, pre-index snapshot — the index is rebuilt here,
-// deterministically, which is also what keeps checkpoint-resumed saves
-// byte-identical to uninterrupted ones.
-func predictorFromModel(m *snapshot.Model, secs []snapshot.Section) (*Predictor, error) {
+// predictorFromModel rebuilds a predictor from a decoded model.
+func predictorFromModel(m *snapshot.Model) (*Predictor, error) {
 	method, err := offline.ParseMethod(m.Method)
 	if err != nil {
 		return nil, fmt.Errorf("repro: load predictor: %w", err)
@@ -665,24 +586,7 @@ func predictorFromModel(m *snapshot.Model, secs []snapshot.Section) (*Predictor,
 		Workers:    cfg.Workers,
 		Fallback:   cfg.Fallback,
 	})
-	fromSnapshot := false
-	for _, s := range secs {
-		if s.Kind != snapshot.SectionKNNIndex {
-			continue
-		}
-		var w knnindex.Wire
-		if err := json.Unmarshal(s.Payload, &w); err != nil {
-			return nil, fmt.Errorf("repro: load predictor: decode index section: %w", err)
-		}
-		if err := clf.AttachIndex(&w); err != nil {
-			return nil, fmt.Errorf("repro: load predictor: %w", err)
-		}
-		fromSnapshot = true
-	}
-	if !fromSnapshot {
-		clf.BuildIndex()
-	}
-	p := &Predictor{clf: clf, I: I, method: method, cfg: cfg, model: m, idxFromSnapshot: fromSnapshot}
+	p := &Predictor{clf: clf, I: I, method: method, cfg: cfg, model: m}
 	if len(m.Norms) > 0 {
 		p.norm = &offline.Normalizer{Params: m.Norms}
 	}

@@ -219,13 +219,13 @@ func benchQueryStates(b *testing.B, repo *session.Repository) []session.State {
 // full training set. The sub-benchmarks form the regression ladder of the
 // scan optimizations: "naive" is the pre-optimization algorithm (full
 // scan, full stable sort), "sequential" adds θ_δ/k-th-best early-abandon
-// pruning and the bounded top-k heap on one worker, "parallel" adds the
-// chunked multi-worker scan, and "indexed" answers through the
-// vantage-point metric index built once up front (DESIGN.md §12). All
-// four emit identical output bits; on a single-core runner "parallel"
-// degenerates to "sequential". Classifiers (and their display-distance
-// memos) are shared across benchmark rounds so the numbers report
-// steady-state prediction cost, not one-time memo population.
+// pruning, the prepared evaluator and the bounded top-k heap on one
+// worker, and "parallel" adds the chunked multi-worker scan (DESIGN.md
+// §12). All three emit identical output bits; on a single-core runner
+// "parallel" degenerates to "sequential". Classifiers (and their
+// display-distance memos) are shared across benchmark rounds so the
+// numbers report steady-state prediction cost, not one-time memo
+// population.
 func BenchmarkKNNPredict(b *testing.B) {
 	repo, a := benchSetup(b)
 	samples := offline.BuildTrainingSet(a, measures.DefaultSet(), offline.TrainingOptions{
@@ -253,12 +253,10 @@ func BenchmarkKNNPredict(b *testing.B) {
 	newClf := func(workers int) *knn.Classifier {
 		return knn.New(samples, distance.NewMemoizedTreeEdit(nil), knn.Config{K: 3, ThetaDelta: 0.1, Workers: workers})
 	}
-	seqClf, parClf, idxClf := newClf(1), newClf(0), newClf(1)
-	idxClf.BuildIndex() // paid once at train time, outside any timed loop
 	for _, w := range []struct {
 		name string
 		clf  *knn.Classifier
-	}{{"sequential", seqClf}, {"parallel", parClf}, {"indexed", idxClf}} {
+	}{{"sequential", newClf(1)}, {"parallel", newClf(0)}} {
 		b.Run(w.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -20,8 +20,7 @@ import (
 // snapshot served in-process via -model — at a configured QPS for a
 // fixed duration, and writes the LOAD_<date>.json artifact. The command
 // exits non-zero when the run violates its SLOs (-slo-p99, -slo-errors,
-// -slo-shed, -slo-minqps), so CI can gate on serving performance the
-// same way BENCH_<date>.json gates on kernel performance.
+// -slo-shed, -slo-minqps), so CI can gate on serving performance.
 func cmdLoadtest(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
 	addr := fs.String("addr", "", "target server base URL(s), comma-separated; several targets round-robin the offered load (e.g. a ring's replicas or routers)")

@@ -32,7 +32,6 @@ func cmdTrain(ctx context.Context, args []string) error {
 	ctxLimit := fs.Int("ctxlimit", 64, "cap on exported wire contexts")
 	ckptDir := fs.String("checkpoint", "", "persist crash-safe analysis/training progress under this directory")
 	resume := fs.Bool("resume", false, "resume from a compatible checkpoint in -checkpoint DIR, skipping completed work")
-	useIndex := fs.Bool("index", true, "build the metric index and persist it in the snapshot (DESIGN.md §12)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -71,14 +70,11 @@ func cmdTrain(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if !*useIndex {
-		pred.SetIndexing(false)
-	}
 	if err := pred.Save(*out); err != nil {
 		return err
 	}
-	fmt.Printf("trained %s predictor on %d samples (n=%d k=%d θ_δ=%g θ_I=%g fallback=%s index=%s)\n",
-		method, pred.TrainingSize(), cfg.N, cfg.K, cfg.ThetaDelta, cfg.ThetaI, fb, pred.IndexStatus())
+	fmt.Printf("trained %s predictor on %d samples (n=%d k=%d θ_δ=%g θ_I=%g fallback=%s)\n",
+		method, pred.TrainingSize(), cfg.N, cfg.K, cfg.ThetaDelta, cfg.ThetaI, fb)
 	fmt.Println("wrote", *out)
 	if *ctxOut != "" {
 		n, err := exportContexts(*ctxOut, repo, cfg.N, *ctxLimit)
@@ -136,7 +132,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	ringPath := fs.String("ring", "", "ring spec (ring.json, written by idarepro ring); requires -node or -router")
 	node := fs.String("node", "", "serve as this ring replica: load only the shards the spec places on the named node")
 	router := fs.Bool("router", false, "serve as the ring's router: scatter queries to shard replicas, merge candidates, health-check and repair the tier")
-	useIndex := fs.Bool("index", true, "serve through the metric index (snapshot-persisted or rebuilt); false forces the plain linear scan")
 	verbose := fs.Bool("v", false, "print the telemetry snapshot (request counters, latency) at exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -178,12 +173,9 @@ func cmdServe(ctx context.Context, args []string) error {
 	if workerCount != 0 {
 		pred.SetWorkers(workerCount)
 	}
-	if !*useIndex {
-		pred.SetIndexing(false)
-	}
 	cfg := pred.Config()
-	fmt.Fprintf(os.Stderr, "serve: loaded %s model from %s (%d samples, n=%d k=%d θ_δ=%g fallback=%s index=%s)\n",
-		pred.Method(), *model, pred.TrainingSize(), cfg.N, cfg.K, cfg.ThetaDelta, cfg.Fallback, pred.IndexStatus())
+	fmt.Fprintf(os.Stderr, "serve: loaded %s model from %s (%d samples, n=%d k=%d θ_δ=%g fallback=%s)\n",
+		pred.Method(), *model, pred.TrainingSize(), cfg.N, cfg.K, cfg.ThetaDelta, cfg.Fallback)
 	opts := repro.ServeOptions{
 		MaxInFlight:      *maxInFlight,
 		MaxBatch:         *maxBatch,

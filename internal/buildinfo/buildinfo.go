@@ -2,7 +2,7 @@
 // revision, and toolchain, read once from the binary's embedded build
 // metadata (runtime/debug.ReadBuildInfo). Every observability surface
 // reports it — `idarepro -version`, /v1/model, the idarepro_build_info
-// series on /metrics, and the checked-in BENCH_*/LOAD_* artifacts — so a
+// series on /metrics, and the checked-in LOAD_* artifacts — so a
 // latency number or a trace can always be joined back to the exact build
 // that produced it.
 package buildinfo

@@ -1,16 +1,14 @@
 package distance
 
 import (
-	"time"
-
 	"repro/internal/obs"
 	"repro/internal/session"
 )
 
 // Telemetry handles for the bounded path: bounded_calls counts
-// DistanceWithin invocations, early_abandon the fraction of them that
-// skipped the dynamic program entirely — the early-abandon hit rate of the
-// kNN scan.
+// DistanceWithin invocations, early_abandon those a lower bound rejected
+// before any display distance was computed — the early-abandon hit rate
+// of the kNN scan.
 var (
 	mBoundedCalls = obs.C("distance.treeedit.bounded_calls")
 	mEarlyAbandon = obs.C("distance.treeedit.early_abandon")
@@ -19,7 +17,7 @@ var (
 // BoundedMetric is a Metric that can prove "farther than bound" without
 // paying for the exact distance. The kNN scan feeds it θ_δ tightened by
 // the current k-th-best neighbor distance, so hopeless candidates abandon
-// before the O(|a|²·|b|²) tree-edit dynamic program runs.
+// before their exact distance is computed.
 type BoundedMetric interface {
 	Metric
 	// DistanceWithin returns (d, true) with the exact distance when
@@ -41,43 +39,10 @@ func Within(m Metric, a, b *session.Context, bound float64) (float64, bool) {
 	return d, d <= bound
 }
 
-// DistanceWithin implements BoundedMetric. The abandon test uses two
-// classical tree-edit lower bounds, both O(|a|+|b|) via the flattening the
-// dynamic program needs anyway:
-//
-//   - size: every insert/delete changes the node count by one, so
-//     raw >= unit·|size(a) − size(b)|;
-//   - height: a delete splices a node's children into its parent (and an
-//     insert is the inverse), moving the tree height by at most one, while
-//     relabels leave structure alone, so raw >= unit·|height(a) − height(b)|.
-//
-// Normalizing by the same unit·(size(a)+size(b)) denominator as Distance
-// turns either into a lower bound on the normalized distance; when that
-// bound already exceeds `bound`, the pair abandons without touching the
-// dynamic program. The result is bit-identical to Distance whenever
-// (d, true) is returned, which is all the kNN scan ever consumes.
+// DistanceWithin implements BoundedMetric through a one-off Evaluator;
+// see Evaluator.DistanceWithin for the abandon tests.
 func (m TreeEdit) DistanceWithin(a, b *session.Context, bound float64) (float64, bool) {
-	if obs.On() {
-		mBoundedCalls.Inc()
-		mTreeEditCalls.Inc()
-		if obs.Timing() {
-			t0 := time.Now()
-			defer mTreeEditNS.ObserveSince(t0)
-		}
-	}
-	ta, tb := flatten(a), flatten(b)
-	if d, done := degenerateDistance(ta, tb); done {
-		return d, d <= bound
-	}
-	lb := lowerBound(ta, tb)
-	if lb > bound {
-		if obs.On() {
-			mEarlyAbandon.Inc()
-		}
-		return lb, false
-	}
-	d := m.distanceFlat(ta, tb)
-	return d, d <= bound
+	return m.NewEvaluator(a).DistanceWithin(m.Prepare(b), bound)
 }
 
 // lowerBound returns the normalized-distance lower bound of two non-empty

@@ -9,8 +9,8 @@ import (
 )
 
 // boundedContexts builds a spread of contexts with different sizes and
-// depths so both lower bounds (size, height) and the full-DP path are
-// exercised.
+// depths, plus same-shape contexts whose actions differ in type, so every
+// lower bound (size, height, actions) and the full-DP path are exercised.
 func boundedContexts(t *testing.T) []*session.Context {
 	t.Helper()
 	root := packetRoot(t)
@@ -31,6 +31,16 @@ func boundedContexts(t *testing.T) []*session.Context {
 		for n := 1; n <= 4; n += 3 {
 			ctxs = append(ctxs, ctxAtEnd(t, s, n))
 		}
+	}
+	// Pure filter chains: the same shapes as the chains above, whose last
+	// action is a group-by instead, so only the action bound tells them
+	// apart before the display distances are computed.
+	for l := 1; l <= 3; l++ {
+		actions := make([]*engine.Action, l)
+		for i := range actions {
+			actions[i] = flt(int64(8 + i))
+		}
+		ctxs = append(ctxs, ctxAtEnd(t, sessionWith(t, root, actions...), 4))
 	}
 	// A branchy session: several actions from the root.
 	s := sessionWith(t, root, gc("protocol"))
@@ -58,10 +68,11 @@ func TestDistanceWithinMatchesDistance(t *testing.T) {
 	ctxs := boundedContexts(t)
 	m := TreeEdit{}
 	bounds := []float64{0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.9, 1}
-	abandoned := 0
+	abandoned, byActions := 0, 0
 	for i, a := range ctxs {
 		for j, b := range ctxs {
 			exact := m.Distance(a, b)
+			structural := lowerBound(flatten(a), flatten(b))
 			for _, bound := range bounds {
 				d, within := m.DistanceWithin(a, b, bound)
 				if within {
@@ -73,6 +84,9 @@ func TestDistanceWithinMatchesDistance(t *testing.T) {
 					}
 				} else {
 					abandoned++
+					if structural <= bound {
+						byActions++
+					}
 					if exact <= bound {
 						t.Fatalf("pair (%d,%d) bound %g: abandoned but exact %v <= bound", i, j, bound, exact)
 					}
@@ -85,6 +99,9 @@ func TestDistanceWithinMatchesDistance(t *testing.T) {
 	}
 	if abandoned == 0 {
 		t.Fatal("no pair ever abandoned; the bounds are vacuous for this corpus")
+	}
+	if byActions == 0 {
+		t.Fatal("the action bound never abandoned a pair the size/height bound kept")
 	}
 }
 
@@ -133,21 +150,38 @@ func TestWithinFallback(t *testing.T) {
 	}
 }
 
-// TestLowerBoundNeverExceedsDistance fuzzes the bound against the exact
-// metric over all corpus pairs.
+// actionBound is the evaluator's action-only lower bound for two
+// non-empty contexts: the dynamic program with relabel cost
+// 0.5·ActionDistance.
+func actionBound(m TreeEdit, a, b *session.Context) float64 {
+	e, tb := m.NewEvaluator(a), flatten(b)
+	e.grow(len(e.q.nodes), len(tb.nodes))
+	e.actionCosts(tb)
+	return e.run(tb)
+}
+
+// TestLowerBoundNeverExceedsDistance checks every lower bound the
+// evaluator abandons on against the exact metric over all corpus pairs.
+// The comparison is exact, with no tolerance: the scan compares the
+// bounds against θ_δ and the k-th-best distance in floating point, so a
+// bound one ULP above the computed distance could drop a true neighbor.
 func TestLowerBoundNeverExceedsDistance(t *testing.T) {
 	ctxs := boundedContexts(t)
-	m := TreeEdit{}
-	for _, a := range ctxs {
-		for _, b := range ctxs {
-			ta, tb := flatten(a), flatten(b)
-			if len(ta.nodes) == 0 || len(tb.nodes) == 0 {
-				continue
-			}
-			lb := lowerBound(ta, tb)
-			if exact := m.Distance(a, b); lb > exact+1e-12 {
-				t.Fatalf("lower bound %v exceeds exact distance %v (sizes %d/%d heights %d/%d)",
-					lb, exact, len(ta.nodes), len(tb.nodes), ta.height, tb.height)
+	for _, m := range []TreeEdit{{}, {InsDelCost: 2}, NewMemoizedTreeEdit(nil)} {
+		for _, lb := range []struct {
+			name  string
+			bound func(a, b *session.Context) float64
+		}{
+			{"size/height", func(a, b *session.Context) float64 { return lowerBound(flatten(a), flatten(b)) }},
+			{"actions", func(a, b *session.Context) float64 { return actionBound(m, a, b) }},
+		} {
+			for i, a := range ctxs {
+				for j, b := range ctxs {
+					if got, exact := lb.bound(a, b), m.Distance(a, b); got > exact {
+						t.Fatalf("metric %+v, %s bound of pair (%d,%d) is %v, above the exact distance %v",
+							m, lb.name, i, j, got, exact)
+					}
+				}
 			}
 		}
 	}

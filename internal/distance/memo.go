@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/session"
 )
 
 // Telemetry handles, hoisted so the hot path never touches the registry.
@@ -131,9 +130,5 @@ func NewMemoizedTreeEdit(cache *Memo) TreeEdit {
 	if cache == nil {
 		cache = NewMemo()
 	}
-	return TreeEdit{
-		NodeDist: func(a, b *session.CtxNode) float64 {
-			return 0.5*ActionDistance(a.Action, b.Action) + 0.5*cache.DisplayDistance(a.Display, b.Display)
-		},
-	}
+	return TreeEdit{Memo: cache}
 }

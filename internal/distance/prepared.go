@@ -3,23 +3,18 @@ package distance
 import (
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/session"
 )
 
-// The prepared fast path amortizes the per-call overheads of
-// TreeEdit.DistanceWithin across many evaluations. A plain call pays, per
-// pair: two O(|tree|) flattening walks (with their slice and map
-// allocations) and two fresh dynamic-program matrices. A metric index
-// evaluates one query against many stored contexts under a tightening
-// bound, so almost all of that is re-derivable state: the stored
-// contexts' flattenings never change, the query's flattening is shared
-// by the whole search, and the DP scratch can be reused between calls.
-//
-// Prepared caches a context's flattening; Evaluator fixes the query side
-// and owns the scratch. Evaluator.DistanceWithin returns bit-identical
-// results to TreeEdit.DistanceWithin — same lower bounds, same dynamic
-// program, same normalization arithmetic — it only skips repeated work.
+// The evaluator is the package's one Zhang-Shasha implementation.
+// TreeEdit.Distance and TreeEdit.DistanceWithin wrap it for one-off pairs;
+// the kNN scan, which evaluates one query against every training context,
+// uses it directly so the per-pair overheads amortize: the training
+// contexts' flattenings never change (Prepare, once per context), the
+// query's is shared by the whole scan (NewEvaluator, once per query), and
+// the dynamic-program scratch is reused between evaluations.
 
 // Prepared is one context's cached flattening, reusable across any
 // number of distance evaluations and safe for concurrent use (it is
@@ -40,29 +35,42 @@ func (m TreeEdit) Prepare(c *session.Context) *Prepared {
 type Evaluator struct {
 	q    *flatTree
 	unit float64
-	nd   func(a, b *session.CtxNode) float64
-	// Scratch matrices, grown on demand and zeroed per evaluation where
-	// the algorithm could observe stale values.
-	td, fd [][]float64
+	memo *Memo
+	// Scratch matrices, grown on demand: td holds subtree distances, fd
+	// forest distances, rel the relabel cost of every node pair.
+	td, fd, rel [][]float64
 }
 
 // NewEvaluator flattens the query once and resolves the metric's cost
-// model, exactly as every Distance/DistanceWithin call would.
+// model.
 func (m TreeEdit) NewEvaluator(q *session.Context) *Evaluator {
 	unit := m.InsDelCost
 	if unit <= 0 {
 		unit = 1
 	}
-	nd := m.NodeDist
-	if nd == nil {
-		nd = NodeDistance
-	}
-	return &Evaluator{q: flatten(q), unit: unit, nd: nd}
+	return &Evaluator{q: flatten(q), unit: unit, memo: m.Memo}
 }
 
-// DistanceWithin is TreeEdit.DistanceWithin with the query side fixed:
-// (d, true) with the exact distance when d <= bound, else (lb, false)
-// with lb a valid lower bound. Identical results, identical counters.
+// DistanceWithin returns (d, true) with the exact distance from the query
+// to p when d <= bound, else (lb, false) with lb a lower bound on the
+// true distance, not the distance itself. Two tests can abandon a pair
+// before the exact dynamic program runs, cheapest first:
+//
+//   - size and height: every insert/delete changes the node count by one,
+//     and moves the tree height by at most one (a delete splices a node's
+//     children into its parent), while relabels leave structure alone —
+//     so raw >= unit·max(|size(a) − size(b)|, |height(a) − height(b)|);
+//   - actions: the same dynamic program with relabel cost
+//     0.5·ActionDistance. The real relabel cost adds 0.5·DisplayDistance
+//     >= 0 to every pair, so no edit script costs less under the real
+//     costs, and the program's only operations — + and min over the same
+//     cells — are monotone under IEEE rounding: the computed action-only
+//     distance never exceeds the computed exact one. It runs before any
+//     display distance is computed, which is where the time goes.
+//
+// Both abandon only when their bound strictly exceeds `bound`, so pairs at
+// the bound are computed exactly and a scan's ties survive. Whenever
+// (d, true) is returned, d carries the exact distance's float bits.
 func (e *Evaluator) DistanceWithin(p *Prepared, bound float64) (float64, bool) {
 	if obs.On() {
 		mBoundedCalls.Inc()
@@ -72,71 +80,157 @@ func (e *Evaluator) DistanceWithin(p *Prepared, bound float64) (float64, bool) {
 			defer mTreeEditNS.ObserveSince(t0)
 		}
 	}
+	return e.within(p, bound)
+}
+
+// within is DistanceWithin without the call counters; Distance runs it
+// unbounded.
+func (e *Evaluator) within(p *Prepared, bound float64) (float64, bool) {
 	ta, tb := e.q, p.ft
 	if d, done := degenerateDistance(ta, tb); done {
 		return d, d <= bound
 	}
-	lb := lowerBound(ta, tb)
-	if lb > bound {
-		if obs.On() {
-			mEarlyAbandon.Inc()
-		}
+	if lb := lowerBound(ta, tb); lb > bound {
+		countAbandon()
 		return lb, false
 	}
-	raw := e.zhangShasha(ta, tb)
-	// Mirrors distanceFlat's normalization exactly.
-	max := e.unit * float64(len(ta.nodes)+len(tb.nodes))
-	if max == 0 {
-		return 0, 0 <= bound
+	e.grow(len(ta.nodes), len(tb.nodes))
+	e.actionCosts(tb)
+	// A normalized distance never exceeds 1, so a bound of 1 or more
+	// cannot abandon.
+	if bound < 1 {
+		if lb := e.run(tb); lb > bound {
+			countAbandon()
+			return lb, false
+		}
 	}
-	d := raw / max
-	if d > 1 {
-		d = 1
-	}
+	e.addDisplayCosts(tb)
+	d := e.run(tb)
 	return d, d <= bound
 }
 
-// zhangShasha is the package-level zhangShasha over reused scratch. The
-// recurrences write every cell they read within one treeDist call except
-// the tree-distance matrix, whose cross-keyroot reads are always of
-// previously written cells; it is still zeroed per evaluation so a reuse
-// bug could never silently change a distance.
+// actionCosts sets every node pair's relabel cost to its action half,
+// 0.5·ActionDistance — the action bound's cost model.
+func (e *Evaluator) actionCosts(tb *flatTree) {
+	for i, a := range e.q.nodes {
+		row := e.rel[i]
+		for j, b := range tb.nodes {
+			row[j] = 0.5 * ActionDistance(a.Action, b.Action)
+		}
+	}
+}
+
+// addDisplayCosts completes actionCosts' relabel costs to NodeDistance's
+// full 0.5·ActionDistance + 0.5·DisplayDistance, with the same float
+// operations in the same order.
+func (e *Evaluator) addDisplayCosts(tb *flatTree) {
+	for i, a := range e.q.nodes {
+		row := e.rel[i]
+		for j, b := range tb.nodes {
+			row[j] += 0.5 * e.displayDistance(a.Display, b.Display)
+		}
+	}
+}
+
+func countAbandon() {
+	if obs.On() {
+		mEarlyAbandon.Inc()
+	}
+}
+
+func (e *Evaluator) displayDistance(a, b *engine.Display) float64 {
+	if e.memo != nil {
+		return e.memo.DisplayDistance(a, b)
+	}
+	return DisplayDistance(a, b)
+}
+
+// run evaluates the dynamic program against tb under the relabel costs
+// currently in rel and normalizes the result by the cost of deleting one
+// tree and inserting the other, so distances fall in [0, 1].
+func (e *Evaluator) run(tb *flatTree) float64 {
+	d := e.zhangShasha(e.q, tb) / (e.unit * float64(len(e.q.nodes)+len(tb.nodes)))
+	if d > 1 {
+		d = 1
+	}
+	return d
+}
+
+// zhangShasha runs the dynamic program over reused scratch with the
+// relabel costs currently in rel. The recurrences write every cell they
+// read within one treeDist call except the subtree-distance matrix,
+// whose cross-keyroot reads are always of previously written cells; it
+// is still zeroed per run so a reuse bug could never silently change a
+// distance.
 func (e *Evaluator) zhangShasha(ta, tb *flatTree) float64 {
 	n, m := len(ta.nodes), len(tb.nodes)
-	e.grow(n, m)
 	for i := 0; i < n; i++ {
-		row := e.td[i]
-		for j := 0; j < m; j++ {
-			row[j] = 0
-		}
+		clear(e.td[i][:m])
 	}
 	for _, i := range ta.keyroots {
 		for _, j := range tb.keyroots {
-			treeDist(ta, tb, i, j, e.unit, e.nd, e.td, e.fd)
+			e.treeDist(ta, tb, i, j)
 		}
 	}
 	return e.td[n-1][m-1]
 }
 
+// treeDist fills the forest distances between the subtrees rooted at
+// keyroots i and j, recording every subtree-pair distance it completes.
+func (e *Evaluator) treeDist(ta, tb *flatTree, i, j int) {
+	td, fd, unit := e.td, e.fd, e.unit
+	li, lj := ta.leftmost[i], tb.leftmost[j]
+	// fd indices are offsets: fd[a][b] = distance between forests
+	// ta[li..li+a-1] and tb[lj..lj+b-1].
+	ni, nj := i-li+1, j-lj+1
+
+	fd[0][0] = 0
+	for a := 1; a <= ni; a++ {
+		fd[a][0] = fd[a-1][0] + unit
+	}
+	for b := 1; b <= nj; b++ {
+		fd[0][b] = fd[0][b-1] + unit
+	}
+	for a := 1; a <= ni; a++ {
+		for b := 1; b <= nj; b++ {
+			ia := li + a - 1 // node index in ta
+			jb := lj + b - 1 // node index in tb
+			if ta.leftmost[ia] == li && tb.leftmost[jb] == lj {
+				// Both forests are trees rooted at ia / jb.
+				fd[a][b] = min3(
+					fd[a-1][b]+unit,
+					fd[a][b-1]+unit,
+					fd[a-1][b-1]+e.rel[ia][jb],
+				)
+				td[ia][jb] = fd[a][b]
+			} else {
+				fd[a][b] = min3(
+					fd[a-1][b]+unit,
+					fd[a][b-1]+unit,
+					fd[ta.leftmost[ia]-li][tb.leftmost[jb]-lj]+td[ia][jb],
+				)
+			}
+		}
+	}
+}
+
 // grow ensures the scratch matrices cover an n x m problem (fd needs one
 // extra row and column for the empty-forest borders).
 func (e *Evaluator) grow(n, m int) {
-	if len(e.td) >= n && (n == 0 || len(e.td[0]) >= m) {
+	if len(e.td) >= n && len(e.td[0]) >= m {
 		return
 	}
-	rows, cols := n, m
-	if len(e.td) > rows {
-		rows = len(e.td)
+	rows, cols := max(n, len(e.td)), m
+	if len(e.td) > 0 {
+		cols = max(cols, len(e.td[0]))
 	}
-	if len(e.td) > 0 && len(e.td[0]) > cols {
-		cols = len(e.td[0])
+	e.td, e.rel, e.fd = matrix(rows, cols), matrix(rows, cols), matrix(rows+1, cols+1)
+}
+
+func matrix(rows, cols int) [][]float64 {
+	out := make([][]float64, rows)
+	for i := range out {
+		out[i] = make([]float64, cols)
 	}
-	e.td = make([][]float64, rows)
-	e.fd = make([][]float64, rows+1)
-	for i := range e.td {
-		e.td[i] = make([]float64, cols)
-	}
-	for i := range e.fd {
-		e.fd[i] = make([]float64, cols+1)
-	}
+	return out
 }

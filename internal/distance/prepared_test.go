@@ -40,8 +40,7 @@ func TestEvaluatorBitIdenticalToDistanceWithin(t *testing.T) {
 }
 
 // TestEvaluatorUnboundedMatchesDistance: an unbounded evaluation is always
-// exact and equals Distance bit-for-bit (the Build path relies on this for
-// vantage distances).
+// exact and equals Distance bit-for-bit.
 func TestEvaluatorUnboundedMatchesDistance(t *testing.T) {
 	ctxs := boundedContexts(t)
 	m := TreeEdit{}

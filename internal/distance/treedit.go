@@ -1,6 +1,7 @@
 package distance
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/obs"
@@ -24,14 +25,15 @@ type Metric interface {
 
 // TreeEdit is the paper's context distance: the Zhang-Shasha ordered-tree
 // edit distance where deleting or inserting a node costs 1 and relabeling
-// costs the blended ground distance between the nodes (actions + displays),
-// normalized by the combined tree size so results fall in [0, 1].
+// costs the blended ground distance between the nodes (NodeDistance:
+// actions + displays), normalized by the combined tree size so results
+// fall in [0, 1].
 type TreeEdit struct {
 	// InsDelCost is the insert/delete unit cost; 0 means 1.
 	InsDelCost float64
-	// NodeDist overrides the relabel ground metric; nil means
-	// NodeDistance. Memoized variants (see NewMemoized) plug in here.
-	NodeDist func(a, b *session.CtxNode) float64
+	// Memo caches the display ground metric across calls (see
+	// NewMemoizedTreeEdit); nil computes DisplayDistance afresh.
+	Memo *Memo
 }
 
 // Name implements Metric.
@@ -46,15 +48,12 @@ func (m TreeEdit) Distance(a, b *session.Context) float64 {
 			defer mTreeEditNS.ObserveSince(t0)
 		}
 	}
-	ta, tb := flatten(a), flatten(b)
-	if d, done := degenerateDistance(ta, tb); done {
-		return d
-	}
-	return m.distanceFlat(ta, tb)
+	d, _ := m.NewEvaluator(a).within(m.Prepare(b), math.Inf(1))
+	return d
 }
 
-// degenerateDistance resolves the empty-tree cases shared by Distance and
-// DistanceWithin.
+// degenerateDistance resolves the empty-tree cases before any dynamic
+// program runs.
 func degenerateDistance(ta, tb *flatTree) (float64, bool) {
 	switch {
 	case len(ta.nodes) == 0 && len(tb.nodes) == 0:
@@ -63,30 +62,6 @@ func degenerateDistance(ta, tb *flatTree) (float64, bool) {
 		return 1, true
 	}
 	return 0, false
-}
-
-// distanceFlat runs the full dynamic program over two non-empty flattened
-// trees and normalizes the result to [0, 1].
-func (m TreeEdit) distanceFlat(ta, tb *flatTree) float64 {
-	unit := m.InsDelCost
-	if unit <= 0 {
-		unit = 1
-	}
-	nd := m.NodeDist
-	if nd == nil {
-		nd = NodeDistance
-	}
-	raw := zhangShasha(ta, tb, unit, nd)
-	// Max possible cost: delete everything in a, insert everything in b.
-	max := unit * float64(len(ta.nodes)+len(tb.nodes))
-	if max == 0 {
-		return 0
-	}
-	d := raw / max
-	if d > 1 {
-		d = 1
-	}
-	return d
 }
 
 // flatTree is a postorder flattening of a context tree, with the leftmost
@@ -143,65 +118,6 @@ func sortInts(xs []int) {
 	for i := 1; i < len(xs); i++ {
 		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// zhangShasha computes the unnormalized tree edit distance.
-func zhangShasha(ta, tb *flatTree, unit float64, nd func(a, b *session.CtxNode) float64) float64 {
-	n, m := len(ta.nodes), len(tb.nodes)
-	td := make([][]float64, n)
-	for i := range td {
-		td[i] = make([]float64, m)
-	}
-
-	// Forest-distance scratch; sized (n+1) x (m+1).
-	fd := make([][]float64, n+1)
-	for i := range fd {
-		fd[i] = make([]float64, m+1)
-	}
-
-	for _, i := range ta.keyroots {
-		for _, j := range tb.keyroots {
-			treeDist(ta, tb, i, j, unit, nd, td, fd)
-		}
-	}
-	return td[n-1][m-1]
-}
-
-func treeDist(ta, tb *flatTree, i, j int, unit float64, nd func(a, b *session.CtxNode) float64, td, fd [][]float64) {
-	li, lj := ta.leftmost[i], tb.leftmost[j]
-	// fd indices are offsets: fd[a][b] = distance between forests
-	// ta[li..li+a-1] and tb[lj..lj+b-1].
-	ni, nj := i-li+1, j-lj+1
-
-	fd[0][0] = 0
-	for a := 1; a <= ni; a++ {
-		fd[a][0] = fd[a-1][0] + unit
-	}
-	for b := 1; b <= nj; b++ {
-		fd[0][b] = fd[0][b-1] + unit
-	}
-	for a := 1; a <= ni; a++ {
-		for b := 1; b <= nj; b++ {
-			ia := li + a - 1 // node index in ta
-			jb := lj + b - 1 // node index in tb
-			if ta.leftmost[ia] == li && tb.leftmost[jb] == lj {
-				// Both forests are trees rooted at ia / jb.
-				rel := nd(ta.nodes[ia], tb.nodes[jb])
-				fd[a][b] = min3(
-					fd[a-1][b]+unit,
-					fd[a][b-1]+unit,
-					fd[a-1][b-1]+rel,
-				)
-				td[ia][jb] = fd[a][b]
-			} else {
-				fd[a][b] = min3(
-					fd[a-1][b]+unit,
-					fd[a][b-1]+unit,
-					fd[ta.leftmost[ia]-li][tb.leftmost[jb]-lj]+td[ia][jb],
-				)
-			}
 		}
 	}
 }

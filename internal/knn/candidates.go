@@ -3,7 +3,6 @@ package knn
 import (
 	"math"
 
-	"repro/internal/knn/index"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/session"
@@ -37,31 +36,10 @@ type Candidate struct {
 //
 // Indexes are positions in this classifier's own sample slice.
 func (c *Classifier) Candidates(query *session.Context) []Candidate {
-	k := c.cfg.K
-	w := parallel.Workers(c.cfg.Workers)
-	var sorted []cand
-	var st index.Stats
-	if c.idx == nil && w > 1 && len(c.samples) >= minParallelScan {
-		chunks := parallel.Chunks(len(c.samples), w)
-		accs := make([]*topK, len(chunks))
-		parallel.ForEachN(nil, len(chunks), w, func(ci int) {
-			acc := newTopK(k)
-			c.scanRange(query, chunks[ci][0], chunks[ci][1], acc, math.Inf(1))
-			accs[ci] = acc
-		})
-		sorted = mergeTopK(k, accs)
-		st.Visited = uint64(len(c.samples))
-		if c.idxWanted && obs.On() {
-			index.CountFallbackLinear()
-		}
-	} else {
-		acc := newTopK(k)
-		st = c.searchInto(query, acc, math.Inf(1))
-		sorted = acc.drain()
-	}
+	sorted, _ := c.scan(nil, query, math.Inf(1), parallel.Workers(c.cfg.Workers))
 	if obs.On() {
 		mScans.Inc()
-		mDistEvals.Add(st.Visited)
+		mDistEvals.Add(uint64(len(c.samples)))
 	}
 	out := make([]Candidate, len(sorted))
 	for i, cd := range sorted {

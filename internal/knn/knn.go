@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/distance"
 	"repro/internal/faults"
-	"repro/internal/knn/index"
 	"repro/internal/obs"
 	"repro/internal/offline"
 	"repro/internal/parallel"
@@ -139,12 +138,11 @@ type Classifier struct {
 	// fault-degraded queries; empty when no sample carries a label.
 	prior string
 
-	// idx is the optional vantage-point metric index over samples;
-	// idxWanted distinguishes "indexing off" from "indexing enabled but
-	// the index absent" (the latter counts knn.index.fallback_linear).
-	// See index.go for the lifecycle methods.
-	idx       *index.VP
-	idxWanted bool
+	// prepared holds every training context flattened once when the
+	// metric is the tree-edit distance, so each scan evaluates through
+	// one per-query distance.Evaluator (see within); nil under any other
+	// metric.
+	prepared []*distance.Prepared
 
 	// Per-θ_δ outcome counters, resolved once at construction so Predict
 	// never formats metric names on the hot path.
@@ -166,7 +164,7 @@ func New(samples []*offline.Sample, metric distance.Metric, cfg Config) *Classif
 	if cfg.Unbounded {
 		theta = "[unbounded]"
 	}
-	return &Classifier{
+	c := &Classifier{
 		cfg:       cfg,
 		metric:    metric,
 		samples:   samples,
@@ -175,6 +173,13 @@ func New(samples []*offline.Sample, metric distance.Metric, cfg Config) *Classif
 		mAbstain:  obs.C("knn.predict.abstain" + theta),
 		mFallback: obs.C("knn.predict.fallback" + theta),
 	}
+	if te, ok := metric.(distance.TreeEdit); ok {
+		c.prepared = make([]*distance.Prepared, len(samples))
+		for i, s := range samples {
+			c.prepared[i] = te.Prepare(s.Context)
+		}
+	}
+	return c
 }
 
 // priorLabel computes the training set's majority label with the same
@@ -242,53 +247,36 @@ func (c *Classifier) PredictCtx(ctx context.Context, query *session.Context) (Pr
 	if ctx != nil && ctx.Err() != nil {
 		return Prediction{}, pipeline.Wrap("knn.predict", 0, 1, ctx.Err())
 	}
-	k := c.cfg.K
-	w := parallel.Workers(c.cfg.Workers)
 	var p Prediction
-	var st index.Stats
-	// An installed index replaces the chunked-parallel scan outright: the
-	// pruned descent touches so few contexts that fan-out overhead loses.
-	if c.idx == nil && w > 1 && len(c.samples) >= minParallelScan {
-		chunks := parallel.Chunks(len(c.samples), w)
-		accs := make([]*topK, len(chunks))
-		done, err := parallel.ForEachN(ctx, len(chunks), w, func(ci int) {
-			acc := newTopK(k)
-			c.scanRange(query, chunks[ci][0], chunks[ci][1], acc, c.scanLimit())
-			accs[ci] = acc
-		})
+	var evals uint64
+	if w := parallel.Workers(c.cfg.Workers); c.chunked(w) {
+		sorted, err := c.scan(ctx, query, c.scanLimit(), w)
 		if err != nil {
-			return Prediction{}, pipeline.Wrap("knn.predict", done, len(chunks), err)
+			return Prediction{}, err
 		}
-		p = c.voteCands(mergeTopK(k, accs))
-		st.Visited = uint64(len(c.samples))
-		if c.idxWanted && obs.On() {
-			index.CountFallbackLinear()
-		}
+		p, evals = c.voteCands(sorted), uint64(len(c.samples))
 	} else {
-		p, st = c.predictOne(query)
+		p, evals = c.predictOne(query)
 	}
-	p, st = c.applyFallback(query, p, st)
+	p, evals = c.applyFallback(query, p, evals)
 	if obs.On() {
 		mScans.Inc()
-		mDistEvals.Add(st.Visited)
+		mDistEvals.Add(evals)
 		c.countOutcome(p)
 	}
-	traceOutcome(obs.TraceFrom(ctx), st, p)
+	traceOutcome(obs.TraceFrom(ctx), evals, p)
 	return p, nil
 }
 
 // traceOutcome annotates a request trace with one prediction's scan cost
-// (exact evaluations, and the index's prune split when the indexed path
-// served it) and degradation rung. Nil-safe: the non-HTTP paths
-// (benchmarks, batch CLI runs) pass a nil trace and pay one comparison.
-func traceOutcome(tr *obs.Trace, st index.Stats, p Prediction) {
+// (distance evaluations) and degradation rung. Nil-safe: the non-HTTP
+// paths (benchmarks, batch CLI runs) pass a nil trace and pay one
+// comparison.
+func traceOutcome(tr *obs.Trace, evals uint64, p Prediction) {
 	if tr == nil {
 		return
 	}
-	tr.AddDistanceEvals(st.Visited)
-	if st.Indexed {
-		tr.AddIndexStats(st.Visited, st.Pruned)
-	}
+	tr.AddDistanceEvals(evals)
 	tr.AddCandidates(len(p.Neighbors))
 	switch {
 	case p.Fallback:
@@ -306,14 +294,46 @@ func (c *Classifier) scanLimit() float64 {
 	return c.cfg.ThetaDelta
 }
 
+// chunked reports whether a scan with w workers partitions the training
+// set: only when it is large enough to repay the fan-out.
+func (c *Classifier) chunked(w int) bool {
+	return w > 1 && len(c.samples) >= minParallelScan
+}
+
+// scan is the one search path: a scan of the whole training set that
+// returns its top-k under limit in ascending (dist, idx) order. When
+// chunked(w), w workers scan contiguous chunks into their own
+// accumulators, merged by candidate key (mergeTopK), so the result is the
+// sequential scan's at every worker count. A canceled ctx stops the
+// chunked scan between chunks with the "knn.predict" stage error.
+func (c *Classifier) scan(ctx context.Context, query *session.Context, limit float64, w int) ([]cand, error) {
+	if !c.chunked(w) {
+		acc := newTopK(c.cfg.K)
+		c.scanRange(query, 0, len(c.samples), acc, limit)
+		return acc.drain(), nil
+	}
+	chunks := parallel.Chunks(len(c.samples), w)
+	accs := make([]*topK, len(chunks))
+	done, err := parallel.ForEachN(ctx, len(chunks), w, func(ci int) {
+		acc := newTopK(c.cfg.K)
+		c.scanRange(query, chunks[ci][0], chunks[ci][1], acc, limit)
+		accs[ci] = acc
+	})
+	if err != nil {
+		return nil, pipeline.Wrap("knn.predict", done, len(chunks), err)
+	}
+	return mergeTopK(c.cfg.K, accs), nil
+}
+
 // scanRange scans samples[lo:hi] into acc. The abandon bound starts at
-// limit (θ_δ for the gated scan, +∞ when Unbounded or for the
-// FallbackNearest rescan) and tightens to the accumulator's k-th-best
-// distance once it fills: a candidate strictly farther than the bound can
-// neither pass the threshold nor displace a kept neighbor — ties at the
-// bound are still computed exactly, so (dist, idx) tie-breaking matches
-// the sequential scan.
+// limit (θ_δ for the gated scan, +∞ when Unbounded, for the
+// FallbackNearest rescan and for Candidates) and tightens to the
+// accumulator's k-th-best distance once it fills: a candidate strictly
+// farther than the bound can neither pass the threshold nor displace a
+// kept neighbor — ties at the bound are still computed exactly, so
+// (dist, idx) tie-breaking matches the unbounded scan.
 func (c *Classifier) scanRange(query *session.Context, lo, hi int, acc *topK, limit float64) {
+	within := c.within(query)
 	for i := lo; i < hi; i++ {
 		bound := limit
 		if acc.full() {
@@ -321,11 +341,28 @@ func (c *Classifier) scanRange(query *session.Context, lo, hi int, acc *topK, li
 				bound = b
 			}
 		}
-		d, within := distance.Within(c.metric, query, c.samples[i].Context, bound)
-		if !within {
+		d, ok := within(i, bound)
+		if !ok {
 			continue
 		}
 		acc.add(d, i)
+	}
+}
+
+// within returns the bounded distance from query to training sample i:
+// through one distance.Evaluator over the prepared contexts under the
+// tree-edit metric, through distance.Within under any other. The
+// evaluator reuses scratch, so every scanning goroutine calls within for
+// its own.
+func (c *Classifier) within(query *session.Context) func(i int, bound float64) (float64, bool) {
+	if c.prepared != nil {
+		ev := c.metric.(distance.TreeEdit).NewEvaluator(query)
+		return func(i int, bound float64) (float64, bool) {
+			return ev.DistanceWithin(c.prepared[i], bound)
+		}
+	}
+	return func(i int, bound float64) (float64, bool) {
+		return distance.Within(c.metric, query, c.samples[i].Context, bound)
 	}
 }
 
@@ -338,21 +375,21 @@ func (c *Classifier) voteCands(sorted []cand) Prediction {
 	return voteSorted(ns)
 }
 
-// predictOne runs the sequential pruned scan-and-vote for one query
-// behind the knn.scan fault probe: injected errors and panics retry, and
-// a query whose retries exhaust degrades to an abstention (which the
-// FallbackPolicy may then rescue). The probe key is the query context's
-// identity (session, position, n) — content, not call order — so the
-// same queries degrade at every worker count.
-func (c *Classifier) predictOne(query *session.Context) (Prediction, index.Stats) {
-	var st index.Stats
+// predictOne runs the sequential scan-and-vote for one query behind the
+// knn.scan fault probe and reports its distance evaluations: injected
+// errors and panics retry, and a query whose retries exhaust degrades to
+// an abstention (which the FallbackPolicy may then rescue). The probe key
+// is the query context's identity (session, position, n) — content, not
+// call order — so the same queries degrade at every worker count.
+func (c *Classifier) predictOne(query *session.Context) (Prediction, uint64) {
+	var evals uint64
 	scan := func() Prediction {
-		acc := newTopK(c.cfg.K)
-		st.Accum(c.searchInto(query, acc, c.scanLimit()))
-		return c.voteCands(acc.drain())
+		sorted, _ := c.scan(nil, query, c.scanLimit(), 1)
+		evals += uint64(len(c.samples))
+		return c.voteCands(sorted)
 	}
 	if !faults.Enabled() {
-		return scan(), st
+		return scan(), evals
 	}
 	base := query.SessionID + "@" + strconv.Itoa(query.T) + "/" + strconv.Itoa(query.N)
 	var p Prediction
@@ -369,25 +406,25 @@ func (c *Classifier) predictOne(query *session.Context) (Prediction, index.Stats
 		return nil
 	})
 	if err != nil {
-		return Prediction{Covered: false}, st
+		return Prediction{Covered: false}, evals
 	}
-	return p, st
+	return p, evals
 }
 
 // applyFallback implements the kNN rung of the degradation ladder: an
 // abstaining prediction is rewritten according to Config.Fallback. The
-// FallbackNearest rescan's work accumulates into st.
-func (c *Classifier) applyFallback(query *session.Context, p Prediction, st index.Stats) (Prediction, index.Stats) {
+// FallbackNearest rescan's evaluations add to evals.
+func (c *Classifier) applyFallback(query *session.Context, p Prediction, evals uint64) (Prediction, uint64) {
 	if p.Covered || c.cfg.Fallback == FallbackAbstain {
-		return p, st
+		return p, evals
 	}
 	switch c.cfg.Fallback {
 	case FallbackNearest:
-		acc := newTopK(c.cfg.K)
-		st.Accum(c.searchInto(query, acc, math.Inf(1)))
-		if np := c.voteCands(acc.drain()); np.Covered {
+		sorted, _ := c.scan(nil, query, math.Inf(1), 1)
+		evals += uint64(len(c.samples))
+		if np := c.voteCands(sorted); np.Covered {
 			np.Fallback = true
-			return np, st
+			return np, evals
 		}
 	case FallbackPrior:
 		if c.prior != "" {
@@ -396,7 +433,7 @@ func (c *Classifier) applyFallback(query *session.Context, p Prediction, st inde
 			p.Fallback = true
 		}
 	}
-	return p, st
+	return p, evals
 }
 
 // countOutcome records the covered/abstain/fallback split for one
@@ -432,13 +469,13 @@ func (c *Classifier) PredictAllCtx(ctx context.Context, queries []*session.Conte
 		t0 = time.Now()
 	}
 	out := make([]Prediction, len(queries))
-	stats := make([]index.Stats, len(queries))
+	evals := make([]uint64, len(queries))
 	done, err := parallel.ForEachN(ctx, len(queries), c.cfg.Workers, func(i int) {
-		p, st := c.predictOne(queries[i])
-		out[i], stats[i] = c.applyFallback(queries[i], p, st)
+		p, n := c.predictOne(queries[i])
+		out[i], evals[i] = c.applyFallback(queries[i], p, n)
 		if obs.On() {
 			mScans.Inc()
-			mDistEvals.Add(stats[i].Visited)
+			mDistEvals.Add(evals[i])
 		}
 	})
 	if obs.On() {
@@ -449,7 +486,7 @@ func (c *Classifier) PredictAllCtx(ctx context.Context, queries []*session.Conte
 	if tr != nil {
 		tr.AddStage("knn.predict_all", time.Since(t0))
 		for i := 0; i < done && i < len(out); i++ {
-			traceOutcome(tr, stats[i], out[i])
+			traceOutcome(tr, evals[i], out[i])
 		}
 	}
 	if err != nil {

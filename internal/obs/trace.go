@@ -43,18 +43,16 @@ type Trace struct {
 	op    string
 	start time.Time
 
-	mu           sync.Mutex
-	stages       []TraceStage
-	rungs        map[string]int
-	faultSites   []string
-	hops         []string
-	candidates   int
-	distEvals    uint64
-	indexVisited uint64
-	indexPruned  uint64
-	status       int
-	elapsed      time.Duration
-	done         bool
+	mu         sync.Mutex
+	stages     []TraceStage
+	rungs      map[string]int
+	faultSites []string
+	hops       []string
+	candidates int
+	distEvals  uint64
+	status     int
+	elapsed    time.Duration
+	done       bool
 }
 
 // NewTrace starts a trace for one request. id is the request's
@@ -142,20 +140,6 @@ func (t *Trace) AddDistanceEvals(n uint64) {
 	t.mu.Unlock()
 }
 
-// AddIndexStats records one metric-index search's prune effectiveness:
-// visited exact distance evaluations and pruned training contexts skipped
-// via subtree bounds. Linear scans never call this, so a request trace
-// with index stats is positive proof the index path served it.
-func (t *Trace) AddIndexStats(visited, pruned uint64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.indexVisited += visited
-	t.indexPruned += pruned
-	t.mu.Unlock()
-}
-
 // Finish seals the trace with the response status and total elapsed
 // time. Further annotations are ignored by Record; Finish is idempotent
 // (the first call wins).
@@ -196,12 +180,6 @@ type TraceRecord struct {
 	Candidates int `json:"candidates,omitempty"`
 	// DistanceEvals is the number of distance evaluations performed.
 	DistanceEvals uint64 `json:"distance_evals,omitempty"`
-	// IndexVisited / IndexPruned report the metric index's prune
-	// effectiveness for this request: exact evaluations performed vs
-	// training contexts skipped via subtree bounds. Zero when the request
-	// was served by a linear scan.
-	IndexVisited uint64 `json:"index_visited,omitempty"`
-	IndexPruned  uint64 `json:"index_pruned,omitempty"`
 }
 
 // Record copies the trace into its serializable form.
@@ -219,8 +197,6 @@ func (t *Trace) Record() TraceRecord {
 		TotalNS:       uint64(t.elapsed),
 		Candidates:    t.candidates,
 		DistanceEvals: t.distEvals,
-		IndexVisited:  t.indexVisited,
-		IndexPruned:   t.indexPruned,
 	}
 	if len(t.stages) > 0 {
 		rec.Stages = append([]TraceStage(nil), t.stages...)

@@ -67,14 +67,6 @@ func buildShards(clf *knn.Classifier, r *ring.Ring, node string) map[int]*shardM
 	}
 	for sh, sm := range out {
 		sm.clf = knn.New(parts[sh], clf.Metric(), clf.Config())
-		if clf.IndexWanted() {
-			// Per-shard metric indexes are built here rather than decoded:
-			// the snapshot's index covers the whole training set, and each
-			// shard needs a tree over its own partition. Search order does
-			// not affect answers (strict (dist, index) selection), so the
-			// merged result stays bit-identical to the whole-model scan.
-			sm.clf.BuildIndex()
-		}
 	}
 	return out
 }

@@ -4,13 +4,9 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
-
-	"repro/internal/atomicio"
 )
 
 // Trailing sections extend the snapshot envelope without breaking old
@@ -35,8 +31,8 @@ import (
 // not mistaken for a newer writer.
 //
 // Compatibility rules mirror the envelope's: a file that ends cleanly
-// where a section would start is an old, sectionless snapshot and loads
-// fine (readers that want the section's content rebuild it); an unknown
+// where a section would start is a sectionless snapshot and loads fine
+// (this build writes no sections; see SectionKNNIndex); an unknown
 // section kind, a section version above the registry's, or unknown flag
 // bits fail loudly with ErrNewerVersion — a newer writer produced
 // something this build would half-understand. Anything else malformed —
@@ -49,15 +45,16 @@ const sectionMagic = "IDASECTv"
 
 // Section kinds. Kinds are never reused; retired kinds keep their number.
 const (
-	// SectionKNNIndex carries the serialized vantage-point metric index
-	// (internal/knn/index.Wire as JSON) built over Model.Samples, so a
-	// cold-started server begins serving with the index prebuilt instead
-	// of paying an O(n log n) distance-evaluation rebuild on boot.
+	// SectionKNNIndex is retired. Earlier builds appended a vantage-point
+	// metric index over Model.Samples in it; kNN search no longer uses
+	// an index, so nothing writes it. It stays registered so that those
+	// snapshots keep loading: Read verifies the section like any other,
+	// then discards it.
 	SectionKNNIndex uint32 = 1
 )
 
-// KNNIndexVersion is the newest SectionKNNIndex version this build
-// writes and understands.
+// KNNIndexVersion is the newest SectionKNNIndex version earlier builds
+// wrote.
 const KNNIndexVersion uint32 = 1
 
 // sectionVersions registers, per known kind, the newest version this
@@ -212,37 +209,4 @@ func readSection(r io.Reader) (Section, bool, error) {
 	}
 	s.Payload = payload
 	return s, false, nil
-}
-
-// SaveSections writes the model and sections to a file path atomically
-// (see Save).
-func SaveSections(path string, m *Model, secs ...Section) error {
-	err := atomicio.WriteFile(path, func(w io.Writer) error {
-		return WriteSections(w, m, secs...)
-	})
-	if err != nil {
-		return fmt.Errorf("snapshot: save: %w", err)
-	}
-	return nil
-}
-
-// LoadSections reads a snapshot and its trailing sections from a file
-// path.
-func LoadSections(path string) (*Model, []Section, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("snapshot: load: %w", err)
-	}
-	defer f.Close()
-	return ReadSections(f)
-}
-
-// MarshalSection JSON-encodes v into a section of the given kind and
-// version.
-func MarshalSection(kind, version uint32, v any) (Section, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return Section{}, fmt.Errorf("snapshot: encode section %d: %w", kind, err)
-	}
-	return Section{Kind: kind, Version: version, Payload: raw}, nil
 }

@@ -143,28 +143,6 @@ func TestSectionTruncation(t *testing.T) {
 	}
 }
 
-// TestMarshalSection round-trips a JSON value through the helper.
-func TestMarshalSection(t *testing.T) {
-	type wire struct {
-		Count int `json:"count"`
-	}
-	s, err := MarshalSection(SectionKNNIndex, KNNIndexVersion, wire{Count: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Kind != SectionKNNIndex || s.Version != KNNIndexVersion {
-		t.Fatalf("marshaled section = %+v", s)
-	}
-	data := sectionFile(t, s)
-	_, secs, err := ReadSections(bytes.NewReader(data))
-	if err != nil || len(secs) != 1 {
-		t.Fatalf("read = (%v, %v)", secs, err)
-	}
-	if !bytes.Equal(secs[0].Payload, []byte(`{"count":7}`)) {
-		t.Fatalf("payload = %s", secs[0].Payload)
-	}
-}
-
 // TestMultipleSectionsPreserveOrder: sections read back in write order.
 func TestMultipleSectionsPreserveOrder(t *testing.T) {
 	a := Section{Kind: SectionKNNIndex, Version: 1, Payload: []byte("first")}

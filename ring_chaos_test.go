@@ -108,7 +108,7 @@ func TestChaosRingFailover(t *testing.T) {
 
 	obs.SetMode(obs.ModeCounters)
 	t.Cleanup(func() { obs.SetMode(obs.ModeOff) })
-	idxVisitedBefore := obs.C("knn.index.visited").Load()
+	abandonBefore := obs.C("distance.treeedit.early_abandon").Load()
 	armFaults(t, faults.Config{
 		Prob:       0.05,
 		Seed:       1,
@@ -203,11 +203,11 @@ func TestChaosRingFailover(t *testing.T) {
 	if st := rt.Checker().State("n0"); st == ring.Healthy {
 		t.Error("router still believes the killed replica is healthy")
 	}
-	// The replicas loaded the snapshot's prebuilt metric index, so the
-	// whole run must have been served by index descents, not the linear
-	// fallback: zero visited nodes would mean the tier silently degraded.
-	if got := obs.C("knn.index.visited").Load() - idxVisitedBefore; got == 0 {
-		t.Error("knn.index.visited did not advance — the sharded tier never searched the metric index")
+	// The replicas' scans must have pruned with the evaluator's lower
+	// bounds: zero abandons would mean every candidate paid the exact
+	// distance, a tier that silently lost its pruning.
+	if got := obs.C("distance.treeedit.early_abandon").Load() - abandonBefore; got == 0 {
+		t.Error("distance.treeedit.early_abandon did not advance — the sharded tier's scans never pruned a candidate")
 	}
 
 	// Phase 3 — the answers after the kill are still bit-identical: the

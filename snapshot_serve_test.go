@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -279,102 +280,56 @@ func TestPredictorServeCancel(t *testing.T) {
 	}
 }
 
-// TestColdStartIndexProvenance pins the index lifecycle across the
-// snapshot boundary: a freshly trained predictor carries an in-process
-// index ("rebuilt"), a predictor loaded from a Save'd snapshot attaches
-// the persisted section without rebuilding ("snapshot"), a legacy
-// model-only snapshot rebuilds deterministically ("rebuilt"), and
-// SetIndexing(false) reverts to the linear scan ("off") — with every
-// variant answering the full evaluation batch bit-identically.
-func TestColdStartIndexProvenance(t *testing.T) {
+// TestRetiredIndexSectionStillLoads pins snapshot compatibility across
+// the removal of the metric index. Earlier builds appended the index as a
+// kind-1 trailing section; such a file must still load through both
+// LoadPredictor and ReadPredictor and answer exactly like the same model
+// without the section. New snapshots carry no section, and saving a
+// predictor loaded from the old file writes the sectionless bytes.
+func TestRetiredIndexSectionStillLoads(t *testing.T) {
 	fw := testFramework(t)
 	cfg := PredictorConfig{N: 2, K: 3, ThetaDelta: 0.25, ThetaI: 0}
 	pred := trainSnapshotPredictor(t, fw, cfg)
 	ctxs := evalContexts(t, fw, cfg.N)
 	want := pred.PredictAll(ctxs)
 
-	if got := pred.IndexStatus(); got != "rebuilt" {
-		t.Fatalf("trained predictor IndexStatus = %q, want %q", got, "rebuilt")
-	}
-	if pred.clf.Index() == nil {
-		t.Fatal("training did not build the metric index")
-	}
-
-	// Cold start from a section-bearing snapshot: the index comes from the
-	// file, prebuilt — no lazy rebuild on the serving path.
-	path := filepath.Join(t.TempDir(), "model.snap")
-	if err := pred.Save(path); err != nil {
+	var plain bytes.Buffer
+	if err := pred.WriteSnapshot(&plain); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadPredictor(path)
+	if _, secs, err := snapshot.ReadSections(bytes.NewReader(plain.Bytes())); err != nil || len(secs) != 0 {
+		t.Fatalf("new snapshot: %d trailing sections, err %v; want none", len(secs), err)
+	}
+
+	var old bytes.Buffer
+	index := snapshot.Section{Kind: snapshot.SectionKNNIndex, Version: snapshot.KNNIndexVersion,
+		Payload: []byte(`{"leaf_size":8,"count":2,"root":0,"nodes":[{"v":-1,"in":-1,"out":-1,"leaf":[0,1]}]}`)}
+	if err := snapshot.WriteSections(&old, pred.snapshotModel(), index); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "indexed.snap")
+	if err := os.WriteFile(path, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := LoadPredictor(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := loaded.IndexStatus(); got != "snapshot" {
-		t.Fatalf("loaded predictor IndexStatus = %q, want %q", got, "snapshot")
-	}
-	if loaded.clf.Index() == nil {
-		t.Fatal("loaded predictor has no index despite the snapshot section")
-	}
-	assertSamePredictions(t, "cold-start/snapshot", want, loaded.PredictAll(ctxs))
-
-	// Legacy model-only snapshot (pre-section writer): loads fine and the
-	// index is rebuilt in-process.
-	var legacy bytes.Buffer
-	if err := snapshot.Write(&legacy, pred.snapshotModel()); err != nil {
-		t.Fatal(err)
-	}
-	old, err := ReadPredictor(&legacy)
+	fromStream, err := ReadPredictor(bytes.NewReader(old.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := old.IndexStatus(); got != "rebuilt" {
-		t.Fatalf("legacy predictor IndexStatus = %q, want %q", got, "rebuilt")
-	}
-	assertSamePredictions(t, "cold-start/legacy", want, old.PredictAll(ctxs))
-
-	// The recovery knob: indexing off answers identically via linear scan,
-	// and a snapshot saved in that state is sectionless (so it loads
-	// everywhere, rebuilt).
-	loaded.SetIndexing(false)
-	if got := loaded.IndexStatus(); got != "off" {
-		t.Fatalf("disabled predictor IndexStatus = %q, want %q", got, "off")
-	}
-	assertSamePredictions(t, "cold-start/off", want, loaded.PredictAll(ctxs))
-	offPath := filepath.Join(t.TempDir(), "noindex.snap")
-	if err := loaded.Save(offPath); err != nil {
-		t.Fatal(err)
-	}
-	_, secs, err := snapshot.LoadSections(offPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(secs) != 0 {
-		t.Fatalf("index-off snapshot carries %d sections, want none", len(secs))
-	}
-
-	// Re-enabling rebuilds in-process.
-	loaded.SetIndexing(true)
-	if got := loaded.IndexStatus(); got != "rebuilt" {
-		t.Fatalf("re-enabled predictor IndexStatus = %q, want %q", got, "rebuilt")
-	}
-	assertSamePredictions(t, "cold-start/reenabled", want, loaded.PredictAll(ctxs))
-
-	// Determinism across the boundary: saving the snapshot-loaded
-	// predictor reproduces the original file byte for byte (the property
-	// checkpoint resume relies on).
-	again, err := LoadPredictor(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b1, b2 bytes.Buffer
-	if err := pred.WriteSnapshot(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := again.WriteSnapshot(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatal("snapshot bytes drift across a save/load/save cycle")
+	for _, loaded := range []struct {
+		name string
+		p    *Predictor
+	}{{"LoadPredictor", fromFile}, {"ReadPredictor", fromStream}} {
+		assertSamePredictions(t, loaded.name, want, loaded.p.PredictAll(ctxs))
+		var again bytes.Buffer
+		if err := loaded.p.WriteSnapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), plain.Bytes()) {
+			t.Fatalf("%s: re-saving the old snapshot did not write the sectionless bytes", loaded.name)
+		}
 	}
 }
