@@ -171,14 +171,14 @@ func DisplayDistance(a, b *engine.Display) float64 {
 	contentD, shared := 0.0, 0
 	occ := make(map[string]int, len(pa.Columns))
 	for i := range pa.Columns {
-		ca := &pa.Columns[i]
-		cb := nthColumn(pb, ca.Name, occ[ca.Name])
-		occ[ca.Name]++
-		if cb == nil {
+		name := pa.Columns[i].Name
+		j := nthColumn(pb, name, occ[name])
+		occ[name]++
+		if j < 0 {
 			continue
 		}
 		shared++
-		contentD += totalVariation(ca.TopFreq, cb.TopFreq)
+		contentD += totalVariation(pa.TopFreq(i), pb.TopFreq(j))
 	}
 	if shared > 0 {
 		contentD /= float64(shared)
@@ -196,20 +196,19 @@ func DisplayDistance(a, b *engine.Display) float64 {
 	return 0.25*schemaD + 0.15*rowD + 0.4*contentD + 0.2*aggD
 }
 
-// nthColumn returns the n-th (0-based) column named name in declaration
-// order, or nil when fewer than n+1 columns carry the name.
-func nthColumn(p *engine.Profile, name string, n int) *engine.ColumnProfile {
+// nthColumn returns the index of the n-th (0-based) column named name in
+// declaration order, or -1 when fewer than n+1 columns carry the name.
+func nthColumn(p *engine.Profile, name string, n int) int {
 	for i := range p.Columns {
-		c := &p.Columns[i]
-		if c.Name != name {
+		if p.Columns[i].Name != name {
 			continue
 		}
 		if n == 0 {
-			return c
+			return i
 		}
 		n--
 	}
-	return nil
+	return -1
 }
 
 func columnNames(p *engine.Profile) []string {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 )
@@ -45,6 +46,11 @@ type Display struct {
 
 	profileOnce sync.Once
 	profile     *Profile
+
+	// refs holds the prepared histograms other displays are scored
+	// against when this display is their session root (reference.go);
+	// allocated on first use, so displays never used as a root stay nil.
+	refs atomic.Pointer[references]
 }
 
 // NewRootDisplay wraps a freshly loaded dataset as the preliminary display
@@ -61,7 +67,7 @@ func NewRootDisplay(t *dataset.Table) *Display {
 // summary: row count, aggregation shape and a precomputed profile. It is
 // the decode target of snapshot/wire contexts — the session distance
 // metric (see internal/distance) reads only NumRows, Aggregated,
-// GroupColumn and the profile's column names and TopFreq histograms, so a
+// GroupColumn and the profile's column names and Profile.TopFreq, so a
 // summary display compares bit-identically to the materialized display it
 // was encoded from. Methods that need the table (AggValues, String's table
 // rendering) are not available on summary displays.
@@ -122,10 +128,10 @@ type ColumnProfile struct {
 	Kind dataset.Kind
 	// Freq maps a value's string form to its relative frequency.
 	Freq map[string]float64
-	// TopFreq is Freq truncated to the most frequent TopFreqLimit values
-	// with the remainder folded into the OtherBucket key; distance
-	// computations use it so high-cardinality columns (packet ids, ports)
-	// stay cheap to compare.
+	// TopFreq is the truncated histogram of a column without Freq (a
+	// decoded summary, assembled by NewProfile). A profile built from a
+	// table leaves it nil: read any column's truncated histogram through
+	// Profile.TopFreq, which derives it from Freq on first use.
 	TopFreq map[string]float64
 	// Distinct is the number of distinct values.
 	Distinct int
@@ -141,6 +147,11 @@ type Profile struct {
 	Rows    int
 	Columns []ColumnProfile
 	byName  map[string]*ColumnProfile
+
+	// top holds the truncated histograms derived from Freq, one per
+	// column, published by the first TopFreq call. Only displays compared
+	// by the distance metric or encoded for the wire ever derive them.
+	top atomic.Pointer[[]map[string]float64]
 }
 
 // Column returns the named column profile, or nil.
@@ -159,6 +170,34 @@ func NewProfile(rows int, cols []ColumnProfile) *Profile {
 	return p
 }
 
+// TopFreq returns column i's value histogram truncated to the
+// TopFreqLimit most frequent values, with the remainder folded into the
+// OtherBucket key. The display ground metric compares it, so
+// high-cardinality columns (packet ids, ports) stay cheap to compare, and
+// the wire encoder ships it. A column without Freq (a decoded summary)
+// returns its ColumnProfile.TopFreq as given. A profile built from a
+// table derives every column's histogram from Freq on the first call;
+// scoring never asks, so displays that are only scored never sort their
+// columns for it.
+func (p *Profile) TopFreq(i int) map[string]float64 {
+	if p.Columns[i].Freq == nil {
+		return p.Columns[i].TopFreq
+	}
+	top := p.top.Load()
+	if top == nil {
+		derived := make([]map[string]float64, len(p.Columns))
+		for j := range p.Columns {
+			if f := p.Columns[j].Freq; len(f) > 0 {
+				derived[j] = truncateFreq(f, TopFreqLimit)
+			}
+		}
+		// Racing callers derive equal histograms; the first published wins.
+		p.top.CompareAndSwap(nil, &derived)
+		top = p.top.Load()
+	}
+	return (*top)[i]
+}
+
 // GetProfile computes (once) and returns the display's profile.
 func (d *Display) GetProfile() *Profile {
 	d.profileOnce.Do(func() {
@@ -167,8 +206,8 @@ func (d *Display) GetProfile() *Profile {
 	return d.profile
 }
 
-// TopFreqLimit is the number of most-frequent values kept in
-// ColumnProfile.TopFreq before folding the tail into OtherBucket.
+// TopFreqLimit is the number of most-frequent values Profile.TopFreq
+// keeps before folding the tail into OtherBucket.
 const TopFreqLimit = 24
 
 // OtherBucket is the TopFreq key that absorbs the frequency mass of all
@@ -244,7 +283,6 @@ func buildProfile(t *dataset.Table) *Profile {
 			for k := range cp.Freq {
 				cp.Freq[k] /= float64(n)
 			}
-			cp.TopFreq = truncateFreq(cp.Freq, TopFreqLimit)
 			if isNum {
 				cp.Mean = sum / float64(n)
 				variance := sumSq/float64(n) - cp.Mean*cp.Mean

@@ -63,7 +63,7 @@ func osfOf(xs []float64) float64 {
 		return 0
 	}
 	med := stats.Median(xs)
-	mad := stats.MAD(xs)
+	mad := stats.MADAbout(xs, med)
 	scale := 1.4826*mad + 1e-9
 	if mad == 0 {
 		// Half the display identical: fall back to standard deviation so
@@ -106,32 +106,22 @@ func (DeviationMeasure) Score(ctx *Context) float64 {
 	}
 	if d.Aggregated {
 		// Reference: the same grouping applied to the root dataset.
-		refAction := &engine.Action{
-			Type:      engine.ActionGroup,
-			GroupBy:   d.GroupColumn,
-			Agg:       aggOf(d),
-			AggColumn: aggColumnOf(d),
-		}
-		ref, err := engine.Execute(root, refAction)
-		if err != nil {
+		ref := root.GroupReference(d.GroupColumn, aggOf(d), aggColumnOf(d))
+		if ref == nil {
 			return 0
 		}
-		p := groupedMap(d)
-		q := groupedMap(ref)
-		pa, pb := stats.AlignedDistributions(p, q)
-		return stats.KLDivergence(pa, pb, 1e-6)
+		return ref.KL(d.GroupWeights(), 1e-6)
 	}
 	// Raw display: maximum column-histogram divergence vs the root.
-	rootProf := root.GetProfile()
 	prof := d.GetProfile()
 	best := 0.0
-	for _, cp := range prof.Columns {
-		rp := rootProf.Column(cp.Name)
-		if rp == nil {
+	for i := range prof.Columns {
+		cp := &prof.Columns[i]
+		ref := root.ColumnReference(cp.Name)
+		if ref == nil {
 			continue
 		}
-		pa, pb := stats.AlignedDistributions(cp.Freq, rp.Freq)
-		if kl := stats.KLDivergence(pa, pb, 1e-6); kl > best {
+		if kl := ref.KL(cp.Freq, 1e-6); kl > best {
 			best = kl
 		}
 	}
@@ -150,18 +140,4 @@ func aggColumnOf(d *engine.Display) string {
 		return d.FromAction.AggColumn
 	}
 	return ""
-}
-
-// groupedMap returns group-key -> aggregate-value for an aggregated display.
-func groupedMap(d *engine.Display) map[string]float64 {
-	out := make(map[string]float64, d.Table.NumRows())
-	gc := d.Table.ColumnByName(d.GroupColumn)
-	vc := d.Table.ColumnByName(d.ValueColumn)
-	if gc == nil || vc == nil {
-		return out
-	}
-	for i := 0; i < d.Table.NumRows(); i++ {
-		out[gc.Value(i).String()] = vc.Value(i).Float()
-	}
-	return out
 }

@@ -101,11 +101,10 @@ func EncodeDisplay(d *engine.Display) *WireDisplay {
 	prof := d.GetProfile()
 	w.Columns = make([]WireColumn, len(prof.Columns))
 	for i := range prof.Columns {
-		c := &prof.Columns[i]
-		wc := WireColumn{Name: c.Name}
-		if len(c.TopFreq) > 0 {
-			wc.TopFreq = make(map[string]float64, len(c.TopFreq))
-			for k, v := range c.TopFreq {
+		wc := WireColumn{Name: prof.Columns[i].Name}
+		if top := prof.TopFreq(i); len(top) > 0 {
+			wc.TopFreq = make(map[string]float64, len(top))
+			for k, v := range top {
 				wc.TopFreq[k] = v
 			}
 		}

@@ -183,11 +183,14 @@ func Quantile(xs []float64, q float64) float64 {
 
 // MAD returns the median absolute deviation of xs (a robust scale
 // estimator), or 0 for an empty slice.
-func MAD(xs []float64) float64 {
+func MAD(xs []float64) float64 { return MADAbout(xs, Median(xs)) }
+
+// MADAbout is MAD for a caller that already holds med = Median(xs): it
+// skips sorting a copy of xs to find the median again.
+func MADAbout(xs []float64, med float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	med := Median(xs)
 	dev := make([]float64, len(xs))
 	for i, x := range xs {
 		dev[i] = math.Abs(x - med)
