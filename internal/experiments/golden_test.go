@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -30,6 +31,12 @@ var bracketedDuration = regexp.MustCompile(`\[[0-9][0-9.hmsµun]*\]`)
 func TestQuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole quick pipeline")
+	}
+	if runtime.GOARCH != "amd64" {
+		// The file was recorded on amd64. Other ports may fuse a
+		// multiply and an add into one rounding, which the Go spec
+		// allows, so their float bits need not match it.
+		t.Skip("quick.golden holds amd64 float results")
 	}
 	// The cmd/experiments -quick configuration.
 	cfg := simulate.Config{
