@@ -63,8 +63,9 @@ type deviationCoverage struct {
 	outside int
 }
 
-// checkDeviationSweep scores every display two enumeration steps below
-// root with DeviationMeasure and with the two-call formula, to the bit.
+// checkDeviationSweep scores every display one enumeration step below
+// root, and the displays below each aggregated one and every 8th raw one,
+// with DeviationMeasure and with the two-call formula, to the bit.
 func checkDeviationSweep(t *testing.T, root *engine.Display) deviationCoverage {
 	t.Helper()
 	var cov deviationCoverage
