@@ -596,8 +596,8 @@ func predictorFromModel(m *snapshot.Model) (*Predictor, error) {
 // Serving layer re-exports.
 type (
 	// ServeOptions bounds the HTTP prediction server's resource envelope
-	// (in-flight requests, batch size, body size, shutdown grace,
-	// Retry-After scaling, hot-reload source).
+	// (in-flight requests, batch size, shutdown grace, Retry-After
+	// scaling, hot-reload source).
 	ServeOptions = serve.Options
 	// ServeModelInfo is the model description part of /v1/model.
 	ServeModelInfo = serve.ModelInfo

@@ -124,8 +124,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	model := fs.String("model", "model.snap", "predictor snapshot path (written by idarepro train)")
 	addr := fs.String("addr", ":8080", "listen address")
 	maxInFlight := fs.Int("maxinflight", 0, "max concurrently served prediction requests (0 = one per CPU)")
-	adaptive := fs.Bool("adaptive-inflight", false, "adapt the admission limit to observed latency (AIMD, ceiling -maxinflight) instead of a fixed cap")
-	latTarget := fs.Duration("latency-target", 0, "service-latency target steering the adaptive limiter (0 = 50ms)")
 	hedge := fs.Float64("hedge", 0, "router: after a per-shard p95 delay, hedge to the next replica, capped at this fraction of shard calls (0 = off)")
 	maxBatch := fs.Int("maxbatch", 0, "max contexts per batch request (0 = 1024)")
 	reload := fs.Bool("reload", false, "enable hot model reload: SIGHUP or POST /v1/admin/reload re-reads -model and swaps it in without dropping requests")
@@ -152,11 +150,9 @@ func cmdServe(ctx context.Context, args []string) error {
 			return err
 		}
 		rt, err := repro.NewRingRouter(*model, spec, repro.RingRouterOptions{
-			MaxInFlight:      *maxInFlight,
-			MaxBatch:         *maxBatch,
-			AdaptiveInFlight: *adaptive,
-			LatencyTarget:    *latTarget,
-			HedgeFraction:    *hedge,
+			MaxInFlight:   *maxInFlight,
+			MaxBatch:      *maxBatch,
+			HedgeFraction: *hedge,
 		})
 		if err != nil {
 			return err
@@ -177,10 +173,8 @@ func cmdServe(ctx context.Context, args []string) error {
 	fmt.Fprintf(os.Stderr, "serve: loaded %s model from %s (%d samples, n=%d k=%d θ_δ=%g fallback=%s)\n",
 		pred.Method(), *model, pred.TrainingSize(), cfg.N, cfg.K, cfg.ThetaDelta, cfg.Fallback)
 	opts := repro.ServeOptions{
-		MaxInFlight:      *maxInFlight,
-		MaxBatch:         *maxBatch,
-		AdaptiveInFlight: *adaptive,
-		LatencyTarget:    *latTarget,
+		MaxInFlight: *maxInFlight,
+		MaxBatch:    *maxBatch,
 	}
 	endpoints := "/healthz /readyz /metrics /v1/model /v1/predict /v1/predict/batch /v1/admin/trace"
 	if *reload {

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -39,7 +40,6 @@ var (
 	mFailures    = obs.C("client.failures")
 	mDegraded    = obs.C("client.degraded")
 	mBreakerOpen = obs.C("client.breaker_open")
-	mFailover    = obs.C("client.failover")
 )
 
 // ErrBreakerOpen reports a request refused by an open circuit breaker
@@ -72,15 +72,10 @@ func (e *budgetError) Is(target error) bool { return target == ErrBudgetExhauste
 // Options configures the client. The zero value is usable given a
 // BaseURL.
 type Options struct {
-	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
+	// BaseURL is the server root, e.g. "http://127.0.0.1:8080". The
+	// client talks to this one endpoint; against a sharded tier it is the
+	// router, which owns replica failover (DESIGN.md §11).
 	BaseURL string
-	// Endpoints are additional server roots (ring replicas) tried in
-	// order after BaseURL. Each endpoint gets its own circuit breaker;
-	// when an attempt fails transiently — or an endpoint's breaker is
-	// open — the client moves to the next endpoint immediately instead of
-	// sleeping, and only backs off between full sweeps. Requests degrade
-	// to the prior label only when every endpoint's breaker is open.
-	Endpoints []string
 	// HTTPClient overrides the transport. nil means http.DefaultClient.
 	HTTPClient *http.Client
 	// RequestTimeout bounds each attempt (not the whole retry loop).
@@ -139,64 +134,39 @@ type Prediction struct {
 	Degraded bool   `json:"degraded,omitempty"`
 }
 
-// endpoint is one server root with its own circuit breaker: replica
-// health is per-process, so one dying replica must not poison the
-// client's view of the others.
-type endpoint struct {
-	url string
-	br  breaker
-}
-
 // Client is a resilient prediction-server client. Safe for concurrent
 // use.
 type Client struct {
 	opts Options
 	// now is the clock, swappable in tests.
 	now func() time.Time
-
-	// eps are the failover targets in preference order; eps[0] is
-	// Options.BaseURL.
-	eps []*endpoint
+	br  breaker
 
 	priorMu sync.Mutex
 	prior   string
 }
 
-// New builds a client for the server at opts.BaseURL, failing over
-// across opts.Endpoints when configured.
+// New builds a client for the server at opts.BaseURL.
 func New(opts Options) (*Client, error) {
 	if opts.BaseURL == "" {
 		return nil, errors.New("client: BaseURL required")
 	}
 	o := opts.withDefaults()
-	c := &Client{opts: o, now: time.Now, prior: o.PriorLabel}
-	for _, url := range append([]string{o.BaseURL}, o.Endpoints...) {
-		c.eps = append(c.eps, &endpoint{
-			url: url,
-			br: breaker{
-				window:    make([]bool, o.BreakerWindow),
-				threshold: o.BreakerThreshold,
-				cooldown:  o.BreakerCooldown,
-			},
-		})
-	}
-	return c, nil
+	return &Client{
+		opts:  o,
+		now:   time.Now,
+		prior: o.PriorLabel,
+		br: breaker{
+			window:    make([]bool, o.BreakerWindow),
+			threshold: o.BreakerThreshold,
+			cooldown:  o.BreakerCooldown,
+		},
+	}, nil
 }
 
-// BreakerState reports the primary endpoint's breaker position
-// ("closed", "open" or "half-open") for logs and tests.
-func (c *Client) BreakerState() string { return c.eps[0].br.state(c.now()) }
-
-// BreakerStates reports every endpoint's breaker position, keyed by
-// endpoint URL.
-func (c *Client) BreakerStates() map[string]string {
-	now := c.now()
-	out := make(map[string]string, len(c.eps))
-	for _, ep := range c.eps {
-		out[ep.url] = ep.br.state(now)
-	}
-	return out
-}
+// BreakerState reports the breaker position ("closed", "open" or
+// "half-open") for logs and tests.
+func (c *Client) BreakerState() string { return c.br.state(c.now()) }
 
 // Model fetches /v1/model and remembers the model's prior label as the
 // degraded answer (unless Options.PriorLabel pinned one).
@@ -289,18 +259,12 @@ func (c *Client) degraded(err error, n int) ([]Prediction, bool) {
 	return preds, true
 }
 
-// do runs one logical request through the per-endpoint breakers and the
-// retry loop, decoding a 200 response into out.
-//
-// Failover shape: one retry "attempt" is a SWEEP over the endpoints in
-// preference order — an endpoint whose breaker is open is skipped, a
-// transient failure moves to the next endpoint with no sleep, and only
-// between full sweeps does the backoff policy wait (honoring any
-// Retry-After hint from the last endpoint). With a single endpoint this
-// degenerates to exactly the old behavior: one attempt per endpoint
-// sweep, backoff between attempts. ErrBreakerOpen — every endpoint's
-// breaker open — is not retryable, so callers degrade to the prior
-// label immediately instead of sleeping through a hopeless backoff.
+// do runs one logical request through the breaker and the retry loop,
+// decoding a 200 response into out. Each attempt claims breaker
+// admission and reports its outcome; 4xx answers say nothing about
+// server health and count as successes. ErrBreakerOpen is not
+// retryable, so callers degrade to the prior label immediately instead
+// of sleeping through a hopeless backoff.
 func (c *Client) do(ctx context.Context, method, path, key string, body []byte, out any) error {
 	if obs.On() {
 		mRequests.Inc()
@@ -312,9 +276,17 @@ func (c *Client) do(ctx context.Context, method, path, key string, body []byte, 
 	retry := c.opts.Retry
 	retry.Retryable = transient
 	err := retry.Do(ctx, func(attempt int) error {
-		serr := c.sweep(ctx, method, path, key, rid, body, out, attempt)
-		if serr == nil || !transient(serr) {
-			return serr
+		if !c.br.allow(c.now()) {
+			return ErrBreakerOpen
+		}
+		// The fault-site key re-rolls per attempt so a chaos run injects
+		// independently across retries.
+		aerr := c.attempt(ctx, method, path, faults.Key(key, attempt), rid, body, out)
+		if c.br.record(aerr == nil || permanent(aerr), c.now()) && obs.On() {
+			mBreakerOpen.Inc()
+		}
+		if aerr == nil || !transient(aerr) {
+			return aerr
 		}
 		// This transient failure would now sleep and retry. When the
 		// caller's remaining budget cannot cover the next backoff sleep
@@ -323,13 +295,13 @@ func (c *Client) do(ctx context.Context, method, path, key string, body []byte, 
 		// gets a fast, honest answer instead of a late ctx timeout.
 		if attempt+1 < retry.Attempts && ctx != nil {
 			if dl, ok := ctx.Deadline(); ok {
-				need := nextSleepBound(retry, attempt, serr) + c.opts.RequestTimeout
+				need := nextSleepBound(retry, attempt, aerr) + c.opts.RequestTimeout
 				if remaining := time.Until(dl); remaining < need {
-					return &budgetError{need: need, remaining: remaining, cause: serr}
+					return &budgetError{need: need, remaining: remaining, cause: aerr}
 				}
 			}
 		}
-		return serr
+		return aerr
 	})
 	if err != nil {
 		if obs.On() {
@@ -340,45 +312,9 @@ func (c *Client) do(ctx context.Context, method, path, key string, body []byte, 
 	return nil
 }
 
-// sweep tries each endpoint once, in preference order, pairing every
-// breaker admission with its outcome. It returns nil on the first
-// success, the failure on a permanent (4xx) answer — the request is the
-// problem, not the replica — and otherwise the last transient failure,
-// or ErrBreakerOpen when no breaker admitted the request at all.
-func (c *Client) sweep(ctx context.Context, method, path, key, rid string, body []byte, out any, attempt int) error {
-	var lastErr error
-	tried := false
-	for i, ep := range c.eps {
-		if !ep.br.allow(c.now()) {
-			continue
-		}
-		if tried && obs.On() {
-			mFailover.Inc()
-		}
-		tried = true
-		// The fault-site key re-rolls per (sweep, endpoint) so a chaos
-		// run injects independently across replicas and retries.
-		err := c.attempt(ctx, ep.url, method, path, faults.Key(key, attempt*len(c.eps)+i), rid, body, out)
-		if ep.br.record(err == nil || permanent(err), c.now()) && obs.On() {
-			mBreakerOpen.Inc()
-		}
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if permanent(err) || (ctx != nil && ctx.Err() != nil) {
-			return err
-		}
-	}
-	if !tried {
-		return ErrBreakerOpen
-	}
-	return lastErr
-}
-
-// attempt is one HTTP round trip against one endpoint under the
-// per-attempt timeout and the client.request fault site.
-func (c *Client) attempt(ctx context.Context, baseURL, method, path, key, rid string, body []byte, out any) (err error) {
+// attempt is one HTTP round trip under the per-attempt timeout and the
+// client.request fault site.
+func (c *Client) attempt(ctx context.Context, method, path, key, rid string, body []byte, out any) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = recoveredErr(r)
@@ -396,7 +332,7 @@ func (c *Client) attempt(ctx context.Context, baseURL, method, path, key, rid st
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(actx, method, baseURL+path, rd)
+	req, err := http.NewRequestWithContext(actx, method, c.opts.BaseURL+path, rd)
 	if err != nil {
 		return fmt.Errorf("client: build request: %w", err)
 	}
@@ -557,14 +493,15 @@ func (e *httpError) RetryAfterHint() (time.Duration, bool) {
 // dates; before HTTP-date support, those hints were silently dropped and
 // the backoff fell back to its generic schedule. A date is converted to
 // a delay relative to now; dates in the past (or clock-skewed) clamp to
-// 0, which RetryAfterHint treats as "no hint". Malformed values also
-// yield 0 — a garbled hint must never stall or crash the retry loop.
+// 0, which RetryAfterHint treats as "no hint". Malformed values, and
+// delays too long for a time.Duration, also yield 0 — a garbled hint
+// must never stall or crash the retry loop.
 func parseRetryAfter(v string, now time.Time) time.Duration {
 	if v == "" {
 		return 0
 	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs < 0 {
+	if secs, err := strconv.ParseInt(v, 10, 64); err == nil {
+		if secs < 0 || secs > math.MaxInt64/int64(time.Second) {
 			return 0
 		}
 		return time.Duration(secs) * time.Second

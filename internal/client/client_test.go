@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -610,6 +612,34 @@ func TestParseRetryAfterForms(t *testing.T) {
 	}
 }
 
+// FuzzParseRetryAfter: whatever a proxy or foreign server sends, the
+// hint is never negative, an in-range delay-seconds n is exactly n
+// seconds, and a delay too long for a time.Duration is no hint at all.
+func FuzzParseRetryAfter(f *testing.F) {
+	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	for _, seed := range []string{
+		"", "7", "0", "-3", "soon", "+5", "9223372036", "9223372037", "18446744074",
+		"99999999999999999999", now.Add(time.Minute).Format(http.TimeFormat),
+	} {
+		f.Add(seed)
+	}
+	const maxSecs = math.MaxInt64 / int64(time.Second)
+	f.Fuzz(func(t *testing.T, v string) {
+		got := parseRetryAfter(v, now)
+		if got < 0 {
+			t.Fatalf("parseRetryAfter(%q) = %v, a negative hint", v, got)
+		}
+		n, err := strconv.ParseInt(v, 10, 64)
+		switch {
+		case err != nil:
+		case n >= 0 && n <= maxSecs && got != time.Duration(n)*time.Second:
+			t.Fatalf("parseRetryAfter(%q) = %v, want %ds", v, got, n)
+		case n > maxSecs && got != 0:
+			t.Fatalf("parseRetryAfter(%q) = %v for a delay past time.Duration, want no hint", v, got)
+		}
+	})
+}
+
 func TestRetryAfterDateHintReachesBackoff(t *testing.T) {
 	// End to end: a 503 carrying the HTTP-date form must surface through
 	// httpError.RetryAfterHint just like delay-seconds does.
@@ -638,5 +668,102 @@ func TestRetryAfterDateHintReachesBackoff(t *testing.T) {
 		if !ok || d <= 0 || d > 5*time.Second {
 			t.Fatalf("Retry-After %q: hint (%v, %v), want a positive duration <= 5s", form, d, ok)
 		}
+	}
+}
+
+// TestBreakerHalfOpenSingleProbe: when the cooldown elapses, exactly ONE
+// request may claim the half-open probe slot. Concurrent requests racing
+// it must fail fast with ErrBreakerOpen — not queue behind the probe, and
+// not stampede the recovering server.
+func TestBreakerHalfOpenSingleProbe(t *testing.T) {
+	var (
+		healthy atomic.Bool
+		served  atomic.Int64
+		entered = make(chan struct{}, 1)
+		release = make(chan struct{})
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !healthy.Load() {
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		served.Add(1)
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release // hold the probe in flight while the losers race
+		fmt.Fprint(w, `{"measure":"variance","ok":true}`)
+	}))
+	defer ts.Close()
+
+	c, err := New(Options{
+		BaseURL: ts.URL, Retry: fastRetry(1),
+		BreakerWindow: 2, BreakerThreshold: 0.5, BreakerCooldown: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	clock := time.Unix(1000, 0)
+	c.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }
+
+	// Trip the breaker, heal the server, let the cooldown pass.
+	for i := 0; i < 2; i++ {
+		c.Predict(context.Background(), wire("q", 1))
+	}
+	if st := c.BreakerState(); st != "open" {
+		t.Fatalf("breaker = %s, want open", st)
+	}
+	healthy.Store(true)
+	mu.Lock()
+	clock = clock.Add(2 * time.Minute)
+	mu.Unlock()
+
+	// The probe claims the half-open slot and parks inside the server.
+	probeErr := make(chan error, 1)
+	go func() {
+		_, err := c.Predict(context.Background(), wire("probe", 1))
+		probeErr <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("probe never reached the server")
+	}
+
+	// Racers while the probe is in flight: all must lose fast.
+	const racers = 8
+	var wg sync.WaitGroup
+	losses := make(chan error, racers)
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, err := c.Predict(context.Background(), wire(fmt.Sprintf("r%d", i), 1))
+			losses <- err
+		}(i)
+	}
+	wg.Wait()
+	close(losses)
+	for err := range losses {
+		if !errors.Is(err, ErrBreakerOpen) {
+			t.Errorf("racer error = %v, want ErrBreakerOpen", err)
+		}
+	}
+	if n := served.Load(); n != 1 {
+		t.Fatalf("server saw %d requests during half-open, want exactly the 1 probe", n)
+	}
+
+	// Releasing the probe closes the breaker; traffic flows again.
+	close(release)
+	if err := <-probeErr; err != nil {
+		t.Fatalf("probe failed: %v", err)
+	}
+	if st := c.BreakerState(); st != "closed" {
+		t.Fatalf("breaker after probe success = %s, want closed", st)
+	}
+	if _, err := c.Predict(context.Background(), wire("after", 1)); err != nil {
+		t.Fatalf("post-recovery predict: %v", err)
 	}
 }

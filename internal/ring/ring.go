@@ -53,24 +53,38 @@ type Node struct {
 // tier — replicas and routers alike — loads the same spec and derives the
 // same placement from it.
 type Spec struct {
-	// Shards is the number of training-context partitions. Changing it
-	// re-partitions the model, so it is fixed for a topology's lifetime.
+	// Shards is the number of training-context partitions, at most 4096.
+	// Changing it re-partitions the model, so it is fixed for a
+	// topology's lifetime.
 	Shards int `json:"shards"`
 	// Replicas is the replica-group size R: every shard is served by R
 	// distinct nodes (capped at len(Nodes)).
 	Replicas int `json:"replicas"`
 	// VNodes is the number of virtual nodes per physical node on the
-	// hash circle; more virtual nodes smooth placement. <1 means 64.
+	// hash circle, at most 4096; more virtual nodes smooth placement. <1
+	// means 64.
 	VNodes int `json:"vnodes,omitempty"`
 	// Nodes are the member serve instances.
 	Nodes []Node `json:"nodes"`
 }
 
-// Validate checks the spec for structural problems: missing counts,
-// duplicate or empty node names, a replica factor no node set can honor.
+// Spec bounds: far above any useful topology (a shard needs training
+// samples; a few hundred virtual nodes already balance placement), and
+// low enough that New never sizes a slice from an absurd count.
+const (
+	maxShards = 1 << 12
+	maxVNodes = 1 << 12
+)
+
+// Validate checks the spec for structural problems: shards outside
+// [1, 4096], vnodes above 4096, missing counts, duplicate or empty node
+// names, a replica factor no node set can honor.
 func (s *Spec) Validate() error {
-	if s.Shards < 1 {
-		return errors.New("ring: spec needs shards >= 1")
+	if s.Shards < 1 || s.Shards > maxShards {
+		return fmt.Errorf("ring: spec needs 1 <= shards <= %d, got %d", maxShards, s.Shards)
+	}
+	if s.VNodes > maxVNodes {
+		return fmt.Errorf("ring: spec allows at most %d vnodes, got %d", maxVNodes, s.VNodes)
 	}
 	if s.Replicas < 1 {
 		return errors.New("ring: spec needs replicas >= 1")

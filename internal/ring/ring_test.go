@@ -29,6 +29,8 @@ func TestSpecValidate(t *testing.T) {
 		mut  func(*Spec)
 	}{
 		{"zero shards", func(s *Spec) { s.Shards = 0 }},
+		{"too many shards", func(s *Spec) { s.Shards = maxShards + 1 }},
+		{"too many vnodes", func(s *Spec) { s.VNodes = maxVNodes + 1 }},
 		{"zero replicas", func(s *Spec) { s.Replicas = 0 }},
 		{"no nodes", func(s *Spec) { s.Nodes = nil }},
 		{"replicas exceed nodes", func(s *Spec) { s.Replicas = 4 }},

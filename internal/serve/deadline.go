@@ -33,21 +33,15 @@ var (
 )
 
 // parseDeadline reads the request's remaining budget. ok=false means no
-// (usable) budget was stamped; a non-positive budget is reported as ok
-// with zero remaining, which admission rejects.
+// (usable) budget was stamped — absent, not an integer, or too large for
+// a time.Duration; a non-positive budget is reported as ok with zero
+// remaining, which admission rejects.
 func parseDeadline(r *http.Request) (time.Duration, bool) {
-	h := r.Header.Get(DeadlineHeader)
-	if h == "" {
+	ms, err := strconv.ParseInt(r.Header.Get(DeadlineHeader), 10, 64)
+	if err != nil || ms > math.MaxInt64/int64(time.Millisecond) {
 		return 0, false
 	}
-	ms, err := strconv.ParseInt(h, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	if ms < 0 {
-		ms = 0
-	}
-	return time.Duration(ms) * time.Millisecond, true
+	return time.Duration(max(ms, 0)) * time.Millisecond, true
 }
 
 // latEstimator is a lock-free EWMA of observed service time — the

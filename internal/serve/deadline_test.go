@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -37,6 +38,39 @@ func TestParseDeadline(t *testing.T) {
 	if d, ok := parseDeadline(mk("-5")); !ok || d != 0 {
 		t.Fatalf("parse -5 = (%v, %v), want (0, true)", d, ok)
 	}
+}
+
+// FuzzParseDeadline: a hostile X-Deadline-Ms never yields a negative
+// budget; an in-range non-negative n is exactly n milliseconds, a
+// negative n is a zero budget, and a value too large for a
+// time.Duration (9223372036855 ms is about 292 years) is no budget at
+// all, not a negative one that admission would answer 504.
+func FuzzParseDeadline(f *testing.F) {
+	for _, seed := range []string{
+		"", "250", "0", "-5", "soon", "+7", "9223372036854", "9223372036855",
+		"9223372036854775807", "99999999999999999999",
+	} {
+		f.Add(seed)
+	}
+	const maxMs = math.MaxInt64 / int64(time.Millisecond)
+	r := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
+	f.Fuzz(func(t *testing.T, v string) {
+		r.Header.Set(DeadlineHeader, v)
+		d, ok := parseDeadline(r)
+		if d < 0 || (!ok && d != 0) {
+			t.Fatalf("parseDeadline(%q) = (%v, %v)", v, d, ok)
+		}
+		n, err := strconv.ParseInt(v, 10, 64)
+		switch {
+		case err != nil:
+		case n < 0 && (!ok || d != 0):
+			t.Fatalf("parseDeadline(%q) = (%v, %v), want a zero budget", v, d, ok)
+		case n >= 0 && n <= maxMs && (!ok || d != time.Duration(n)*time.Millisecond):
+			t.Fatalf("parseDeadline(%q) = (%v, %v), want %dms", v, d, ok, n)
+		case n > maxMs && ok:
+			t.Fatalf("parseDeadline(%q) = (%v, %v) past time.Duration, want no budget", v, d, ok)
+		}
+	})
 }
 
 func TestLatEstimatorEWMA(t *testing.T) {

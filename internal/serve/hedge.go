@@ -31,17 +31,23 @@ var (
 	mHedgeCapped    = obs.C("ring.hedge.capped")
 )
 
-// hedgeMinSamples is how many winner latencies a shard's window needs
-// before its p95 is trusted over the configured floor.
-const hedgeMinSamples = 8
+const (
+	// hedgeMinSamples is how many winner latencies a shard's window needs
+	// before its p95 is trusted over the floor.
+	hedgeMinSamples = 8
+	// hedgeDelayFloor is the minimum time a shard call must run before a
+	// hedge may fire, and the pacing delay until the window warms up.
+	hedgeDelayFloor = 5 * time.Millisecond
+	// hedgeDelayCeil caps the pacing delay so a shard whose p95 has
+	// drifted high still hedges usefully.
+	hedgeDelayCeil = replicaTimeout / 2
+)
 
 // hedgePacer owns the two hedging decisions: when a shard call has run
 // long enough to hedge (delay), and whether the fraction cap still
 // permits one (tryHedge).
 type hedgePacer struct {
 	fraction float64
-	floor    time.Duration
-	ceil     time.Duration
 
 	mu     sync.Mutex
 	wins   map[int]*ring.LatencyWindow // per-shard winner latency
@@ -49,13 +55,8 @@ type hedgePacer struct {
 	hedges uint64
 }
 
-func newHedgePacer(fraction float64, floor, ceil time.Duration) *hedgePacer {
-	return &hedgePacer{
-		fraction: fraction,
-		floor:    floor,
-		ceil:     ceil,
-		wins:     make(map[int]*ring.LatencyWindow),
-	}
+func newHedgePacer(fraction float64) *hedgePacer {
+	return &hedgePacer{fraction: fraction, wins: make(map[int]*ring.LatencyWindow)}
 }
 
 // startCall records one shard call beginning (the denominator of the
@@ -67,23 +68,20 @@ func (p *hedgePacer) startCall() {
 }
 
 // delay is how long a shard call may run before a hedge fires: the
-// shard's rolling p95 winner latency, clamped to [floor, ceil]. Until
-// the window has hedgeMinSamples the floor is used — early traffic
-// should not hedge off two lucky samples.
+// shard's rolling p95 winner latency, clamped to [hedgeDelayFloor,
+// hedgeDelayCeil]. Until the window has hedgeMinSamples the floor is
+// used — early traffic should not hedge off two lucky samples.
 func (p *hedgePacer) delay(shard int) time.Duration {
 	p.mu.Lock()
 	w := p.wins[shard]
 	p.mu.Unlock()
-	d := p.floor
+	d := hedgeDelayFloor
 	if w.Count() >= hedgeMinSamples {
 		if q := w.Quantile(0.95); q > d {
 			d = q
 		}
 	}
-	if p.ceil > 0 && d > p.ceil {
-		d = p.ceil
-	}
-	return d
+	return min(d, hedgeDelayCeil)
 }
 
 // tryHedge consumes hedge budget under the fraction cap, reporting

@@ -17,11 +17,11 @@ import (
 )
 
 func TestHedgePacerDelayAndCap(t *testing.T) {
-	p := newHedgePacer(0.5, 5*time.Millisecond, 50*time.Millisecond)
+	p := newHedgePacer(0.5)
 
 	// Before hedgeMinSamples winner latencies, the floor rules.
-	if d := p.delay(0); d != 5*time.Millisecond {
-		t.Fatalf("cold delay = %v, want the 5ms floor", d)
+	if d := p.delay(0); d != hedgeDelayFloor {
+		t.Fatalf("cold delay = %v, want the %v floor", d, hedgeDelayFloor)
 	}
 	for i := 0; i < hedgeMinSamples; i++ {
 		p.observeWin(0, 20*time.Millisecond)
@@ -31,13 +31,13 @@ func TestHedgePacerDelayAndCap(t *testing.T) {
 	}
 	// The ceiling clamps a pathological p95.
 	for i := 0; i < hedgeMinSamples; i++ {
-		p.observeWin(1, time.Second)
+		p.observeWin(1, time.Minute)
 	}
-	if d := p.delay(1); d != 50*time.Millisecond {
-		t.Fatalf("ceiled delay = %v, want 50ms", d)
+	if d := p.delay(1); d != hedgeDelayCeil {
+		t.Fatalf("ceiled delay = %v, want %v", d, hedgeDelayCeil)
 	}
 	// Other shards keep their own windows.
-	if d := p.delay(2); d != 5*time.Millisecond {
+	if d := p.delay(2); d != hedgeDelayFloor {
 		t.Fatalf("unseen shard delay = %v, want floor", d)
 	}
 
@@ -60,10 +60,7 @@ func TestHedgePacerDelayAndCap(t *testing.T) {
 // returning the ring plus the victim (preferred replica) index.
 func hedgeRing(t *testing.T, clf *knn.Classifier, info ModelInfo) (*testRing, int, string) {
 	t.Helper()
-	tr := startRing(t, 1, 2, 2, clf, info, RouterOptions{
-		HedgeFraction:   1,
-		HedgeDelayFloor: time.Millisecond,
-	})
+	tr := startRing(t, 1, 2, 2, clf, info, RouterOptions{HedgeFraction: 1})
 	victim := tr.r.ReplicaGroup(0)[0].Name
 	idx, err := strconv.Atoi(strings.TrimPrefix(victim, "n"))
 	if err != nil {
@@ -195,6 +192,6 @@ func TestHedgedMergeBitIdentical(t *testing.T) {
 		}
 	}
 	if mHedgeFired.Load() == firedBefore {
-		t.Fatal("no hedge ever fired against a 25ms replica with a 1ms floor")
+		t.Fatal("no hedge ever fired against a 25ms replica with a 5ms floor")
 	}
 }

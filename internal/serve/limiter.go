@@ -1,134 +1,38 @@
 package serve
 
-import (
-	"sync"
-	"time"
-
-	"repro/internal/obs"
-)
-
-// Adaptive overload control (DESIGN.md §13): a fixed MaxInFlight bound
-// answers "how many requests fit" with a number picked at deploy time,
-// but the true answer moves — with batch sizes, model size, noisy
-// neighbors, GC. The AIMD limiter discovers it the way TCP discovers
-// bandwidth: every completed request reports its latency; while the
-// latency EWMA sits at or below the target, the ceiling creeps up
-// additively (+1/limit per completion, so one full ceiling's worth of
-// good completions raises it by ~1); when the EWMA crosses the target,
-// the ceiling is cut multiplicatively (×0.9), with a cooldown so one
-// congestion event is punished once, not once per in-flight request
-// that drains after it.
+// Admission control (DESIGN.md §13) is a fixed in-flight bound: a
+// request that finds every slot taken is shed at once with 503 and an
+// occupancy-scaled Retry-After instead of queueing behind the others.
 //
 // Priority admission is structural rather than a queue discipline:
 // only the prediction/candidates paths acquire limiter slots, so
 // /healthz, /readyz, /metrics and /v1/admin/* are never shed behind
 // predict load — an orchestrator can always see a saturated server as
 // alive, and an operator can always reach it.
-var (
-	// gInflightLimit is process-wide like every serve.* metric: when one
-	// process hosts several servers (tests), the gauge shows the most
-	// recent adjuster's ceiling.
-	gInflightLimit  = obs.G("serve.inflight_limit")
-	mLimiterBackoff = obs.C("serve.limiter_backoff")
-)
 
-const (
-	// limiterAlpha smooths the latency EWMA driving AIMD decisions.
-	limiterAlpha = 0.2
-	// limiterDecrease is the multiplicative backoff on a latency breach.
-	limiterDecrease = 0.9
-	// limiterCooldown spaces multiplicative decreases: completions
-	// already in flight when the ceiling dropped carry pre-drop latency
-	// and must not each trigger another cut.
-	limiterCooldown = 100 * time.Millisecond
-)
+// limiter is a semaphore that never queues; its capacity is the
+// resolved MaxInFlight.
+type limiter chan struct{}
 
-// limiter bounds in-flight requests. With adaptive off it is exactly the
-// old fixed semaphore (ceiling pinned at max); with adaptive on, the
-// ceiling floats in [1, max] under AIMD control.
-type limiter struct {
-	adaptive bool
-	max      float64
-	target   float64 // ns; latency EWMA above this is congestion
-
-	mu       sync.Mutex
-	limit    float64
-	inflight int
-	ewma     float64 // ns
-	lastCut  time.Time
-}
-
-func newLimiter(maxInFlight int, adaptive bool, target time.Duration) *limiter {
-	l := &limiter{
-		adaptive: adaptive,
-		max:      float64(maxInFlight),
-		target:   float64(target),
-		limit:    float64(maxInFlight),
-	}
-	if obs.On() {
-		gInflightLimit.Set(int64(l.limit))
-	}
-	return l
-}
+func newLimiter(maxInFlight int) limiter { return make(limiter, maxInFlight) }
 
 // tryAcquire claims a slot without queueing; false means shed now.
-func (l *limiter) tryAcquire() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.inflight >= int(l.limit) {
+func (l limiter) tryAcquire() bool {
+	select {
+	case l <- struct{}{}:
+		return true
+	default:
 		return false
 	}
-	l.inflight++
-	return true
 }
 
-// release returns a slot and, when adaptive, feeds the request's latency
-// into the AIMD loop.
-func (l *limiter) release(lat time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.inflight > 0 {
-		l.inflight--
-	}
-	if !l.adaptive || l.target <= 0 {
-		return
-	}
-	ns := float64(lat)
-	if l.ewma == 0 {
-		l.ewma = ns
-	} else {
-		l.ewma = limiterAlpha*ns + (1-limiterAlpha)*l.ewma
-	}
-	prev := int(l.limit)
-	if l.ewma > l.target {
-		if now := time.Now(); now.Sub(l.lastCut) >= limiterCooldown {
-			l.lastCut = now
-			l.limit *= limiterDecrease
-			if l.limit < 1 {
-				l.limit = 1
-			}
-			if obs.On() {
-				mLimiterBackoff.Inc()
-			}
-		}
-	} else {
-		l.limit += 1 / l.limit
-		if l.limit > l.max {
-			l.limit = l.max
-		}
-	}
-	if obs.On() && int(l.limit) != prev {
-		gInflightLimit.Set(int64(l.limit))
+// release returns a slot; releasing an empty limiter is a no-op.
+func (l limiter) release() {
+	select {
+	case <-l:
+	default:
 	}
 }
 
-// occupancy reports (in-flight, current ceiling) for Retry-After scaling.
-func (l *limiter) occupancy() (int, int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	c := int(l.limit)
-	if c < 1 {
-		c = 1
-	}
-	return l.inflight, c
-}
+// occupancy reports (in-flight, capacity) for Retry-After scaling.
+func (l limiter) occupancy() (int, int) { return len(l), cap(l) }

@@ -1,102 +1,23 @@
 package serve
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestLimiterFixedIsOldSemaphore(t *testing.T) {
-	l := newLimiter(2, false, 0)
+	l := newLimiter(2)
 	if !l.tryAcquire() || !l.tryAcquire() {
 		t.Fatal("fixed limiter refused within its cap")
 	}
 	if l.tryAcquire() {
 		t.Fatal("fixed limiter admitted past its cap")
 	}
-	// However awful the latencies, a non-adaptive ceiling never moves.
-	l.release(10 * time.Second)
-	l.release(10 * time.Second)
+	l.release()
+	l.release()
+	l.release() // an unmatched release must not underflow or block
 	if in, cap := l.occupancy(); in != 0 || cap != 2 {
 		t.Fatalf("occupancy = (%d, %d), want (0, 2)", in, cap)
 	}
 	if !l.tryAcquire() {
-		t.Fatal("fixed limiter shrank under bad latency")
+		t.Fatal("fixed limiter refused after releases")
 	}
-	l.release(0)
-}
-
-func TestLimiterAIMD(t *testing.T) {
-	const target = 10 * time.Millisecond
-	l := newLimiter(16, true, target)
-
-	// Latency above target: one multiplicative cut (16 → 14), then the
-	// cooldown absorbs the pile of congested completions draining behind
-	// it.
-	bad := 50 * time.Millisecond
-	l.tryAcquire()
-	l.release(bad)
-	if _, cap := l.occupancy(); cap != 14 {
-		t.Fatalf("ceiling after first cut = %d, want 14 (16×0.9)", cap)
-	}
-	for i := 0; i < 5; i++ {
-		l.tryAcquire()
-		l.release(bad)
-	}
-	if _, cap := l.occupancy(); cap != 14 {
-		t.Fatalf("ceiling = %d after cuts inside the cooldown, want still 14", cap)
-	}
-
-	// Expire the cooldown by hand (the test must not sleep 100ms): each
-	// new congestion window may cut again, down to the floor of 1.
-	for i := 0; i < 50; i++ {
-		l.mu.Lock()
-		l.lastCut = time.Time{}
-		l.mu.Unlock()
-		l.tryAcquire()
-		l.release(bad)
-	}
-	if _, cap := l.occupancy(); cap != 1 {
-		t.Fatalf("ceiling under sustained congestion = %d, want floor 1", cap)
-	}
-
-	// Good latencies grow it back additively: +1/limit per completion, so
-	// recovery is gradual, and the ceiling never exceeds MaxInFlight.
-	for i := 0; i < 5000; i++ {
-		l.tryAcquire()
-		l.release(time.Millisecond)
-	}
-	if _, cap := l.occupancy(); cap != 16 {
-		t.Fatalf("recovered ceiling = %d, want back at the max 16", cap)
-	}
-
-	// The additive path is genuinely gradual: from 1, a single good
-	// completion cannot re-open the floodgates.
-	l2 := newLimiter(16, true, target)
-	l2.mu.Lock()
-	l2.limit, l2.ewma = 1, float64(time.Millisecond)
-	l2.mu.Unlock()
-	l2.tryAcquire()
-	l2.release(time.Millisecond)
-	if _, cap := l2.occupancy(); cap > 2 {
-		t.Fatalf("one good completion grew the ceiling to %d", cap)
-	}
-}
-
-func TestLimiterAdmissionTracksCeiling(t *testing.T) {
-	l := newLimiter(8, true, 10*time.Millisecond)
-	// Cut the ceiling to 7 (8×0.9 = 7.2), then fill it: admission must
-	// shed at the *current* ceiling, not the configured max.
-	l.tryAcquire()
-	l.release(time.Second)
-	_, cap := l.occupancy()
-	if cap >= 8 {
-		t.Fatalf("ceiling did not drop: %d", cap)
-	}
-	got := 0
-	for l.tryAcquire() {
-		got++
-	}
-	if got != cap {
-		t.Fatalf("admitted %d with ceiling %d", got, cap)
-	}
+	l.release()
 }

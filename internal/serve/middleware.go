@@ -95,9 +95,7 @@ func (t *tracePipe) logAccess(tr *obs.Trace) {
 // handleTraceLog returns the most recent completed request traces,
 // newest first. ?n=K limits the count.
 func (t *tracePipe) handleTraceLog(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET required"})
+	if !allowMethod(w, r, http.MethodGet) {
 		return
 	}
 	limit := 0

@@ -174,7 +174,7 @@ func TestRetryAfterScalesWithOccupancy(t *testing.T) {
 	s := tinyServer(t, Options{MaxInFlight: 4, RetryAfter: 8 * time.Second, ShutdownGrace: 7 * time.Second})
 	fill := func(n int) {
 		for occ, _ := s.lim.occupancy(); occ > 0; occ, _ = s.lim.occupancy() {
-			s.lim.release(0)
+			s.lim.release()
 		}
 		for i := 0; i < n; i++ {
 			s.lim.tryAcquire()
@@ -205,7 +205,7 @@ func TestRetryAfterScalesWithOccupancy(t *testing.T) {
 func TestSaturationRetryAfterHeader(t *testing.T) {
 	s := tinyServer(t, Options{MaxInFlight: 1, RetryAfter: 8 * time.Second})
 	s.lim.tryAcquire()
-	defer s.lim.release(0)
+	defer s.lim.release()
 	rec := post(t, s.Handler(), "/v1/predict", wireBody(t, false, trainCtx("q", 1)))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("saturated predict: %d, want 503", rec.Code)

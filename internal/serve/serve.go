@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -133,20 +132,9 @@ type Options struct {
 	// requests are shed with 503 + Retry-After. <1 sizes the bound like a
 	// worker pool: one slot per CPU (see parallel.Workers).
 	MaxInFlight int
-	// AdaptiveInFlight turns the fixed MaxInFlight bound into the AIMD
-	// ceiling of a latency-driven concurrency limiter floating in
-	// [1, MaxInFlight] (see limiter.go). Off, admission is exactly the
-	// fixed semaphore it always was.
-	AdaptiveInFlight bool
-	// LatencyTarget is the per-request latency the adaptive limiter
-	// steers toward; EWMA above it cuts the ceiling, at/below it grows
-	// the ceiling. <=0 means 50ms. Ignored without AdaptiveInFlight.
-	LatencyTarget time.Duration
 	// MaxBatch caps the contexts accepted by one batch request
 	// (413 beyond it). <1 means 1024.
 	MaxBatch int
-	// MaxBodyBytes caps a request body. <1 means 32 MiB.
-	MaxBodyBytes int64
 	// ShutdownGrace bounds the graceful drain on Run cancellation. <=0
 	// means 10s.
 	ShutdownGrace time.Duration
@@ -181,17 +169,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch < 1 {
 		o.MaxBatch = 1024
 	}
-	if o.MaxBodyBytes < 1 {
-		o.MaxBodyBytes = 32 << 20
-	}
 	if o.ShutdownGrace <= 0 {
 		o.ShutdownGrace = 10 * time.Second
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
-	}
-	if o.LatencyTarget <= 0 {
-		o.LatencyTarget = 50 * time.Millisecond
 	}
 	return o
 }
@@ -225,30 +207,20 @@ func (a *activeModel) status() ModelStatus {
 
 // Server serves predictions from a trained classifier.
 type Server struct {
+	*envelope
 	cur  atomic.Pointer[activeModel]
 	opts Options
-	lim  *limiter
-	// est tracks this server's typical service time — the admission
-	// estimate a stamped X-Deadline-Ms budget is checked against.
-	est latEstimator
-	mux *http.ServeMux
-
-	// trace is the shared tracing/access-log middleware (see
-	// middleware.go); it also backs GET /v1/admin/trace.
-	trace *tracePipe
 
 	// reloadMu serializes Reload calls; the swap itself is the atomic
 	// pointer store, so the request path never takes this lock.
 	reloadMu sync.Mutex
-
-	readyMu sync.Mutex
-	ready   bool
 }
 
 // New builds a server. The classifier must be fully constructed; the
 // server never mutates it.
 func New(clf *knn.Classifier, info ModelInfo, opts Options) *Server {
-	s := &Server{opts: opts.withDefaults()}
+	opts = opts.withDefaults()
+	s := &Server{envelope: newEnvelope("server", opts), opts: opts}
 	if s.opts.NodeName != "" {
 		// Pre-register this node's gray-failure chaos site so its
 		// injection counter exports a stable series from startup.
@@ -258,20 +230,13 @@ func New(clf *knn.Classifier, info ModelInfo, opts Options) *Server {
 	if obs.On() {
 		gGeneration.Set(1)
 	}
-	s.lim = newLimiter(s.opts.MaxInFlight, s.opts.AdaptiveInFlight, s.opts.LatencyTarget)
-	s.ready = true
-	s.trace = newTracePipe(s.opts.TraceRing, s.opts.AccessLog)
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/metrics", handleMetrics)
 	s.mux.HandleFunc("/v1/model", s.handleModel)
-	s.mux.HandleFunc("/v1/predict", s.handlePredict)
-	s.mux.HandleFunc("/v1/predict/batch", s.handleBatch)
+	s.mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) { s.servePrediction(w, r, false) })
+	s.mux.HandleFunc("/v1/predict/batch", func(w http.ResponseWriter, r *http.Request) { s.servePrediction(w, r, true) })
 	s.mux.HandleFunc("/v1/knn/candidates", s.handleCandidates)
 	s.mux.HandleFunc("/v1/admin/reload", s.handleReload)
 	s.mux.HandleFunc("/v1/admin/snapshot", s.handleSnapshotPush)
-	s.mux.HandleFunc("/v1/admin/trace", s.trace.handleTraceLog)
 	return s
 }
 
@@ -286,31 +251,11 @@ func (s *Server) buildActive(clf *knn.Classifier, info ModelInfo, gen uint64) *a
 	return am
 }
 
-// Handler returns the server's HTTP handler (also usable under httptest
-// or an existing mux). Every response — including 404s from unknown
-// paths — passes through the tracing middleware (see middleware.go), so
-// every response carries an X-Request-ID header.
-func (s *Server) Handler() http.Handler { return s.trace.wrap(s.mux) }
-
 // MaxInFlight reports the resolved in-flight bound.
 func (s *Server) MaxInFlight() int { return s.opts.MaxInFlight }
 
 // Status reports the live model's description and generation.
 func (s *Server) Status() ModelStatus { return s.cur.Load().status() }
-
-// SetReady flips the readiness probe (Run flips it to false when
-// draining).
-func (s *Server) SetReady(v bool) {
-	s.readyMu.Lock()
-	s.ready = v
-	s.readyMu.Unlock()
-}
-
-func (s *Server) isReady() bool {
-	s.readyMu.Lock()
-	defer s.readyMu.Unlock()
-	return s.ready
-}
 
 // Reload swaps in a fresh model from the configured Reloader:
 // load, validate (checksum verification happens inside the reloader's
@@ -388,48 +333,15 @@ func selfTest(clf *knn.Classifier) (err error) {
 }
 
 // Run listens on addr and serves until ctx is canceled, then drains
-// gracefully: readiness flips to 503, the listener closes, and in-flight
-// requests get ShutdownGrace to complete. A clean drain returns nil — the
-// path a SIGINT through signal.NotifyContext takes.
+// gracefully (see RunListener).
 func (s *Server) Run(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("serve: listen %s: %w", addr, err)
-	}
-	return s.RunListener(ctx, ln)
+	return listenAndRun(ctx, addr, s.RunListener)
 }
 
-// RunListener is Run over an existing listener (tests use :0).
-func (s *Server) RunListener(ctx context.Context, ln net.Listener) error {
-	// The read/write/idle timeouts bound what a single stalled client can
-	// hold: without them, a connection that trickles its body (or never
-	// reads the response) pins a kernel socket — and, once admitted, an
-	// in-flight slot — forever.
-	srv := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
-	}
-	s.SetReady(false)
-	shCtx, cancel := context.WithTimeout(context.Background(), s.opts.ShutdownGrace)
-	defer cancel()
-	if err := srv.Shutdown(shCtx); err != nil {
-		return fmt.Errorf("serve: shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("serve: %w", err)
-	}
-	return nil
-}
+// RunListener serves on ln (tests use :0) until ctx is canceled, then
+// drains: readiness flips to 503, the listener closes, and in-flight
+// requests get ShutdownGrace to complete. A clean drain returns nil.
+func (s *Server) RunListener(ctx context.Context, ln net.Listener) error { return s.serve(ctx, ln) }
 
 // predictResponse is one prediction result on the wire. OK=false is an
 // abstention (measure empty); Fallback marks a prediction produced by the
@@ -444,21 +356,6 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, "ok\n")
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if !s.isReady() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "draining\n")
-		return
-	}
-	io.WriteString(w, "ready\n")
-}
-
 func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.cur.Load().status())
 }
@@ -470,9 +367,7 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 // verbatim by the standalone Server and the ring Router (obs state is
 // process-wide).
 func handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET required"})
+	if !allowMethod(w, r, http.MethodGet) {
 		return
 	}
 	var b bytes.Buffer
@@ -501,9 +396,7 @@ func writeBuildInfoMetric(b *bytes.Buffer) {
 // ModelStatus on success, 409 while draining, 501 without a reloader,
 // 500 on a failed load (old model still serving).
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+	if !allowMethod(w, r, http.MethodPost) {
 		return
 	}
 	st, err := s.Reload()
@@ -519,99 +412,25 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// retryAfterSeconds computes the Retry-After hint for a shed request.
-// While draining it is the full shutdown grace — the instance is going
-// away and a retry should land elsewhere after the drain. Under
-// saturation it scales Options.RetryAfter by the in-flight occupancy
-// (rounded up, never below 1s): a server shedding at 100% occupancy
-// advertises the full interval, one that merely blipped advertises less.
-func (s *Server) retryAfterSeconds() int {
-	if !s.isReady() {
-		return int(math.Max(1, math.Ceil(s.opts.ShutdownGrace.Seconds())))
-	}
-	occ, capacity := s.lim.occupancy()
-	secs := math.Ceil(s.opts.RetryAfter.Seconds() * float64(occ) / float64(capacity))
-	return int(math.Max(1, secs))
-}
-
-// acquire claims an in-flight slot without queueing; a saturated server
-// sheds the request immediately so the client (or load balancer) can
-// retry elsewhere instead of piling latency onto a full queue.
-func (s *Server) acquire(w http.ResponseWriter, tr *obs.Trace) bool {
-	if s.lim.tryAcquire() {
-		return true
-	}
-	if obs.On() {
-		mRejected.Inc()
-	}
-	tr.Rung("serve.shed")
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server saturated; retry"})
-	return false
-}
-
-// release returns the slot, reporting the request's latency to the
-// adaptive limiter.
-func (s *Server) release(lat time.Duration) { s.lim.release(lat) }
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	s.servePrediction(w, r, false)
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.servePrediction(w, r, true)
-}
-
-// servePrediction is the shared single/batch prediction path: bound the
-// body, decode wire contexts, run the classifier under the in-flight
-// bound, and translate abstentions/fallbacks to the wire form. The
-// classifier pointer is read once per request, so a concurrent reload
-// never changes the model mid-request. A panic below (a poisoned
-// context, an injected fault) is recovered into a 500 for this request
-// only; the server stays up.
+// servePrediction is the shared single/batch prediction path: decode
+// wire contexts, run the classifier under the admission envelope, and
+// translate abstentions/fallbacks to the wire form. The classifier
+// pointer is read once per request, so a concurrent reload never changes
+// the model mid-request.
 func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch bool) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+	if !allowMethod(w, r, http.MethodPost) {
 		return
 	}
-	if obs.On() {
-		mRequests.Inc()
-	}
-	tr := obs.TraceFrom(r.Context())
-	if !s.acquire(w, tr) {
-		return
-	}
-	t0 := time.Now()
-	defer func() { s.release(time.Since(t0)) }()
-	// Budget admission after the in-flight slot: the estimate must cover
-	// what happens from here on, and a shed (503) beats a budget reject
-	// (504) when both apply — the client's retry policy treats them the
-	// same, and the shed carries the Retry-After hint.
-	rctx, dcancel, ok := admitDeadline(w, r, &s.est, tr)
+	rctx, done, ok := s.admit(w, r, faults.SiteServePredict)
 	if !ok {
 		return
 	}
-	defer dcancel()
-	sp := stServe.StartCtx(r.Context())
-	defer sp.End()
-	defer func() {
-		if obs.On() {
-			hLatency.ObserveSince(t0)
-		}
-		s.est.observe(time.Since(t0))
-		if rec := recover(); rec != nil {
-			if obs.On() {
-				mErrors.Inc()
-			}
-			tr.Rung("serve.panic_500")
-			err := pipeline.Recovered("serve.predict", rec)
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		}
-	}()
+	defer done()
+	defer timePredict(r.Context())()
+	tr := obs.TraceFrom(r.Context())
 
 	spDecode := stDecode.StartCtx(r.Context())
-	wire, ok := s.decodeRequest(w, r, batch)
+	wire, ok := decodeWireRequest(w, r, batch, s.opts.MaxBatch)
 	if !ok {
 		spDecode.End()
 		return
@@ -619,7 +438,7 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 	ctxs, err := decodeAll(wire)
 	spDecode.End()
 	if err != nil {
-		s.clientError(w, http.StatusBadRequest, err)
+		httpClientError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -630,7 +449,7 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 	// identity never factor in.
 	if faults.Enabled() {
 		key := fmt.Sprintf("%s@%d/%d#%d", wire[0].SessionID, wire[0].T, wire[0].N, len(wire))
-		if err := injectGuarded(key); err != nil {
+		if err := injectSiteGuarded(faults.SiteServePredict, key); err != nil {
 			if obs.On() {
 				mErrors.Inc()
 			}
@@ -657,38 +476,15 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 	out := make([]predictResponse, len(preds))
 	for i, p := range preds {
 		out[i] = predictResponse{Measure: p.Label, OK: p.Covered, Fallback: p.Fallback}
-		if obs.On() {
-			mPredictions.Inc()
-			switch {
-			case p.Fallback:
-				mFallback.Inc()
-			case !p.Covered:
-				mAbstain.Inc()
-			}
-		}
 	}
-	spEncode := stEncode.StartCtx(r.Context())
-	defer spEncode.End()
-	if batch {
-		writeJSON(w, http.StatusOK, struct {
-			Predictions []predictResponse `json:"predictions"`
-		}{out})
-		return
-	}
-	writeJSON(w, http.StatusOK, out[0])
-}
-
-// decodeRequest bounds and parses the request body into wire contexts.
-// On failure it has already written the error response.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, batch bool) ([]*snapshot.WireContext, bool) {
-	return decodeWireRequest(w, r, batch, s.opts.MaxBodyBytes, s.opts.MaxBatch)
+	writePredictions(w, r.Context(), out, batch)
 }
 
 // decodeWireRequest is the single/batch request decode shared by the
 // standalone Server and the ring Router (which forwards the wire contexts
 // to replicas verbatim instead of decoding them further).
-func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBody int64, maxBatch int) ([]*snapshot.WireContext, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBatch int) ([]*snapshot.WireContext, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		httpClientError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("read body: %w", err))
 		return nil, false
@@ -729,18 +525,6 @@ func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBo
 	return wire, true
 }
 
-// injectGuarded runs the serve.predict probe, converting an injected
-// panic into an error (the handler's recover would answer 500; the
-// probe's contract is the gentler 503 degradation).
-func injectGuarded(key string) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = pipeline.Recovered(faults.SiteServePredict, r)
-		}
-	}()
-	return faults.Inject(faults.SiteServePredict, key, faults.KindAll)
-}
-
 func decodeAll(wire []*snapshot.WireContext) ([]*session.Context, error) {
 	out := make([]*session.Context, len(wire))
 	for i, wc := range wire {
@@ -751,14 +535,4 @@ func decodeAll(wire []*snapshot.WireContext) ([]*session.Context, error) {
 		out[i] = c
 	}
 	return out, nil
-}
-
-func (s *Server) clientError(w http.ResponseWriter, code int, err error) {
-	httpClientError(w, code, err)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }

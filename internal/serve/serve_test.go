@@ -142,7 +142,7 @@ func TestSaturationSheds(t *testing.T) {
 	// Occupy the only slot directly; the next request must be shed, not
 	// queued.
 	s.lim.tryAcquire()
-	defer s.lim.release(0)
+	defer s.lim.release()
 
 	rec := post(t, s.Handler(), "/v1/predict", wireBody(t, false, trainCtx("q", 1)))
 	if rec.Code != http.StatusServiceUnavailable {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"repro/internal/atomicio"
 	"repro/internal/faults"
@@ -31,7 +30,7 @@ var (
 )
 
 // maxSnapshotPush bounds an accepted snapshot body independently of
-// Options.MaxBodyBytes (models are much larger than predict requests).
+// maxBodyBytes (models are much larger than predict requests).
 const maxSnapshotPush = 1 << 30
 
 // shardModel is one shard's slice of the training set: a classifier over
@@ -95,9 +94,7 @@ type candidatesResponse struct {
 // routing failure and moves to the next replica), and otherwise the
 // shard's ungated top-k per query with globally numbered indexes.
 func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+	if !allowMethod(w, r, http.MethodPost) {
 		return
 	}
 	am := s.cur.Load()
@@ -106,43 +103,36 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if obs.On() {
-		mRequests.Inc()
 		mCandidates.Inc()
 	}
-	tr := obs.TraceFrom(r.Context())
-	if !s.acquire(w, tr) {
-		return
-	}
-	t0 := time.Now()
-	defer func() { s.release(time.Since(t0)) }()
-	defer func() { s.est.observe(time.Since(t0)) }()
-	rctx, dcancel, ok := admitDeadline(w, r, &s.est, tr)
+	rctx, done, ok := s.admit(w, r, "serve.candidates")
 	if !ok {
 		return
 	}
-	defer dcancel()
+	defer done()
+	tr := obs.TraceFrom(r.Context())
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		s.clientError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("read body: %w", err))
+		httpClientError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("read body: %w", err))
 		return
 	}
 	var req candidatesRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		s.clientError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		httpClientError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	sm, ok := am.shards[req.Shard]
 	if !ok {
-		s.clientError(w, http.StatusNotFound, fmt.Errorf("shard %d is not served by this replica", req.Shard))
+		httpClientError(w, http.StatusNotFound, fmt.Errorf("shard %d is not served by this replica", req.Shard))
 		return
 	}
 	if len(req.Contexts) == 0 {
-		s.clientError(w, http.StatusBadRequest, errors.New("no contexts in request"))
+		httpClientError(w, http.StatusBadRequest, errors.New("no contexts in request"))
 		return
 	}
 	if len(req.Contexts) > s.opts.MaxBatch {
-		s.clientError(w, http.StatusRequestEntityTooLarge,
+		httpClientError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("batch of %d exceeds the %d-context cap", len(req.Contexts), s.opts.MaxBatch))
 		return
 	}
@@ -160,7 +150,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 
 	ctxs, err := decodeAll(req.Contexts)
 	if err != nil {
-		s.clientError(w, http.StatusBadRequest, err)
+		httpClientError(w, http.StatusBadRequest, err)
 		return
 	}
 	results := make([][]knn.Candidate, len(ctxs))
@@ -193,9 +183,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 // hot-reloaded through the same validate-and-swap path as any reload. A
 // corrupt push can therefore never destroy a replica's good snapshot.
 func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+	if !allowMethod(w, r, http.MethodPost) {
 		return
 	}
 	if s.opts.ModelPath == "" || s.opts.Reloader == nil {
@@ -204,11 +192,11 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshotPush))
 	if err != nil {
-		s.clientError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("read snapshot body: %w", err))
+		httpClientError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("read snapshot body: %w", err))
 		return
 	}
 	if _, err := snapshot.Read(bytes.NewReader(body)); err != nil {
-		s.clientError(w, http.StatusBadRequest, fmt.Errorf("pushed snapshot rejected: %w", err))
+		httpClientError(w, http.StatusBadRequest, fmt.Errorf("pushed snapshot rejected: %w", err))
 		return
 	}
 	if err := atomicio.WriteFile(s.opts.ModelPath, func(w io.Writer) error {

@@ -72,14 +72,10 @@ func TestTailLatencyArmor(t *testing.T) {
 		spec.Nodes = append(spec.Nodes, RingNode{Name: fmt.Sprintf("n%d", i), Addr: listeners[i].URL})
 	}
 	for i, n := range spec.Nodes {
-		// Fixed generous in-flight caps on the replicas, adaptive control
-		// with a target far above the injected latency: the AIMD limiter
-		// runs on the hot path but must not shed — this test's fault is
+		// Generous in-flight caps on the replicas: this test's fault is
 		// latency, not overload, and the zero-shed assertion must hold.
 		srv, err := pred.NewShardServer(spec, n.Name, ServeOptions{
-			MaxInFlight:      32,
-			AdaptiveInFlight: true,
-			LatencyTarget:    2 * time.Second,
+			MaxInFlight: 32,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -87,9 +83,8 @@ func TestTailLatencyArmor(t *testing.T) {
 		swaps[i].set(srv.Handler())
 	}
 	rt, err := NewRingRouter(modelPath, spec, RingRouterOptions{
-		MaxInFlight:     32,
-		HedgeFraction:   0.5,
-		HedgeDelayFloor: 5 * time.Millisecond,
+		MaxInFlight:   32,
+		HedgeFraction: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
