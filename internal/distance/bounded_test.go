@@ -74,7 +74,7 @@ func TestDistanceWithinMatchesDistance(t *testing.T) {
 			exact := m.Distance(a, b)
 			structural := lowerBound(flatten(a), flatten(b))
 			for _, bound := range bounds {
-				d, within := m.DistanceWithin(a, b, bound)
+				d, within := m.NewEvaluator(a).DistanceWithin(m.Prepare(b), bound)
 				if within {
 					if d != exact {
 						t.Fatalf("pair (%d,%d) bound %g: within=true d=%v, exact %v", i, j, bound, d, exact)
@@ -106,8 +106,7 @@ func TestDistanceWithinMatchesDistance(t *testing.T) {
 }
 
 // TestDistanceWithinMemoized checks the memoized metric variant keeps the
-// same contract (NewMemoizedTreeEdit returns a TreeEdit, so it inherits
-// DistanceWithin).
+// same contract.
 func TestDistanceWithinMemoized(t *testing.T) {
 	ctxs := boundedContexts(t)
 	m := NewMemoizedTreeEdit(nil)
@@ -115,7 +114,7 @@ func TestDistanceWithinMemoized(t *testing.T) {
 	for _, a := range ctxs {
 		for _, b := range ctxs {
 			exact := plain.Distance(a, b)
-			d, within := m.DistanceWithin(a, b, 0.25)
+			d, within := m.NewEvaluator(a).DistanceWithin(m.Prepare(b), 0.25)
 			if within && d != exact {
 				t.Fatalf("memoized within d=%v, exact %v", d, exact)
 			}
@@ -123,30 +122,6 @@ func TestDistanceWithinMemoized(t *testing.T) {
 				t.Fatalf("memoized abandoned a pair with exact %v <= 0.25", exact)
 			}
 		}
-	}
-}
-
-// TestWithinFallback checks the generic helper on a metric without a
-// bounded implementation.
-func TestWithinFallback(t *testing.T) {
-	ctxs := boundedContexts(t)
-	m := LastActionMetric{}
-	for _, a := range ctxs[:4] {
-		for _, b := range ctxs[:4] {
-			exact := m.Distance(a, b)
-			d, within := Within(m, a, b, 0.3)
-			if d != exact {
-				t.Fatalf("fallback d=%v, exact %v", d, exact)
-			}
-			if within != (exact <= 0.3) {
-				t.Fatalf("fallback within=%v for d=%v", within, exact)
-			}
-		}
-	}
-	// And that the bounded path is taken for TreeEdit.
-	te := TreeEdit{}
-	if _, ok := Metric(te).(BoundedMetric); !ok {
-		t.Fatal("TreeEdit does not implement BoundedMetric")
 	}
 }
 
@@ -167,7 +142,7 @@ func actionBound(m TreeEdit, a, b *session.Context) float64 {
 // bound one ULP above the computed distance could drop a true neighbor.
 func TestLowerBoundNeverExceedsDistance(t *testing.T) {
 	ctxs := boundedContexts(t)
-	for _, m := range []TreeEdit{{}, {InsDelCost: 2}, NewMemoizedTreeEdit(nil)} {
+	for _, m := range []TreeEdit{{}, NewMemoizedTreeEdit(nil)} {
 		for _, lb := range []struct {
 			name  string
 			bound func(a, b *session.Context) float64

@@ -9,12 +9,21 @@ import (
 )
 
 // The evaluator is the package's one Zhang-Shasha implementation.
-// TreeEdit.Distance and TreeEdit.DistanceWithin wrap it for one-off pairs;
-// the kNN scan, which evaluates one query against every training context,
-// uses it directly so the per-pair overheads amortize: the training
-// contexts' flattenings never change (Prepare, once per context), the
-// query's is shared by the whole scan (NewEvaluator, once per query), and
-// the dynamic-program scratch is reused between evaluations.
+// TreeEdit.Distance wraps it for one-off pairs; the kNN scan, which
+// evaluates one query against every training context, uses it directly so
+// the per-pair overheads amortize: the training contexts' flattenings
+// never change (Prepare, once per context), the query's is shared by the
+// whole scan (NewEvaluator, once per query), and the dynamic-program
+// scratch is reused between evaluations.
+
+// Telemetry handles for the bounded path: bounded_calls counts
+// DistanceWithin invocations, early_abandon those a lower bound rejected
+// before any display distance was computed — the early-abandon hit rate
+// of the kNN scan.
+var (
+	mBoundedCalls = obs.C("distance.treeedit.bounded_calls")
+	mEarlyAbandon = obs.C("distance.treeedit.early_abandon")
+)
 
 // Prepared is one context's cached flattening, reusable across any
 // number of distance evaluations and safe for concurrent use (it is
@@ -34,21 +43,15 @@ func (m TreeEdit) Prepare(c *session.Context) *Prepared {
 // builds its own.
 type Evaluator struct {
 	q    *flatTree
-	unit float64
 	memo *Memo
 	// Scratch matrices, grown on demand: td holds subtree distances, fd
 	// forest distances, rel the relabel cost of every node pair.
 	td, fd, rel [][]float64
 }
 
-// NewEvaluator flattens the query once and resolves the metric's cost
-// model.
+// NewEvaluator flattens the query once.
 func (m TreeEdit) NewEvaluator(q *session.Context) *Evaluator {
-	unit := m.InsDelCost
-	if unit <= 0 {
-		unit = 1
-	}
-	return &Evaluator{q: flatten(q), unit: unit, memo: m.Memo}
+	return &Evaluator{q: flatten(q), memo: m.Memo}
 }
 
 // DistanceWithin returns (d, true) with the exact distance from the query
@@ -59,7 +62,7 @@ func (m TreeEdit) NewEvaluator(q *session.Context) *Evaluator {
 //   - size and height: every insert/delete changes the node count by one,
 //     and moves the tree height by at most one (a delete splices a node's
 //     children into its parent), while relabels leave structure alone —
-//     so raw >= unit·max(|size(a) − size(b)|, |height(a) − height(b)|);
+//     so raw >= max(|size(a) − size(b)|, |height(a) − height(b)|);
 //   - actions: the same dynamic program with relabel cost
 //     0.5·ActionDistance. The real relabel cost adds 0.5·DisplayDistance
 //     >= 0 to every pair, so no edit script costs less under the real
@@ -132,6 +135,24 @@ func (e *Evaluator) addDisplayCosts(tb *flatTree) {
 	}
 }
 
+// lowerBound returns the normalized-distance lower bound of two non-empty
+// flattened trees by size and height.
+func lowerBound(ta, tb *flatTree) float64 {
+	sizeDiff := len(ta.nodes) - len(tb.nodes)
+	if sizeDiff < 0 {
+		sizeDiff = -sizeDiff
+	}
+	heightDiff := ta.height - tb.height
+	if heightDiff < 0 {
+		heightDiff = -heightDiff
+	}
+	diff := sizeDiff
+	if heightDiff > diff {
+		diff = heightDiff
+	}
+	return float64(diff) / float64(len(ta.nodes)+len(tb.nodes))
+}
+
 func countAbandon() {
 	if obs.On() {
 		mEarlyAbandon.Inc()
@@ -149,7 +170,7 @@ func (e *Evaluator) displayDistance(a, b *engine.Display) float64 {
 // currently in rel and normalizes the result by the cost of deleting one
 // tree and inserting the other, so distances fall in [0, 1].
 func (e *Evaluator) run(tb *flatTree) float64 {
-	d := e.zhangShasha(e.q, tb) / (e.unit * float64(len(e.q.nodes)+len(tb.nodes)))
+	d := e.zhangShasha(e.q, tb) / float64(len(e.q.nodes)+len(tb.nodes))
 	if d > 1 {
 		d = 1
 	}
@@ -178,7 +199,7 @@ func (e *Evaluator) zhangShasha(ta, tb *flatTree) float64 {
 // treeDist fills the forest distances between the subtrees rooted at
 // keyroots i and j, recording every subtree-pair distance it completes.
 func (e *Evaluator) treeDist(ta, tb *flatTree, i, j int) {
-	td, fd, unit := e.td, e.fd, e.unit
+	td, fd := e.td, e.fd
 	li, lj := ta.leftmost[i], tb.leftmost[j]
 	// fd indices are offsets: fd[a][b] = distance between forests
 	// ta[li..li+a-1] and tb[lj..lj+b-1].
@@ -186,10 +207,10 @@ func (e *Evaluator) treeDist(ta, tb *flatTree, i, j int) {
 
 	fd[0][0] = 0
 	for a := 1; a <= ni; a++ {
-		fd[a][0] = fd[a-1][0] + unit
+		fd[a][0] = fd[a-1][0] + 1
 	}
 	for b := 1; b <= nj; b++ {
-		fd[0][b] = fd[0][b-1] + unit
+		fd[0][b] = fd[0][b-1] + 1
 	}
 	for a := 1; a <= ni; a++ {
 		for b := 1; b <= nj; b++ {
@@ -198,15 +219,15 @@ func (e *Evaluator) treeDist(ta, tb *flatTree, i, j int) {
 			if ta.leftmost[ia] == li && tb.leftmost[jb] == lj {
 				// Both forests are trees rooted at ia / jb.
 				fd[a][b] = min3(
-					fd[a-1][b]+unit,
-					fd[a][b-1]+unit,
+					fd[a-1][b]+1,
+					fd[a][b-1]+1,
 					fd[a-1][b-1]+e.rel[ia][jb],
 				)
 				td[ia][jb] = fd[a][b]
 			} else {
 				fd[a][b] = min3(
-					fd[a-1][b]+unit,
-					fd[a][b-1]+unit,
+					fd[a-1][b]+1,
+					fd[a][b-1]+1,
 					fd[ta.leftmost[ia]-li][tb.leftmost[jb]-lj]+td[ia][jb],
 				)
 			}

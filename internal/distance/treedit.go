@@ -29,8 +29,6 @@ type Metric interface {
 // actions + displays), normalized by the combined tree size so results
 // fall in [0, 1].
 type TreeEdit struct {
-	// InsDelCost is the insert/delete unit cost; 0 means 1.
-	InsDelCost float64
 	// Memo caches the display ground metric across calls (see
 	// NewMemoizedTreeEdit); nil computes DisplayDistance afresh.
 	Memo *Memo

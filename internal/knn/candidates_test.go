@@ -2,11 +2,14 @@ package knn
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/offline"
 	"repro/internal/session"
+	"repro/internal/stats"
 )
 
 // candTrainingSet builds a deterministic labeled set with repeated
@@ -73,7 +76,7 @@ func TestPredictFromCandidatesMatchesPredict(t *testing.T) {
 		{"tight gate", Config{K: 3, ThetaDelta: 0.05}},
 		{"zero gate nearest", Config{K: 5, ThetaDelta: 0, Fallback: FallbackNearest}},
 		{"zero gate prior", Config{K: 5, ThetaDelta: 0, Fallback: FallbackPrior}},
-		{"unbounded", Config{K: 4, Unbounded: true}},
+		{"unbounded", Config{K: 4, ThetaDelta: math.Inf(1)}},
 		{"k exceeds set", Config{K: 200, ThetaDelta: 0.5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,27 +134,6 @@ func TestCandidatesOrderAndContent(t *testing.T) {
 	// the ungated case.
 }
 
-// A merge must be insensitive to list arrival order: shards answering in
-// any order produce the identical merged list.
-func TestMergeCandidatesOrderInsensitive(t *testing.T) {
-	a := []Candidate{{Index: 0, Dist: 0.1, Labels: []string{"x"}}, {Index: 4, Dist: 0.3}}
-	b := []Candidate{{Index: 2, Dist: 0.1, Labels: []string{"y"}}, {Index: 1, Dist: 0.2}}
-	c := []Candidate{{Index: 3, Dist: 0.05, Labels: []string{"z"}}}
-	m1 := MergeCandidates(3, a, b, c)
-	m2 := MergeCandidates(3, c, b, a)
-	if !reflect.DeepEqual(m1, m2) {
-		t.Fatalf("merge depends on list order: %v vs %v", m1, m2)
-	}
-	want := []Candidate{
-		{Index: 3, Dist: 0.05, Labels: []string{"z"}},
-		{Index: 0, Dist: 0.1, Labels: []string{"x"}},
-		{Index: 2, Dist: 0.1, Labels: []string{"y"}},
-	}
-	if !reflect.DeepEqual(m1, want) {
-		t.Fatalf("merged = %v, want %v", m1, want)
-	}
-}
-
 func TestPredictFromCandidatesGateIsPrefix(t *testing.T) {
 	sorted := []Candidate{
 		{Index: 0, Dist: 0.1, Labels: []string{"near"}},
@@ -183,8 +165,8 @@ func TestPredictFromCandidatesGateIsPrefix(t *testing.T) {
 	if p.Covered {
 		t.Fatalf("prior fallback without a prior must abstain: %+v", p)
 	}
-	// Unbounded ignores the gate entirely.
-	p = PredictFromCandidates(sorted, Config{K: 3, Unbounded: true}, "")
+	// An infinite θ_δ ignores the gate entirely.
+	p = PredictFromCandidates(sorted, Config{K: 3, ThetaDelta: math.Inf(1)}, "")
 	if !p.Covered || p.Fallback || p.Label != "far" {
 		t.Fatalf("unbounded vote = %+v, want far without fallback", p)
 	}
@@ -269,4 +251,38 @@ func TestMergeCandidatesDuplicateIndexDeterministic(t *testing.T) {
 		want[1].Index != 7 || want[2].Index != 9 {
 		t.Fatalf("merged = %v, want fresh#5, seven#7, nine#9", want)
 	}
+}
+
+// FuzzMergeCandidates is the partition property behind every merge — ring
+// shards at the router and chunks of a parallel scan: split a training set
+// into 1–8 parts, take each part's top-k, merge the lists in any order,
+// and the result is the whole set's top-k in (dist, index) order, labels
+// included. Coarse distances (b%16 / 16) make ties common.
+func FuzzMergeCandidates(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 0, 5}, uint8(3), uint8(2), uint64(1))
+	f.Add([]byte{2, 3, 2, 1, 5}, uint8(2), uint8(2), uint64(7))
+	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7}, uint8(4), uint8(7), uint64(2))
+	f.Add([]byte{}, uint8(0), uint8(2), uint64(3))
+	f.Fuzz(func(t *testing.T, dists []byte, k, parts uint8, seed uint64) {
+		kk, rng := 1+int(k%16), stats.NewRNG(seed)
+		topK := func(cds []Candidate) []Candidate {
+			out := append([]Candidate(nil), cds...)
+			sort.SliceStable(out, func(a, b int) bool { return out[a].Dist < out[b].Dist })
+			return out[:min(kk, len(out))]
+		}
+		all := make([]Candidate, len(dists))
+		split := make([][]Candidate, 1+int(parts%8))
+		for i, b := range dists {
+			all[i] = Candidate{Index: i, Dist: float64(b%16) / 16, Labels: []string{fmt.Sprint(i)}}
+			p := rng.Intn(len(split))
+			split[p] = append(split[p], all[i])
+		}
+		lists := make([][]Candidate, len(split))
+		for i, p := range rng.Perm(len(split)) {
+			lists[i] = topK(split[p])
+		}
+		if got, want := MergeCandidates(kk, lists...), topK(all); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("merged %+v, want %+v", got, want)
+		}
+	})
 }

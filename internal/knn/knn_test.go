@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/offline"
@@ -128,8 +129,8 @@ func TestClassifierThresholdAndAbstention(t *testing.T) {
 	if p.Covered {
 		t.Errorf("expected abstention, got %+v", p)
 	}
-	// Unbounded: must always cover.
-	clfU := New(samples, stubMetric{}, Config{K: 1, Unbounded: true})
+	// θ_δ = +∞: must always cover.
+	clfU := New(samples, stubMetric{}, Config{K: 1, ThetaDelta: math.Inf(1)})
 	p = clfU.Predict(&session.Context{T: 5})
 	if !p.Covered {
 		t.Error("unbounded classifier must not abstain")
@@ -142,7 +143,7 @@ func TestClassifierThresholdAndAbstention(t *testing.T) {
 func TestClassifierDefaultMetricAndK(t *testing.T) {
 	// nil metric defaults to tree edit; k<1 coerced to 1; must not panic
 	// on empty contexts.
-	clf := New([]*offline.Sample{{Context: &session.Context{}, Labels: []string{"x"}}}, nil, Config{K: 0, Unbounded: true})
+	clf := New([]*offline.Sample{{Context: &session.Context{}, Labels: []string{"x"}}}, nil, Config{K: 0, ThetaDelta: math.Inf(1)})
 	p := clf.Predict(&session.Context{})
 	if !p.Covered || p.Label != "x" {
 		t.Errorf("prediction = %+v", p)

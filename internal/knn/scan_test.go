@@ -61,7 +61,7 @@ func TestTreeEditScanEquivalence(t *testing.T) {
 		{K: 1, ThetaDelta: 0.1},
 		{K: 3, ThetaDelta: 0.2},
 		{K: 7, ThetaDelta: 0.05},
-		{K: 5, Unbounded: true},
+		{K: 5, ThetaDelta: math.Inf(1)},
 	} {
 		for _, workers := range []int{1, 3} {
 			c := cfg
@@ -72,7 +72,7 @@ func TestTreeEditScanEquivalence(t *testing.T) {
 				if got := clf.Predict(q); !predictionsEqual(got, want) {
 					t.Fatalf("cfg=%+v workers=%d query %d:\n got %+v\nwant %+v", cfg, workers, qi, got, want)
 				}
-				top := referencePredict(samples, exact, Config{K: cfg.K, Unbounded: true}, q)
+				top := referencePredict(samples, exact, Config{K: cfg.K, ThetaDelta: math.Inf(1)}, q)
 				cands := clf.Candidates(q)
 				if len(cands) != len(top.Neighbors) {
 					t.Fatalf("cfg=%+v workers=%d query %d: %d candidates, want %d", cfg, workers, qi, len(cands), len(top.Neighbors))

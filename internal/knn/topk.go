@@ -1,34 +1,28 @@
 package knn
 
-// cand is one nearest-neighbor candidate during a scan: the training
-// sample's index plus its distance from the query. Ordering is
-// lexicographic on (dist, idx), which reproduces exactly what a stable
-// sort of the scan order would yield — the tie-break the paper-default
-// configuration relies on for deterministic neighbor lists.
-type cand struct {
-	dist float64
-	idx  int
-}
-
-// less orders candidates by (dist, idx).
-func (c cand) less(o cand) bool {
-	return c.dist < o.dist || (c.dist == o.dist && c.idx < o.idx)
+// less orders candidates lexicographically by (dist, index), which
+// reproduces exactly what a stable sort of the scan order would yield —
+// the tie-break the paper-default configuration relies on for
+// deterministic neighbor lists.
+func (c Candidate) less(o Candidate) bool {
+	return c.Dist < o.Dist || (c.Dist == o.Dist && c.Index < o.Index)
 }
 
 // topK is a bounded accumulator of the k smallest candidates under
-// (dist, idx) order: a hand-rolled max-heap so one scan costs O(n log k)
-// and allocates O(k) — replacing the full sort.SliceStable over every
-// eligible neighbor (O(n log n) time, O(n) space) the scan used before.
+// (dist, index) order: a hand-rolled max-heap so one scan costs
+// O(n log k) and allocates O(k) — replacing the full sort.SliceStable
+// over every eligible neighbor (O(n log n) time, O(n) space) the scan
+// used before.
 type topK struct {
 	k int
-	h []cand // max-heap: h[0] is the worst kept candidate
+	h []Candidate // max-heap: h[0] is the worst kept candidate
 }
 
 func newTopK(k int) *topK {
 	if k < 1 {
 		k = 1
 	}
-	return &topK{k: k, h: make([]cand, 0, k)}
+	return &topK{k: k, h: make([]Candidate, 0, k)}
 }
 
 // full reports whether k candidates are held.
@@ -36,12 +30,11 @@ func (t *topK) full() bool { return len(t.h) == t.k }
 
 // bound returns the current k-th-best distance, valid only when full; a
 // scan may prune any candidate strictly farther than this.
-func (t *topK) bound() float64 { return t.h[0].dist }
+func (t *topK) bound() float64 { return t.h[0].Dist }
 
 // add offers a candidate; it is kept iff fewer than k are held or it beats
-// the current worst under (dist, idx) order.
-func (t *topK) add(dist float64, idx int) {
-	c := cand{dist: dist, idx: idx}
+// the current worst under (dist, index) order.
+func (t *topK) add(c Candidate) {
 	if len(t.h) < t.k {
 		t.h = append(t.h, c)
 		t.siftUp(len(t.h) - 1)
@@ -84,9 +77,9 @@ func (t *topK) siftDown(i int) {
 	}
 }
 
-// drain empties the heap into ascending (dist, idx) order — the
+// drain empties the heap into ascending (dist, index) order — the
 // nearest-first neighbor order Vote expects. The accumulator is consumed.
-func (t *topK) drain() []cand {
+func (t *topK) drain() []Candidate {
 	out := t.h
 	for n := len(out) - 1; n > 0; n-- {
 		out[0], out[n] = out[n], out[0]
@@ -95,19 +88,4 @@ func (t *topK) drain() []cand {
 	}
 	t.h = nil
 	return out
-}
-
-// mergeTopK combines per-worker accumulators into one global top-k list in
-// ascending (dist, idx) order. Each worker's accumulator holds the best k
-// of its partition, so the union provably contains the global top k; the
-// merge order is fixed by candidate keys, never by worker completion
-// order — the fan-in half of the determinism argument in DESIGN.md.
-func mergeTopK(k int, accs []*topK) []cand {
-	merged := newTopK(k)
-	for _, a := range accs {
-		for _, c := range a.h {
-			merged.add(c.dist, c.idx)
-		}
-	}
-	return merged.drain()
 }

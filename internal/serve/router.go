@@ -224,9 +224,9 @@ func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// routePrediction is the scatter-gather predict path. The router never
-// decodes the query contexts — it forwards the wire form to replicas
-// verbatim and works with the candidate lists they return.
+// routePrediction is the scatter-gather predict path. The router decodes
+// the query contexts only to validate them: it forwards the wire form to
+// replicas verbatim and works with the candidate lists they return.
 func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch bool) {
 	if !allowMethod(w, r, http.MethodPost) {
 		return
@@ -240,7 +240,7 @@ func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch 
 	tr := obs.TraceFrom(r.Context())
 
 	spDecode := stDecode.StartCtx(r.Context())
-	wire, ok := decodeWireRequest(w, r, batch, rt.opts.MaxBatch)
+	wire, _, ok := decodeWireRequest(w, r, batch, rt.opts.MaxBatch)
 	spDecode.End()
 	if !ok {
 		return

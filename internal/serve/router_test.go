@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -168,7 +169,7 @@ func TestRouterBitIdenticalToWholeModel(t *testing.T) {
 		{"gated abstain", knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1}},
 		{"tight gate prior", knn.Config{K: 3, ThetaDelta: 0.05, Workers: 1, Fallback: knn.FallbackPrior}},
 		{"tight gate nearest", knn.Config{K: 2, ThetaDelta: 0.05, Workers: 1, Fallback: knn.FallbackNearest}},
-		{"unbounded", knn.Config{K: 4, Unbounded: true, Workers: 1}},
+		{"unbounded", knn.Config{K: 4, ThetaDelta: math.Inf(1), Workers: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -321,6 +322,38 @@ func TestRouterReadyzReflectsRing(t *testing.T) {
 	}
 	if len(st.UnhealthyShards) == 0 {
 		t.Error("ring status lists no unhealthy shards")
+	}
+}
+
+// TestRouterRejectsMalformedContexts: a context a single server refuses
+// as malformed — an unknown action type, or a null child node — gets the
+// same 400 from the router. Forwarded unchecked, each replica's refusal
+// counted as a replica failure: one such request ejected every node,
+// turned the router's /readyz to 503 and was answered 200 from the prior.
+func TestRouterRejectsMalformedContexts(t *testing.T) {
+	whole := knn.New(ringTrainingSet(30), distance.NewMemoizedTreeEdit(nil), knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1})
+	info := ModelInfo{Prior: whole.Prior(), Checksum: "cafe"}
+	tr := startRing(t, 3, 2, 3, whole, info, RouterOptions{})
+	single := New(whole, info, Options{}).Handler()
+	for _, body := range []string{
+		`{"context":{"session_id":"q","t":1,"n":3,"root":{"step":1,"action":{"type":"nope"}}}}`,
+		`{"context":{"session_id":"q","t":1,"n":3,"root":{"step":1,"children":[null]}}}`,
+	} {
+		for name, h := range map[string]http.Handler{"single server": single, "router": tr.rt.Handler()} {
+			if rec := post(t, h, "/v1/predict", body); rec.Code != http.StatusBadRequest {
+				t.Errorf("%s answered %d %s to %s, want 400", name, rec.Code, rec.Body, body)
+			}
+		}
+	}
+	for _, n := range tr.nodes {
+		if st := tr.rt.Checker().State(n.Name); st != ring.Healthy {
+			t.Errorf("node %s is %v after malformed requests, want healthy", n.Name, st)
+		}
+	}
+	rec := httptest.NewRecorder()
+	tr.rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("router readyz = %d after malformed requests, want 200", rec.Code)
 	}
 }
 

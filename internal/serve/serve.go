@@ -430,15 +430,9 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 	tr := obs.TraceFrom(r.Context())
 
 	spDecode := stDecode.StartCtx(r.Context())
-	wire, ok := decodeWireRequest(w, r, batch, s.opts.MaxBatch)
-	if !ok {
-		spDecode.End()
-		return
-	}
-	ctxs, err := decodeAll(wire)
+	wire, ctxs, ok := decodeWireRequest(w, r, batch, s.opts.MaxBatch)
 	spDecode.End()
-	if err != nil {
-		httpClientError(w, http.StatusBadRequest, err)
+	if !ok {
 		return
 	}
 
@@ -481,13 +475,15 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 }
 
 // decodeWireRequest is the single/batch request decode shared by the
-// standalone Server and the ring Router (which forwards the wire contexts
-// to replicas verbatim instead of decoding them further).
-func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBatch int) ([]*snapshot.WireContext, bool) {
+// standalone Server and the ring Router, which forwards the wire contexts
+// to replicas verbatim. Both answer a malformed context with the same
+// 400: forwarded, every replica would refuse it, and the router would
+// count each refusal as a replica failure.
+func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBatch int) ([]*snapshot.WireContext, []*session.Context, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		httpClientError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("read body: %w", err))
-		return nil, false
+		return nil, nil, false
 	}
 	var wire []*snapshot.WireContext
 	if batch {
@@ -496,7 +492,7 @@ func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBa
 		}
 		if err := json.Unmarshal(body, &req); err != nil {
 			httpClientError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-			return nil, false
+			return nil, nil, false
 		}
 		wire = req.Contexts
 	} else {
@@ -505,24 +501,29 @@ func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBa
 		}
 		if err := json.Unmarshal(body, &req); err != nil {
 			httpClientError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-			return nil, false
+			return nil, nil, false
 		}
 		if req.Context == nil {
 			httpClientError(w, http.StatusBadRequest, errors.New(`missing "context"`))
-			return nil, false
+			return nil, nil, false
 		}
 		wire = []*snapshot.WireContext{req.Context}
 	}
 	if len(wire) == 0 {
 		httpClientError(w, http.StatusBadRequest, errors.New("no contexts in request"))
-		return nil, false
+		return nil, nil, false
 	}
 	if len(wire) > maxBatch {
 		httpClientError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("batch of %d exceeds the %d-context cap", len(wire), maxBatch))
-		return nil, false
+		return nil, nil, false
 	}
-	return wire, true
+	ctxs, err := decodeAll(wire)
+	if err != nil {
+		httpClientError(w, http.StatusBadRequest, err)
+		return nil, nil, false
+	}
+	return wire, ctxs, true
 }
 
 func decodeAll(wire []*snapshot.WireContext) ([]*session.Context, error) {

@@ -3,8 +3,12 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"math"
 	"testing"
+
+	"repro/internal/distance"
 )
 
 // FuzzReadSnapshot drives Read with hostile bytes: truncations, bit
@@ -97,4 +101,46 @@ func TestReadCorruptionClasses(t *testing.T) {
 			t.Fatalf("payload flip at byte %d: err = %v, want ErrChecksum", pos, err)
 		}
 	}
+}
+
+// FuzzDecodeWireContext drives the context decode behind /v1/predict,
+// /v1/predict/batch and /v1/knn/candidates (JSON, then DecodeContext) with
+// hostile bodies. Every accepted context must be one the scan can measure
+// without panicking: its tree-edit distance to itself and to a fixed
+// context lies in [0, 1], and an encode/decode round trip leaves the
+// distance to the fixed context bit-identical.
+func FuzzDecodeWireContext(f *testing.F) {
+	good, err := json.Marshal(EncodeContext(miniContext("q", 3, miniDisplay(40, 2), miniDisplay(9, 3)), nil))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{string(good), `{"root":{"step":1,"children":[null]}}`,
+		`{"root":{"action":{"type":"nope"}}}`, `{"root":{"ref":2}}`, `{}`, `null`} {
+		f.Add([]byte(seed))
+	}
+	fixed := miniContext("fixed", 2, miniDisplay(50, 0), miniDisplay(7, 1))
+	m := distance.TreeEdit{}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var wc *WireContext
+		if json.Unmarshal(data, &wc) != nil {
+			return
+		}
+		c, err := DecodeContext(wc, nil)
+		// The distance program is quadratic in tree size; large trees
+		// only slow the fuzzer down without reaching new decoder states.
+		if err != nil || len(c.Nodes()) > 64 {
+			return
+		}
+		d, self := m.Distance(c, fixed), m.Distance(c, c)
+		if !(d >= 0 && d <= 1 && self >= 0 && self <= 1) {
+			t.Fatalf("distances %v (fixed), %v (self) outside [0, 1] for %s", d, self, data)
+		}
+		back, err := DecodeContext(EncodeContext(c, nil), nil)
+		if err != nil {
+			t.Fatalf("re-encoded context fails to decode: %v", err)
+		}
+		if rd := m.Distance(back, fixed); math.Float64bits(rd) != math.Float64bits(d) {
+			t.Fatalf("distance drifted through a round trip: %v -> %v", d, rd)
+		}
+	})
 }
