@@ -43,6 +43,18 @@ func TestFallbackNearest(t *testing.T) {
 	}
 }
 
+// One unbounded scan serves both of FallbackNearest's votes: a gated hit
+// lists only its in-threshold neighbors, a fallback the k nearest.
+func TestFallbackNearestNeighbors(t *testing.T) {
+	clf := New(fallbackSamples(), stubMetric{}, Config{K: 3, ThetaDelta: 0.15, Fallback: FallbackNearest})
+	for _, tc := range []struct{ t, neighbors int }{{1, 2}, {5, 3}} {
+		p := clf.Predict(&session.Context{T: tc.t})
+		if len(p.Neighbors) != tc.neighbors || p.Fallback != (tc.t == 5) {
+			t.Errorf("query T=%d: %+v, want %d neighbors", tc.t, p, tc.neighbors)
+		}
+	}
+}
+
 func TestFallbackPrior(t *testing.T) {
 	clf := New(fallbackSamples(), stubMetric{}, Config{K: 2, ThetaDelta: 0.15, Fallback: FallbackPrior})
 	p := clf.Predict(&session.Context{T: 5})
