@@ -241,11 +241,6 @@ type Predictor struct {
 	// training time so a snapshot can carry it (nil when the analysis
 	// had no normalizer).
 	norm *offline.Normalizer
-	// model caches the serializable form. A predictor restored from a
-	// checkpoint or snapshot keeps the exact model it was restored from,
-	// so re-serializing it is byte-identical to the original — the
-	// property the kill-resume-compare chaos test pins down.
-	model *snapshot.Model
 	// checksum is the whole-file hash of the snapshot this predictor was
 	// loaded from (empty when trained in-process) — the identity the ring
 	// repair loop compares across replicas.
@@ -301,7 +296,7 @@ func (f *Framework) TrainPredictorContext(ctx context.Context, I MeasureSet, met
 	if ctx != nil && ctx.Err() != nil {
 		return nil, pipeline.Wrap("api.train", 0, 0, ctx.Err())
 	}
-	clf := knn.New(samples, distance.NewMemoizedTreeEdit(nil), knn.Config{
+	clf := knn.New(samples, distance.TreeEdit{}, knn.Config{
 		K:          cfg.K,
 		ThetaDelta: cfg.ThetaDelta,
 		Workers:    cfg.Workers,
@@ -311,7 +306,7 @@ func (f *Framework) TrainPredictorContext(ctx context.Context, I MeasureSet, met
 	if ck != nil {
 		// Persist the finished model so a killed-and-resumed run skips
 		// training entirely and re-serializes these exact bytes.
-		_ = ck.Update(ckptStageTrain, checkpoint.Progress{Done: 1, Total: 1, Complete: true}, p.snapshotModel())
+		_ = ck.Update(ckptStageTrain, checkpoint.Progress{Done: 1, Total: 1, Complete: true}, p.buildModel())
 		_ = ck.Sync()
 	}
 	return p, nil
@@ -451,27 +446,13 @@ func (p *Predictor) Measure(name string) (Measure, error) {
 	return nil, fmt.Errorf("repro: measure %q is not in the model's configuration %v", name, p.I.Names())
 }
 
-// snapshotModel returns the serializable form of the trained model,
-// building and caching it on first use. A predictor restored from a
-// snapshot or checkpoint already carries its model verbatim; only the
-// Workers field — a deployment knob, not a model parameter — is patched
-// (on a copy) when SetWorkers changed it after restore.
-func (p *Predictor) snapshotModel() *snapshot.Model {
-	if p.model == nil {
-		p.model = p.buildModel()
-	}
-	if p.model.Workers != p.cfg.Workers {
-		clone := *p.model
-		clone.Workers = p.cfg.Workers
-		p.model = &clone
-	}
-	return p.model
-}
-
 // buildModel assembles the serializable form of the trained model:
 // hyper-parameters, measure names, normalization state, and every
 // training context with its labels, displays interned in a shared pool
-// (see internal/snapshot).
+// (see internal/snapshot). Each save builds it afresh from the
+// classifier, so a loaded predictor holds no wire model: re-encoding a
+// decoded snapshot reproduces its bytes, the property the
+// kill-resume-compare chaos test pins down.
 func (p *Predictor) buildModel() *snapshot.Model {
 	m := &snapshot.Model{
 		Method:     p.method.String(),
@@ -503,13 +484,13 @@ func (p *Predictor) buildModel() *snapshot.Model {
 // snapshot format (see internal/snapshot): a restored predictor produces
 // bit-identical predictions, abstentions included.
 func (p *Predictor) WriteSnapshot(w io.Writer) error {
-	return snapshot.Write(w, p.snapshotModel())
+	return snapshot.Write(w, p.buildModel())
 }
 
 // Save writes the model snapshot to a file path atomically: a crash or
 // write error mid-save never leaves a truncated snapshot visible.
 func (p *Predictor) Save(path string) error {
-	return snapshot.Save(path, p.snapshotModel())
+	return snapshot.Save(path, p.buildModel())
 }
 
 // ReadPredictor reconstructs a predictor from a snapshot stream. Measure
@@ -580,13 +561,13 @@ func predictorFromModel(m *snapshot.Model) (*Predictor, error) {
 		Workers:    m.Workers,
 		Fallback:   fb,
 	}
-	clf := knn.New(samples, distance.NewMemoizedTreeEdit(nil), knn.Config{
+	clf := knn.New(samples, distance.TreeEdit{}, knn.Config{
 		K:          cfg.K,
 		ThetaDelta: cfg.ThetaDelta,
 		Workers:    cfg.Workers,
 		Fallback:   cfg.Fallback,
 	})
-	p := &Predictor{clf: clf, I: I, method: method, cfg: cfg, model: m}
+	p := &Predictor{clf: clf, I: I, method: method, cfg: cfg}
 	if len(m.Norms) > 0 {
 		p.norm = &offline.Normalizer{Params: m.Norms}
 	}

@@ -46,6 +46,15 @@ func WriteCSV(w io.Writer, t *Table) error {
 		if len(row) > 0 {
 			row[0] = escapeSentinel(row[0])
 		}
+		if len(row) == 1 && row[0] == "" {
+			// encoding/csv writes a lone empty field as a blank line,
+			// which its reader skips; quote it so the row survives.
+			cw.Flush()
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return fmt.Errorf("dataset: write csv row %d: %w", i, err)
+			}
+			continue
+		}
 		if err := cw.Write(row); err != nil {
 			return fmt.Errorf("dataset: write csv row %d: %w", i, err)
 		}

@@ -303,10 +303,10 @@ func TestDisplayDistanceBitDeterministic(t *testing.T) {
 func TestDisplayDistanceReflexiveWithDuplicateColumns(t *testing.T) {
 	mk := func(freqs ...map[string]float64) *engine.Display {
 		cols := make([]engine.ColumnProfile, len(freqs))
-		for i, f := range freqs {
-			cols[i] = engine.ColumnProfile{Name: "count", TopFreq: f}
+		for i := range freqs {
+			cols[i] = engine.ColumnProfile{Name: "count"}
 		}
-		return engine.NewSummaryDisplay(1, true, "count", "count", engine.NewProfile(1, cols))
+		return engine.NewSummaryDisplay(1, true, "count", "count", engine.NewProfile(1, cols, freqs))
 	}
 	a := mk(map[string]float64{"37": 1}, map[string]float64{"1": 1})
 	b := mk(map[string]float64{"37": 1}, map[string]float64{"1": 1})

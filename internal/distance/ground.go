@@ -7,15 +7,15 @@ package distance
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/session"
 )
 
-// mDisplayDistCalls counts actual ground-metric computations (memo misses
-// land here through Memo; direct calls always do).
+// mDisplayDistCalls counts display ground-metric computations: every
+// direct DisplayDistance call (a Memo's misses among them), plus the
+// evaluations an Evaluator tallies and adds in one write (Flush).
 var mDisplayDistCalls = obs.C("distance.display.calls")
 
 // ActionDistance compares two actions' syntax on a [0, 1] scale: 0 for
@@ -68,7 +68,7 @@ func maxInt(a, b int) int {
 }
 
 func filterDistance(a, b *engine.Action) float64 {
-	colD := 1 - jaccard(a.Columns(), b.Columns())
+	colD := 1 - predicateColumnJaccard(a.Predicates, b.Predicates)
 	// Operator and operand agreement over best-effort predicate pairing
 	// (predicates paired by column).
 	opAgree, operandAgree, pairs := 0.0, 0.0, 0
@@ -108,24 +108,41 @@ func groupDistance(a, b *engine.Action) float64 {
 	return d
 }
 
-func jaccard(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	set := make(map[string]uint8, len(a)+len(b))
-	for _, s := range a {
-		set[s] |= 1
-	}
-	for _, s := range b {
-		set[s] |= 2
-	}
+// predicateColumnJaccard is the Jaccard similarity of two filters' sets
+// of predicate columns (Action.Columns), 1 when both are empty. It counts
+// each column at its first predicate and looks it up in the other
+// filter, so it allocates nothing.
+func predicateColumnJaccard(a, b []engine.Predicate) float64 {
 	inter, union := 0, 0
-	for _, bits := range set {
+	for i := range a {
+		if hasColumn(a[:i], a[i].Column) {
+			continue
+		}
 		union++
-		if bits == 3 {
+		if hasColumn(b, a[i].Column) {
 			inter++
 		}
 	}
+	for j := range b {
+		if !hasColumn(b[:j], b[j].Column) && !hasColumn(a, b[j].Column) {
+			union++
+		}
+	}
+	return jaccardCounts(inter, union)
+}
+
+func hasColumn(ps []engine.Predicate, col string) bool {
+	for i := range ps {
+		if ps[i].Column == col {
+			return true
+		}
+	}
+	return false
+}
+
+// jaccardCounts is |A ∩ B| / |A ∪ B| from the two counts, 1 for two
+// empty sets.
+func jaccardCounts(inter, union int) float64 {
 	if union == 0 {
 		return 1
 	}
@@ -140,6 +157,14 @@ func DisplayDistance(a, b *engine.Display) float64 {
 	if obs.On() {
 		mDisplayDistCalls.Inc()
 	}
+	return displayDistance(a, b)
+}
+
+// displayDistance is DisplayDistance without the call counter. It reads
+// each profile's prepared form (engine.Profile.TopFreq, DistinctNames,
+// Ordinal), built once per display, and once both are built it
+// allocates nothing.
+func displayDistance(a, b *engine.Display) float64 {
 	switch {
 	case a == nil && b == nil:
 		return 0
@@ -148,7 +173,7 @@ func DisplayDistance(a, b *engine.Display) float64 {
 	}
 	pa, pb := a.GetProfile(), b.GetProfile()
 
-	schemaD := 1 - jaccard(columnNames(pa), columnNames(pb))
+	schemaD := 1 - sortedJaccard(pa.DistinctNames(), pb.DistinctNames())
 
 	rowD := 0.0
 	ra, rb := float64(a.NumRows()), float64(b.NumRows())
@@ -169,16 +194,13 @@ func DisplayDistance(a, b *engine.Display) float64 {
 	// in-process behind the memo's pointer-identity shortcut and only
 	// surfaced once snapshot-reloaded displays stopped sharing pointers.
 	contentD, shared := 0.0, 0
-	occ := make(map[string]int, len(pa.Columns))
 	for i := range pa.Columns {
-		name := pa.Columns[i].Name
-		j := nthColumn(pb, name, occ[name])
-		occ[name]++
+		j := nthColumn(pb, pa.Columns[i].Name, pa.Ordinal(i))
 		if j < 0 {
 			continue
 		}
 		shared++
-		contentD += totalVariation(pa.TopFreq(i), pb.TopFreq(j))
+		contentD += totalVariationSorted(pa.TopFreq(i), pb.TopFreq(j))
 	}
 	if shared > 0 {
 		contentD /= float64(shared)
@@ -211,35 +233,54 @@ func nthColumn(p *engine.Profile, name string, n int) int {
 	return -1
 }
 
-func columnNames(p *engine.Profile) []string {
-	out := make([]string, len(p.Columns))
-	for i, c := range p.Columns {
-		out[i] = c.Name
-	}
-	return out
-}
-
-// totalVariation is half the L1 distance between two frequency maps,
-// a [0, 1] distance between discrete distributions. It accumulates over
-// sorted keys: map iteration order is randomized per call, and float
-// addition is not associative, so summing in map order would let two
-// identical calls differ in the last ULP — breaking the pipeline's
-// bit-identical determinism contract (DESIGN.md, "Determinism under
-// fan-out").
-func totalVariation(a, b map[string]float64) float64 {
-	keys := make([]string, 0, len(a)+len(b))
-	for k := range a {
-		keys = append(keys, k)
-	}
-	for k := range b {
-		if _, ok := a[k]; !ok {
-			keys = append(keys, k)
+// sortedJaccard is the Jaccard similarity of two sets given as ascending
+// duplicate-free lists, 1 when both are empty.
+func sortedJaccard(a, b []string) float64 {
+	inter, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			inter++
+			i++
+			j++
 		}
 	}
-	sort.Strings(keys)
-	d := 0.0
-	for _, k := range keys {
-		d += math.Abs(a[k] - b[k])
+	return jaccardCounts(inter, len(a)+len(b)-inter)
+}
+
+// totalVariationSorted is half the L1 distance between two truncated
+// histograms, a [0, 1] distance between discrete distributions. It
+// merge-walks the two key-sorted vectors, so it sums |a[k] − b[k]| over
+// the union of keys in ascending order with a key missing from one side
+// read as 0 — a fixed order, since float addition is not associative and
+// the pipeline's determinism contract is bit-for-bit (DESIGN.md,
+// "Determinism under fan-out"). One-sided keys keep the subtraction
+// against 0 that a map lookup of a missing key gave.
+func totalVariationSorted(a, b engine.Hist) float64 {
+	d, i, j := 0.0, 0, 0
+	for i < len(a.Keys) && j < len(b.Keys) {
+		switch {
+		case a.Keys[i] < b.Keys[j]:
+			d += math.Abs(a.Weights[i] - 0)
+			i++
+		case a.Keys[i] > b.Keys[j]:
+			d += math.Abs(0 - b.Weights[j])
+			j++
+		default:
+			d += math.Abs(a.Weights[i] - b.Weights[j])
+			i++
+			j++
+		}
+	}
+	for ; i < len(a.Keys); i++ {
+		d += math.Abs(a.Weights[i] - 0)
+	}
+	for ; j < len(b.Keys); j++ {
+		d += math.Abs(0 - b.Weights[j])
 	}
 	return d / 2
 }

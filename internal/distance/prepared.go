@@ -19,7 +19,8 @@ import (
 // Telemetry handles for the bounded path: bounded_calls counts
 // DistanceWithin invocations, early_abandon those a lower bound rejected
 // before any display distance was computed — the early-abandon hit rate
-// of the kNN scan.
+// of the kNN scan. An evaluator tallies them locally and adds them in
+// one write per counter (Flush).
 var (
 	mBoundedCalls = obs.C("distance.treeedit.bounded_calls")
 	mEarlyAbandon = obs.C("distance.treeedit.early_abandon")
@@ -44,6 +45,12 @@ func (m TreeEdit) Prepare(c *session.Context) *Prepared {
 type Evaluator struct {
 	q    *flatTree
 	memo *Memo
+	// timing is obs.Timing() at construction: under ModeTiming every
+	// DistanceWithin call records its latency.
+	timing bool
+	// Telemetry tallies since the last Flush: DistanceWithin calls,
+	// early abandons and display distances computed.
+	bounded, abandoned, displays uint64
 	// Scratch matrices, grown on demand: td holds subtree distances, fd
 	// forest distances, rel the relabel cost of every node pair.
 	td, fd, rel [][]float64
@@ -51,7 +58,28 @@ type Evaluator struct {
 
 // NewEvaluator flattens the query once.
 func (m TreeEdit) NewEvaluator(q *session.Context) *Evaluator {
-	return &Evaluator{q: flatten(q), memo: m.Memo}
+	return &Evaluator{q: flatten(q), memo: m.Memo, timing: obs.Timing()}
+}
+
+// Flush adds the evaluator's telemetry tallies to the shared counters
+// (distance.treeedit.bounded_calls and .calls, .early_abandon,
+// distance.display.calls) and zeroes them, so a scan writes each shared
+// counter once rather than once per candidate. The kNN scan flushes once
+// per range it scans.
+func (e *Evaluator) Flush() {
+	if obs.On() {
+		addNonZero(mBoundedCalls, e.bounded)
+		addNonZero(mTreeEditCalls, e.bounded)
+		addNonZero(mEarlyAbandon, e.abandoned)
+		addNonZero(mDisplayDistCalls, e.displays)
+	}
+	e.bounded, e.abandoned, e.displays = 0, 0, 0
+}
+
+func addNonZero(c *obs.Counter, n uint64) {
+	if n > 0 {
+		c.Add(n)
+	}
 }
 
 // DistanceWithin returns (d, true) with the exact distance from the query
@@ -75,18 +103,15 @@ func (m TreeEdit) NewEvaluator(q *session.Context) *Evaluator {
 // the bound are computed exactly and a scan's ties survive. Whenever
 // (d, true) is returned, d carries the exact distance's float bits.
 func (e *Evaluator) DistanceWithin(p *Prepared, bound float64) (float64, bool) {
-	if obs.On() {
-		mBoundedCalls.Inc()
-		mTreeEditCalls.Inc()
-		if obs.Timing() {
-			t0 := time.Now()
-			defer mTreeEditNS.ObserveSince(t0)
-		}
+	e.bounded++
+	if e.timing {
+		t0 := time.Now()
+		defer mTreeEditNS.ObserveSince(t0)
 	}
 	return e.within(p, bound)
 }
 
-// within is DistanceWithin without the call counters; Distance runs it
+// within is DistanceWithin without the call tally; Distance runs it
 // unbounded.
 func (e *Evaluator) within(p *Prepared, bound float64) (float64, bool) {
 	ta, tb := e.q, p.ft
@@ -94,7 +119,7 @@ func (e *Evaluator) within(p *Prepared, bound float64) (float64, bool) {
 		return d, d <= bound
 	}
 	if lb := lowerBound(ta, tb); lb > bound {
-		countAbandon()
+		e.abandoned++
 		return lb, false
 	}
 	e.grow(len(ta.nodes), len(tb.nodes))
@@ -103,7 +128,7 @@ func (e *Evaluator) within(p *Prepared, bound float64) (float64, bool) {
 	// cannot abandon.
 	if bound < 1 {
 		if lb := e.run(tb); lb > bound {
-			countAbandon()
+			e.abandoned++
 			return lb, false
 		}
 	}
@@ -153,17 +178,18 @@ func lowerBound(ta, tb *flatTree) float64 {
 	return float64(diff) / float64(len(ta.nodes)+len(tb.nodes))
 }
 
-func countAbandon() {
-	if obs.On() {
-		mEarlyAbandon.Inc()
-	}
-}
-
+// displayDistance is the display half of a relabel cost. A display
+// compared with itself costs 0 without a computation, as in the Memo:
+// DisplayDistance is not reflexive for a display without columns (0.4).
 func (e *Evaluator) displayDistance(a, b *engine.Display) float64 {
 	if e.memo != nil {
 		return e.memo.DisplayDistance(a, b)
 	}
-	return DisplayDistance(a, b)
+	if a == b {
+		return 0
+	}
+	e.displays++
+	return displayDistance(a, b)
 }
 
 // run evaluates the dynamic program against tb under the relabel costs

@@ -30,7 +30,9 @@ type Metric interface {
 // fall in [0, 1].
 type TreeEdit struct {
 	// Memo caches the display ground metric across calls (see
-	// NewMemoizedTreeEdit); nil computes DisplayDistance afresh.
+	// NewMemoizedTreeEdit), which pays off where both sides of every
+	// pair live as long as the cache, as in eval's pairwise matrices;
+	// nil computes DisplayDistance afresh, as served predictors do.
 	Memo *Memo
 }
 
@@ -46,7 +48,9 @@ func (m TreeEdit) Distance(a, b *session.Context) float64 {
 			defer mTreeEditNS.ObserveSince(t0)
 		}
 	}
-	d, _ := m.NewEvaluator(a).within(m.Prepare(b), math.Inf(1))
+	e := m.NewEvaluator(a)
+	d, _ := e.within(m.Prepare(b), math.Inf(1))
+	e.Flush()
 	return d
 }
 

@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -126,13 +128,10 @@ func (d *Display) String() string {
 type ColumnProfile struct {
 	Name string
 	Kind dataset.Kind
-	// Freq maps a value's string form to its relative frequency.
+	// Freq maps a value's string form to its relative frequency; nil in
+	// a decoded summary (NewProfile). Read a column's truncated histogram
+	// through Profile.TopFreq.
 	Freq map[string]float64
-	// TopFreq is the truncated histogram of a column without Freq (a
-	// decoded summary, assembled by NewProfile). A profile built from a
-	// table leaves it nil: read any column's truncated histogram through
-	// Profile.TopFreq, which derives it from Freq on first use.
-	TopFreq map[string]float64
 	// Distinct is the number of distinct values.
 	Distinct int
 	// Numeric moments; only meaningful for int/float/time columns.
@@ -148,25 +147,51 @@ type Profile struct {
 	Columns []ColumnProfile
 	byName  map[string]*ColumnProfile
 
-	// top holds the truncated histograms derived from Freq, one per
-	// column, published by the first TopFreq call. Only displays compared
-	// by the distance metric or encoded for the wire ever derive them.
-	top atomic.Pointer[[]map[string]float64]
+	// prep holds the form the display ground metric reads (see
+	// prepared). A summary profile is prepared by NewProfile; one built
+	// from a table on the first read, so displays that are only scored
+	// never sort their columns for it.
+	prep atomic.Pointer[prepared]
+}
+
+// Hist is a truncated value histogram as the display ground metric
+// merge-walks it: Keys in ascending byte order, Weights[i] the relative
+// frequency of Keys[i].
+type Hist struct {
+	Keys    []string
+	Weights []float64
+}
+
+// prepared is a profile's comparison form, built once: every column's
+// truncated histogram sorted by key, each column's ordinal among the
+// columns sharing its name, and the distinct column names in ascending
+// byte order.
+type prepared struct {
+	cols  []preparedColumn
+	names []string
+}
+
+type preparedColumn struct {
+	top     Hist
+	ordinal int
 }
 
 // Column returns the named column profile, or nil.
 func (p *Profile) Column(name string) *ColumnProfile { return p.byName[name] }
 
-// NewProfile assembles a profile from externally supplied column
-// summaries (the decode path of snapshot/wire displays), wiring the
-// by-name index. The cols slice is retained; column order is preserved —
-// the distance ground metric iterates columns in declaration order, so
-// order is part of a display's identity.
-func NewProfile(rows int, cols []ColumnProfile) *Profile {
+// NewProfile assembles a summary profile (the decode path of
+// snapshot/wire displays) from column summaries and each column's
+// truncated histogram, tops[i] for column i (nil or empty for none). The
+// cols slice is retained and its order preserved — the distance ground
+// metric iterates columns in declaration order, so order is part of a
+// display's identity. The histograms are sorted into Profile.TopFreq's
+// form here and not retained.
+func NewProfile(rows int, cols []ColumnProfile, tops []map[string]float64) *Profile {
 	p := &Profile{Rows: rows, Columns: cols, byName: make(map[string]*ColumnProfile, len(cols))}
 	for i := range p.Columns {
 		p.byName[p.Columns[i].Name] = &p.Columns[i]
 	}
+	p.prep.Store(prepare(cols, tops))
 	return p
 }
 
@@ -174,28 +199,76 @@ func NewProfile(rows int, cols []ColumnProfile) *Profile {
 // TopFreqLimit most frequent values, with the remainder folded into the
 // OtherBucket key. The display ground metric compares it, so
 // high-cardinality columns (packet ids, ports) stay cheap to compare, and
-// the wire encoder ships it. A column without Freq (a decoded summary)
-// returns its ColumnProfile.TopFreq as given. A profile built from a
-// table derives every column's histogram from Freq on the first call;
-// scoring never asks, so displays that are only scored never sort their
-// columns for it.
-func (p *Profile) TopFreq(i int) map[string]float64 {
-	if p.Columns[i].Freq == nil {
-		return p.Columns[i].TopFreq
+// the wire encoder ships it.
+func (p *Profile) TopFreq(i int) Hist { return p.prepared().cols[i].top }
+
+// Ordinal returns how many columns before column i carry its name, so
+// column i is the Ordinal(i)-th (0-based) column of that name.
+func (p *Profile) Ordinal(i int) int { return p.prepared().cols[i].ordinal }
+
+// DistinctNames returns the profile's column names without duplicates,
+// in ascending byte order.
+func (p *Profile) DistinctNames() []string { return p.prepared().names }
+
+// prepared returns the profile's comparison form, deriving it from Freq
+// on the first call for a profile built from a table.
+func (p *Profile) prepared() *prepared {
+	if pr := p.prep.Load(); pr != nil {
+		return pr
 	}
-	top := p.top.Load()
-	if top == nil {
-		derived := make([]map[string]float64, len(p.Columns))
-		for j := range p.Columns {
-			if f := p.Columns[j].Freq; len(f) > 0 {
-				derived[j] = truncateFreq(f, TopFreqLimit)
+	tops := make([]map[string]float64, len(p.Columns))
+	for j := range p.Columns {
+		if f := p.Columns[j].Freq; len(f) > 0 {
+			tops[j] = truncateFreq(f, TopFreqLimit)
+		}
+	}
+	// Racing callers prepare equal forms; the first published wins.
+	p.prep.CompareAndSwap(nil, prepare(p.Columns, tops))
+	return p.prep.Load()
+}
+
+// prepare builds the comparison form of columns cols with truncated
+// histograms tops. All histograms share one key and one weight array,
+// each sorted through a stack scratch of key-weight pairs.
+func prepare(cols []ColumnProfile, tops []map[string]float64) *prepared {
+	n := 0
+	for _, top := range tops {
+		n += len(top)
+	}
+	keys, weights := make([]string, n), make([]float64, n)
+	pr := &prepared{cols: make([]preparedColumn, len(cols))}
+	type entry struct {
+		k string
+		v float64
+	}
+	var scratch [TopFreqLimit + 1]entry
+	for i := range cols {
+		pairs := scratch[:0]
+		if i < len(tops) {
+			for k, v := range tops[i] {
+				pairs = append(pairs, entry{k, v})
 			}
 		}
-		// Racing callers derive equal histograms; the first published wins.
-		p.top.CompareAndSwap(nil, &derived)
-		top = p.top.Load()
+		slices.SortFunc(pairs, func(a, b entry) int { return strings.Compare(a.k, b.k) })
+		top := Hist{Keys: keys[:len(pairs):len(pairs)], Weights: weights[:len(pairs):len(pairs)]}
+		keys, weights = keys[len(pairs):], weights[len(pairs):]
+		for j, e := range pairs {
+			top.Keys[j], top.Weights[j] = e.k, e.v
+		}
+		for j := 0; j < i; j++ {
+			if cols[j].Name == cols[i].Name {
+				pr.cols[i].ordinal++
+			}
+		}
+		pr.cols[i].top = top
 	}
-	return (*top)[i]
+	pr.names = make([]string, len(cols))
+	for i := range cols {
+		pr.names[i] = cols[i].Name
+	}
+	slices.Sort(pr.names)
+	pr.names = slices.Compact(pr.names)
+	return pr
 }
 
 // GetProfile computes (once) and returns the display's profile.
@@ -207,7 +280,8 @@ func (d *Display) GetProfile() *Profile {
 }
 
 // TopFreqLimit is the number of most-frequent values Profile.TopFreq
-// keeps before folding the tail into OtherBucket.
+// keeps before folding the tail into OtherBucket, so a truncated
+// histogram holds at most TopFreqLimit+1 keys.
 const TopFreqLimit = 24
 
 // OtherBucket is the TopFreq key that absorbs the frequency mass of all

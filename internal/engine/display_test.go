@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -117,7 +119,7 @@ func TestProfileTopFreqHighCardinality(t *testing.T) {
 	if cp.Distinct != 500 {
 		t.Fatalf("distinct = %d", cp.Distinct)
 	}
-	top := prof.TopFreq(0)
+	top := histMap(prof.TopFreq(0))
 	if len(top) > TopFreqLimit+1 {
 		t.Errorf("TopFreq size = %d, want <= %d", len(top), TopFreqLimit+1)
 	}
@@ -137,5 +139,59 @@ func TestDisplayString(t *testing.T) {
 	}
 	if !strings.Contains(d.String(), "group[protocol].count()") {
 		t.Errorf("provenance missing from String:\n%s", d.String())
+	}
+}
+
+// histMap returns a prepared histogram as a key->weight map.
+func histMap(h Hist) map[string]float64 {
+	m := make(map[string]float64, len(h.Keys))
+	for i, k := range h.Keys {
+		m[k] = h.Weights[i]
+	}
+	return m
+}
+
+// TestPreparedProfileForm checks the comparison form of a table-built
+// profile against its definition — each column's truncateFreq map with
+// keys strictly ascending — and a summary profile assembled from those
+// maps against the table-built one, duplicate column names included.
+func TestPreparedProfileForm(t *testing.T) {
+	b := dataset.NewBuilder("dup", dataset.Schema{
+		{Name: "id", Kind: dataset.KindInt},
+		{Name: "count", Kind: dataset.KindString},
+		{Name: "count", Kind: dataset.KindInt},
+	})
+	for i := 0; i < 200; i++ {
+		b.Append(dataset.I(int64(i)), dataset.S(fmt.Sprint("v", i%7)), dataset.I(int64(i%3)))
+	}
+	built := NewRootDisplay(b.MustBuild()).GetProfile()
+	cols := make([]ColumnProfile, len(built.Columns))
+	tops := make([]map[string]float64, len(built.Columns))
+	for i, c := range built.Columns {
+		want := truncateFreq(c.Freq, TopFreqLimit)
+		top := built.TopFreq(i)
+		if !reflect.DeepEqual(histMap(top), want) {
+			t.Fatalf("column %d: TopFreq %v, want %v", i, histMap(top), want)
+		}
+		if !slices.IsSorted(top.Keys) || len(slices.Compact(slices.Clone(top.Keys))) != len(top.Keys) {
+			t.Fatalf("column %d: keys %q not strictly ascending", i, top.Keys)
+		}
+		cols[i], tops[i] = ColumnProfile{Name: c.Name}, want
+	}
+	summary := NewProfile(built.Rows, cols, tops)
+	for _, p := range []*Profile{built, summary} {
+		if got := p.DistinctNames(); !reflect.DeepEqual(got, []string{"count", "id"}) {
+			t.Fatalf("DistinctNames = %q", got)
+		}
+		for i, want := range []int{0, 0, 1} {
+			if got := p.Ordinal(i); got != want {
+				t.Fatalf("Ordinal(%d) = %d, want %d", i, got, want)
+			}
+		}
+	}
+	for i := range cols {
+		if !reflect.DeepEqual(summary.TopFreq(i), built.TopFreq(i)) {
+			t.Fatalf("column %d: summary %v, built %v", i, summary.TopFreq(i), built.TopFreq(i))
+		}
 	}
 }

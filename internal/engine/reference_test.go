@@ -15,7 +15,7 @@ func TestRootReferencesSharedAcrossGoroutines(t *testing.T) {
 	root := trafficDisplay(t)
 	const workers = 8
 	refs := make([][]*stats.Reference, workers)
-	tops := make([]map[string]float64, workers)
+	tops := make([]Hist, workers)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -37,11 +37,11 @@ func TestRootReferencesSharedAcrossGoroutines(t *testing.T) {
 				t.Fatalf("goroutine %d reference %d = %p, goroutine 0 got %p", g, i, r, refs[0][i])
 			}
 		}
-		if reflect.ValueOf(tops[g]).Pointer() != reflect.ValueOf(tops[0]).Pointer() {
+		if reflect.ValueOf(tops[g].Keys).Pointer() != reflect.ValueOf(tops[0].Keys).Pointer() {
 			t.Fatalf("goroutine %d derived its own TopFreq", g)
 		}
 	}
-	if !reflect.DeepEqual(tops[0], root.GetProfile().Column("protocol").Freq) {
+	if !reflect.DeepEqual(histMap(tops[0]), root.GetProfile().Column("protocol").Freq) {
 		t.Errorf("TopFreq of a 4-value column = %v, want its Freq", tops[0])
 	}
 	if root.ColumnReference("no such column") != nil {

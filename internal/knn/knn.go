@@ -138,8 +138,8 @@ type Classifier struct {
 
 	// prepared holds every training context flattened once when the
 	// metric is the tree-edit distance, so each scan evaluates through
-	// one per-query distance.Evaluator (see within); nil under any other
-	// metric.
+	// one per-query distance.Evaluator (see scanRange); nil under any
+	// other metric.
 	prepared []*distance.Prepared
 
 	// Per-θ_δ outcome counters, resolved once at construction so Predict
@@ -361,8 +361,17 @@ func (c *Classifier) scan(ctx context.Context, query *session.Context, limit flo
 // pass the threshold nor displace a kept neighbor — ties at the bound are
 // still computed exactly, so (dist, idx) tie-breaking matches the
 // unbounded scan.
+//
+// Under the tree-edit metric every distance runs through one
+// distance.Evaluator over the prepared contexts, whose telemetry tallies
+// reach the shared counters once, at the end of the range; any other
+// metric (the ablations) computes the exact distance and compares it with
+// the bound.
 func (c *Classifier) scanRange(query *session.Context, lo, hi int, limit float64) []Candidate {
-	within := c.within(query)
+	var ev *distance.Evaluator
+	if c.prepared != nil {
+		ev = c.metric.(distance.TreeEdit).NewEvaluator(query)
+	}
 	acc := newTopK(c.cfg.K)
 	for i := lo; i < hi; i++ {
 		bound := limit
@@ -371,29 +380,22 @@ func (c *Classifier) scanRange(query *session.Context, lo, hi int, limit float64
 				bound = b
 			}
 		}
-		if d, ok := within(i, bound); ok {
+		var d float64
+		var ok bool
+		if ev != nil {
+			d, ok = ev.DistanceWithin(c.prepared[i], bound)
+		} else {
+			d = c.metric.Distance(query, c.samples[i].Context)
+			ok = d <= bound
+		}
+		if ok {
 			acc.add(Candidate{Index: i, Dist: d, Labels: c.samples[i].Labels})
 		}
 	}
+	if ev != nil {
+		ev.Flush()
+	}
 	return acc.drain()
-}
-
-// within returns the bounded distance from query to training sample i:
-// through one distance.Evaluator over the prepared contexts under the
-// tree-edit metric, and as the exact distance compared with the bound
-// under any other (the ablation metrics). The evaluator reuses scratch,
-// so every scanning goroutine calls within for its own.
-func (c *Classifier) within(query *session.Context) func(i int, bound float64) (float64, bool) {
-	if c.prepared != nil {
-		ev := c.metric.(distance.TreeEdit).NewEvaluator(query)
-		return func(i int, bound float64) (float64, bool) {
-			return ev.DistanceWithin(c.prepared[i], bound)
-		}
-	}
-	return func(i int, bound float64) (float64, bool) {
-		d := c.metric.Distance(query, c.samples[i].Context)
-		return d, d <= bound
-	}
 }
 
 // PredictAll classifies a batch of queries, fanning the batch out across

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/distance"
+	"repro/internal/engine"
 	"repro/internal/knn"
 	"repro/internal/offline"
 	"repro/internal/ring"
@@ -354,6 +355,49 @@ func TestRouterRejectsMalformedContexts(t *testing.T) {
 	tr.rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("router readyz = %d after malformed requests, want 200", rec.Code)
+	}
+}
+
+// TestOversizedHistogramRejected: a request display whose column carries
+// more histogram keys than any encoder writes (engine.TopFreqLimit+1) is
+// refused at decode — 400 from a single server and from the router,
+// whose validation keeps it off the replicas — while a column at the cap
+// is served.
+func TestOversizedHistogramRejected(t *testing.T) {
+	whole := knn.New(ringTrainingSet(30), distance.TreeEdit{}, knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1})
+	info := ModelInfo{Prior: whole.Prior(), Checksum: "cafe"}
+	tr := startRing(t, 3, 2, 3, whole, info, RouterOptions{})
+	single := New(whole, info, Options{}).Handler()
+	body := func(keys int) string {
+		top := make(map[string]float64, keys)
+		for i := 0; i < keys; i++ {
+			top[fmt.Sprint("v", i)] = 1 / float64(keys)
+		}
+		raw, err := json.Marshal(map[string]any{"context": &snapshot.WireContext{
+			SessionID: "q", T: 1, N: 3, Size: 1,
+			Root: &snapshot.WireNode{Step: 1, Display: &snapshot.WireDisplay{
+				Rows: keys, Columns: []snapshot.WireColumn{{Name: "protocol", TopFreq: top}},
+			}},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	for _, tc := range []struct {
+		keys int
+		want int
+	}{{engine.TopFreqLimit + 1, http.StatusOK}, {engine.TopFreqLimit + 2, http.StatusBadRequest}} {
+		for name, h := range map[string]http.Handler{"single server": single, "router": tr.rt.Handler()} {
+			if rec := post(t, h, "/v1/predict", body(tc.keys)); rec.Code != tc.want {
+				t.Errorf("%s answered %d %s to a %d-key column, want %d", name, rec.Code, rec.Body, tc.keys, tc.want)
+			}
+		}
+	}
+	for _, n := range tr.nodes {
+		if st := tr.rt.Checker().State(n.Name); st != ring.Healthy {
+			t.Errorf("node %s is %v after an oversized histogram, want healthy", n.Name, st)
+		}
 	}
 }
 

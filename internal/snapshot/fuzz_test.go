@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -114,8 +115,12 @@ func FuzzDecodeWireContext(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	oversized, err := json.Marshal(&WireContext{Root: &WireNode{Step: 1, Display: wideDisplay(maxTopFreqKeys + 1)}})
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, seed := range []string{string(good), `{"root":{"step":1,"children":[null]}}`,
-		`{"root":{"action":{"type":"nope"}}}`, `{"root":{"ref":2}}`, `{}`, `null`} {
+		`{"root":{"action":{"type":"nope"}}}`, `{"root":{"ref":2}}`, `{}`, `null`, string(oversized)} {
 		f.Add([]byte(seed))
 	}
 	fixed := miniContext("fixed", 2, miniDisplay(50, 0), miniDisplay(7, 1))
@@ -131,6 +136,16 @@ func FuzzDecodeWireContext(f *testing.F) {
 		if err != nil || len(c.Nodes()) > 64 {
 			return
 		}
+		for _, n := range c.Nodes() {
+			if n.Display == nil {
+				continue
+			}
+			for i := range n.Display.GetProfile().Columns {
+				if keys := len(n.Display.GetProfile().TopFreq(i).Keys); keys > maxTopFreqKeys {
+					t.Fatalf("accepted a %d-key histogram, over the %d-key cap", keys, maxTopFreqKeys)
+				}
+			}
+		}
 		d, self := m.Distance(c, fixed), m.Distance(c, c)
 		if !(d >= 0 && d <= 1 && self >= 0 && self <= 1) {
 			t.Fatalf("distances %v (fixed), %v (self) outside [0, 1] for %s", d, self, data)
@@ -143,4 +158,44 @@ func FuzzDecodeWireContext(f *testing.F) {
 			t.Fatalf("distance drifted through a round trip: %v -> %v", d, rd)
 		}
 	})
+}
+
+// wideDisplay is a one-column wire display whose histogram has keys keys.
+func wideDisplay(keys int) *WireDisplay {
+	top := make(map[string]float64, keys)
+	for i := 0; i < keys; i++ {
+		top[fmt.Sprint("v", i)] = 1 / float64(keys)
+	}
+	return &WireDisplay{Rows: keys, Columns: []WireColumn{{Name: "port", TopFreq: top}}}
+}
+
+// TestDecodeRejectsOversizedHistogram: a column histogram at the
+// TopFreqLimit+1 cap decodes; one key more is refused by DecodeDisplay,
+// by DecodeContext for an inline display and by Read for a pooled one,
+// which also refuses a null pool entry.
+func TestDecodeRejectsOversizedHistogram(t *testing.T) {
+	if _, err := DecodeDisplay(wideDisplay(maxTopFreqKeys)); err != nil {
+		t.Fatalf("a %d-key column: %v", maxTopFreqKeys, err)
+	}
+	if _, err := DecodeDisplay(wideDisplay(maxTopFreqKeys + 1)); err == nil {
+		t.Fatalf("a %d-key column decoded", maxTopFreqKeys+1)
+	}
+	inline := &WireContext{SessionID: "q", Root: &WireNode{Step: 1, Display: wideDisplay(maxTopFreqKeys + 1)}}
+	if _, err := DecodeContext(inline, nil); err == nil {
+		t.Fatal("a context with an oversized inline display decoded")
+	}
+	for name, pool := range map[string][]*WireDisplay{
+		"oversized": {wideDisplay(maxTopFreqKeys + 1)},
+		"null":      {nil},
+	} {
+		m := testModel()
+		m.Displays = append(m.Displays, pool...)
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(&buf); err == nil {
+			t.Errorf("Read accepted a model whose pool holds a %s display", name)
+		}
+	}
 }

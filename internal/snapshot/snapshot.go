@@ -208,6 +208,11 @@ func readModel(r io.Reader) (*Model, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("snapshot: decode model: %w", err)
 	}
+	for i, d := range m.Displays {
+		if err := checkDisplay(d); err != nil {
+			return nil, fmt.Errorf("snapshot: display pool entry %d: %w", i+1, err)
+		}
+	}
 	return &m, nil
 }
 

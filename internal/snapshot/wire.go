@@ -15,9 +15,14 @@
 // shares node displays; most contain a dataset's root display), so inside
 // a snapshot displays live in a shared pool and nodes carry 1-based Ref
 // indices; decoding the pool once per file restores the original pointer
-// sharing, keeping the distance memo (internal/distance.Memo) as effective
-// as in the training process. Self-contained contexts (HTTP requests, the
-// `idarepro train -contexts` export) inline the display per node instead.
+// sharing, so a loaded model holds one prepared copy of each histogram,
+// as the training process did. Self-contained contexts (HTTP requests,
+// the `idarepro train -contexts` export) inline the display per node
+// instead.
+//
+// Decoding refuses a column histogram of more than engine.TopFreqLimit+1
+// keys: no encoder output carries more, and the display distance's cost
+// grows with the keys it merges.
 package snapshot
 
 import (
@@ -90,6 +95,11 @@ func (p *Pool) ref(d *engine.Display) int {
 	return len(p.displays)
 }
 
+// maxTopFreqKeys is the most keys a decoded column histogram may carry:
+// engine.Profile.TopFreq keeps engine.TopFreqLimit values plus the
+// folded-tail bucket, so every encoder output fits.
+const maxTopFreqKeys = engine.TopFreqLimit + 1
+
 // EncodeDisplay captures a display's distance-relevant summary.
 func EncodeDisplay(d *engine.Display) *WireDisplay {
 	w := &WireDisplay{
@@ -102,10 +112,10 @@ func EncodeDisplay(d *engine.Display) *WireDisplay {
 	w.Columns = make([]WireColumn, len(prof.Columns))
 	for i := range prof.Columns {
 		wc := WireColumn{Name: prof.Columns[i].Name}
-		if top := prof.TopFreq(i); len(top) > 0 {
-			wc.TopFreq = make(map[string]float64, len(top))
-			for k, v := range top {
-				wc.TopFreq[k] = v
+		if top := prof.TopFreq(i); len(top.Keys) > 0 {
+			wc.TopFreq = make(map[string]float64, len(top.Keys))
+			for j, k := range top.Keys {
+				wc.TopFreq[k] = top.Weights[j]
 			}
 		}
 		w.Columns[i] = wc
@@ -113,22 +123,49 @@ func EncodeDisplay(d *engine.Display) *WireDisplay {
 	return w
 }
 
-// DecodeDisplay rebuilds a summary display (see engine.NewSummaryDisplay).
-func DecodeDisplay(w *WireDisplay) *engine.Display {
-	cols := make([]engine.ColumnProfile, len(w.Columns))
-	for i, c := range w.Columns {
-		cols[i] = engine.ColumnProfile{Name: c.Name, TopFreq: c.TopFreq}
+// DecodeDisplay rebuilds a summary display (see engine.NewSummaryDisplay),
+// refusing a column histogram of more than maxTopFreqKeys keys.
+func DecodeDisplay(w *WireDisplay) (*engine.Display, error) {
+	if err := checkDisplay(w); err != nil {
+		return nil, err
 	}
-	return engine.NewSummaryDisplay(w.Rows, w.Aggregated, w.GroupColumn, w.ValueColumn, engine.NewProfile(w.Rows, cols))
+	return decodeDisplay(w), nil
+}
+
+// checkDisplay refuses a wire display DecodeDisplay cannot or should not
+// decode: a null one, or one with an oversized column histogram.
+func checkDisplay(w *WireDisplay) error {
+	if w == nil {
+		return fmt.Errorf("snapshot: decode display: null display")
+	}
+	for _, c := range w.Columns {
+		if len(c.TopFreq) > maxTopFreqKeys {
+			return fmt.Errorf("snapshot: decode display: column %q histogram has %d keys, more than %d",
+				c.Name, len(c.TopFreq), maxTopFreqKeys)
+		}
+	}
+	return nil
+}
+
+func decodeDisplay(w *WireDisplay) *engine.Display {
+	cols := make([]engine.ColumnProfile, len(w.Columns))
+	tops := make([]map[string]float64, len(w.Columns))
+	for i, c := range w.Columns {
+		cols[i] = engine.ColumnProfile{Name: c.Name}
+		tops[i] = c.TopFreq
+	}
+	return engine.NewSummaryDisplay(w.Rows, w.Aggregated, w.GroupColumn, w.ValueColumn, engine.NewProfile(w.Rows, cols, tops))
 }
 
 // DecodeDisplays decodes a snapshot's display pool. Each pooled display is
 // decoded exactly once, so every Ref to the same index resolves to the
-// same *engine.Display — pointer sharing survives the round trip.
+// same *engine.Display — pointer sharing survives the round trip. The
+// pool must come from a Model that Read accepted: Read refuses the
+// displays DecodeDisplay would.
 func DecodeDisplays(ws []*WireDisplay) []*engine.Display {
 	out := make([]*engine.Display, len(ws))
 	for i, w := range ws {
-		out[i] = DecodeDisplay(w)
+		out[i] = decodeDisplay(w)
 	}
 	return out
 }
@@ -193,7 +230,11 @@ func DecodeContext(w *WireContext, displays []*engine.Display) (*session.Context
 			}
 			cn.Display = displays[n.Ref-1]
 		case n.Display != nil:
-			cn.Display = DecodeDisplay(n.Display)
+			d, err := DecodeDisplay(n.Display)
+			if err != nil {
+				return nil, fmt.Errorf("snapshot: decode context %s@%d node %d: %w", w.SessionID, w.T, n.Step, err)
+			}
+			cn.Display = d
 		}
 		for _, ch := range n.Children {
 			if ch == nil {

@@ -304,7 +304,7 @@ func TestRetiredIndexSectionStillLoads(t *testing.T) {
 	var old bytes.Buffer
 	index := snapshot.Section{Kind: snapshot.SectionKNNIndex, Version: snapshot.KNNIndexVersion,
 		Payload: []byte(`{"leaf_size":8,"count":2,"root":0,"nodes":[{"v":-1,"in":-1,"out":-1,"leaf":[0,1]}]}`)}
-	if err := snapshot.WriteSections(&old, pred.snapshotModel(), index); err != nil {
+	if err := snapshot.WriteSections(&old, pred.buildModel(), index); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "indexed.snap")

@@ -5,12 +5,12 @@ import (
 )
 
 // TelemetrySnapshot is a JSON-serializable point-in-time copy of every
-// pipeline metric: counters (memo hits/misses, kNN scans and distance
-// evaluations, reference-set enumeration, Box-Cox λ-search iterations,
-// per-measure evaluation counts, generation throughput), gauges (memo
-// size) and latency histograms (per-measure scoring, stage timings for
-// gen → offline → train → predict). Table() renders it as an aligned
-// plain-text table.
+// pipeline metric: counters (kNN scans and distance evaluations, display
+// distances computed, eval's display-memo hits/misses, reference-set
+// enumeration, Box-Cox λ-search iterations, per-measure evaluation
+// counts, generation throughput), gauges (eval's memo size) and latency
+// histograms (per-measure scoring, stage timings for gen → offline →
+// train → predict). Table() renders it as an aligned plain-text table.
 type TelemetrySnapshot = obs.Snapshot
 
 // TelemetryLevel selects how much the pipeline records.

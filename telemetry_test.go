@@ -3,20 +3,27 @@ package repro
 import (
 	"encoding/json"
 	"testing"
+
+	"repro/internal/obs"
 )
 
-// TestTelemetryAfterFullPipeline is the acceptance check: after a full
-// offline+train+predict run, the snapshot reports nonzero memo hit/miss
-// and kNN scan counters, stage timings for offline and train, and
-// marshals to JSON.
+// TestTelemetryAfterFullPipeline checks that the pipeline's counters
+// move. The shared fixture may have been generated and analyzed by an
+// earlier test, so its counters are checked as totals; training and
+// prediction are this test's own work, so theirs are checked as deltas
+// across it, under the counters tier whatever an earlier test left set.
 func TestTelemetryAfterFullPipeline(t *testing.T) {
+	prev := obs.Default.Mode()
+	SetTelemetryLevel(TelemetryCounters)
+	t.Cleanup(func() { SetTelemetryLevel(prev) })
 	fw := testFramework(t) // gen + offline (shared across the package)
+	before := Telemetry()
 
 	pred, err := fw.TrainPredictor(DefaultMeasureSet(), Normalized, DefaultPredictorConfig(Normalized))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Predict a handful of states so the kNN scan and memo counters move.
+	// Predict a handful of states so the kNN scan counters move.
 	predicted := 0
 	for _, s := range fw.Repo.Sessions() {
 		if predicted >= 5 {
@@ -35,13 +42,7 @@ func TestTelemetryAfterFullPipeline(t *testing.T) {
 
 	snap := Telemetry()
 	for _, name := range []string{
-		"distance.memo.hits",
-		"distance.memo.misses",
-		"distance.treeedit.calls",
-		"knn.scans",
-		"knn.distance_evals",
 		"offline.actions_scored",
-		"offline.train.samples",
 		"stats.boxcox.lambda_evals",
 		"simulate.sessions",
 		"measures.variance.evals",
@@ -50,12 +51,28 @@ func TestTelemetryAfterFullPipeline(t *testing.T) {
 			t.Errorf("counter %q is zero after a full pipeline run", name)
 		}
 	}
-	if snap.Gauges["distance.memo.size"] == 0 {
-		t.Error("memo size gauge is zero after predictions")
+	for _, name := range []string{
+		"offline.train.samples",
+		"knn.scans",
+		"knn.distance_evals",
+		"distance.treeedit.calls",
+		"distance.treeedit.bounded_calls",
+		"distance.treeedit.early_abandon",
+		"distance.display.calls",
+	} {
+		if snap.Counters[name] <= before.Counters[name] {
+			t.Errorf("counter %q did not move across training and %d predictions (%d before, %d after)",
+				name, predicted, before.Counters[name], snap.Counters[name])
+		}
 	}
-	for _, stage := range []string{"stage.gen", "stage.offline", "stage.train", "stage.predict"} {
+	for _, stage := range []string{"stage.gen", "stage.offline"} {
 		if snap.Histograms[stage].Count == 0 {
 			t.Errorf("stage histogram %q empty", stage)
+		}
+	}
+	for _, stage := range []string{"stage.train", "stage.predict"} {
+		if snap.Histograms[stage].Count <= before.Histograms[stage].Count {
+			t.Errorf("stage histogram %q did not move across training and prediction", stage)
 		}
 	}
 	if _, err := json.Marshal(snap); err != nil {
