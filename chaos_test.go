@@ -45,11 +45,27 @@ func chaosFramework(t *testing.T) *Framework {
 	return fw
 }
 
-// armFaults enables the injector for the duration of the test.
+// armFaults enables the injector for the duration of the test, then
+// restores the injector it found (an environment-armed run keeps its
+// faults).
 func armFaults(t *testing.T, cfg faults.Config) {
 	t.Helper()
+	if prev, armed := faults.Active(); armed {
+		t.Cleanup(func() { faults.Enable(prev) })
+	} else {
+		t.Cleanup(faults.Disable)
+	}
 	faults.Enable(cfg)
-	t.Cleanup(faults.Disable)
+}
+
+// countersOn records telemetry counters for the duration of the test,
+// then restores the mode it found, so later tests see the mode they would
+// have seen without this one.
+func countersOn(t *testing.T) {
+	t.Helper()
+	prev := obs.Default.Mode()
+	obs.SetMode(obs.ModeCounters)
+	t.Cleanup(func() { obs.SetMode(prev) })
 }
 
 // chaosAll is the acceptance configuration: every site, every kind,
@@ -65,8 +81,7 @@ func chaosAll() faults.Config {
 
 func TestChaosFullPipelineNoPanics(t *testing.T) {
 	fw := chaosFramework(t)
-	obs.SetMode(obs.ModeCounters)
-	t.Cleanup(func() { obs.SetMode(obs.ModeOff) })
+	countersOn(t)
 	armFaults(t, chaosAll())
 
 	// Offline analysis: raw scoring, Box-Cox fits and reference execution

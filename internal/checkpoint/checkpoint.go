@@ -35,7 +35,6 @@ import (
 	"repro/internal/atomicio"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 )
 
 // The on-disk envelope mirrors internal/snapshot's:
@@ -232,8 +231,11 @@ func (m *Manager) flushLocked() error {
 	// flush persists.
 	key := strconv.Itoa(m.flushes)
 	m.flushes++
-	err = faults.DefaultRetry.Do(nil, func(attempt int) error {
-		return m.writeGuarded(faults.Key(key, attempt), blob)
+	err = faults.Guard(nil, faults.SiteCheckpointWrite, key, func() error {
+		return atomicio.WriteFile(m.path, func(w io.Writer) error {
+			_, werr := w.Write(blob)
+			return werr
+		})
 	})
 	if err != nil {
 		mWriteFailed.Inc()
@@ -247,25 +249,6 @@ func (m *Manager) flushLocked() error {
 		mWrites.Inc()
 	}
 	return nil
-}
-
-// writeGuarded is one atomic write attempt behind the checkpoint.write
-// chaos probe; an injected panic is recovered into a retryable error.
-func (m *Manager) writeGuarded(key string, blob []byte) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = pipeline.Recovered(faults.SiteCheckpointWrite, r)
-		}
-	}()
-	if faults.Enabled() {
-		if err := faults.Inject(faults.SiteCheckpointWrite, key, faults.KindAll); err != nil {
-			return err
-		}
-	}
-	return atomicio.WriteFile(m.path, func(w io.Writer) error {
-		_, werr := w.Write(blob)
-		return werr
-	})
 }
 
 // encode wraps the progress file in the checksummed envelope.

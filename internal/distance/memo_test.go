@@ -1,124 +1,92 @@
 package distance
 
 import (
+	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/session"
 )
 
-// twoDisplays builds two distinct displays for memo keys.
-func twoDisplays(t *testing.T) (*engine.Display, *engine.Display) {
-	t.Helper()
-	b := dataset.NewBuilder("m", dataset.Schema{{Name: "c", Kind: dataset.KindString}})
-	b.Append(dataset.S("x"))
-	b.Append(dataset.S("y"))
-	da := engine.NewRootDisplay(b.MustBuild())
-	b2 := dataset.NewBuilder("m2", dataset.Schema{{Name: "c", Kind: dataset.KindString}})
-	b2.Append(dataset.S("z"))
-	db := engine.NewRootDisplay(b2.MustBuild())
-	return da, db
-}
-
-// TestMemoSingleFlight exercises the double-compute race window: many
-// goroutines miss the same pair simultaneously; the ground metric must run
-// exactly once per unordered pair. The injected metric sleeps to hold the
-// in-flight window open. Run under -race (the CI does).
-func TestMemoSingleFlight(t *testing.T) {
-	da, db := twoDisplays(t)
-	var computes atomic.Int64
-	m := NewMemo()
-	m.ground = func(a, b *engine.Display) float64 {
-		computes.Add(1)
-		time.Sleep(20 * time.Millisecond) // widen the race window
-		return 0.25
+// TestMemoConcurrentLookupsMatchDirect runs concurrent lookups of every
+// pair of distinct displays, in both argument orders and with a nil
+// display among them, and checks each answer against the direct metric
+// bit for bit. Concurrent misses on one key both compute it, so this is
+// the race that matters: run under -race (the CI does).
+func TestMemoConcurrentLookupsMatchDirect(t *testing.T) {
+	ds := append(groundDisplays(t), nil)
+	want := make([][]float64, len(ds))
+	for i, a := range ds {
+		want[i] = make([]float64, len(ds))
+		for j, b := range ds {
+			want[i][j] = DisplayDistance(a, b)
+		}
 	}
-
-	const goroutines = 32
+	m := NewMemo()
+	const goroutines = 8
 	var wg sync.WaitGroup
-	results := make([]float64, goroutines)
 	start := make(chan struct{})
-	for i := 0; i < goroutines; i++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(g int) {
 			defer wg.Done()
 			<-start
-			// Alternate argument order: both orders share one slot.
-			if i%2 == 0 {
-				results[i] = m.DisplayDistance(da, db)
-			} else {
-				results[i] = m.DisplayDistance(db, da)
+			for k := 0; k < len(ds)*len(ds); k++ {
+				// Each goroutine walks the pairs from its own offset, so
+				// the same key is missed by several at once.
+				i, j := (k+g)%len(ds), ((k+g)/len(ds))%len(ds)
+				if i == j {
+					continue
+				}
+				if got := m.DisplayDistance(ds[i], ds[j]); math.Float64bits(got) != math.Float64bits(want[i][j]) {
+					t.Errorf("memo (%d,%d) = %v, direct %v", i, j, got, want[i][j])
+				}
 			}
-		}(i)
+		}(g)
 	}
 	close(start)
 	wg.Wait()
-
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("ground metric computed %d times, want exactly 1", got)
-	}
-	for i, r := range results {
-		if r != 0.25 {
-			t.Fatalf("goroutine %d got %v, want 0.25", i, r)
-		}
-	}
-	if m.Size() != 1 {
-		t.Fatalf("memo size = %d, want 1", m.Size())
-	}
-	// Subsequent lookups are pure cache hits.
-	if v := m.DisplayDistance(da, db); v != 0.25 {
-		t.Fatalf("post-race lookup = %v", v)
-	}
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("cache hit recomputed: %d computations", got)
+	if pairs := len(ds) * (len(ds) - 1); m.Size() == 0 || m.Size() > pairs {
+		t.Fatalf("memo size = %d, want 1..%d", m.Size(), pairs)
 	}
 }
 
-// TestMemoConcurrentDistinctPairs checks that the in-flight guard does not
-// serialize computations of different pairs.
-func TestMemoConcurrentDistinctPairs(t *testing.T) {
-	da, db := twoDisplays(t)
-	dc, dd := twoDisplays(t)
-	var computes atomic.Int64
-	m := NewMemo()
-	m.ground = func(a, b *engine.Display) float64 {
-		computes.Add(1)
-		return 1
-	}
-	pairs := [][2]*engine.Display{{da, db}, {dc, dd}, {da, dc}, {db, dd}}
-	var wg sync.WaitGroup
-	for round := 0; round < 8; round++ {
-		for _, p := range pairs {
-			wg.Add(1)
-			go func(a, b *engine.Display) {
-				defer wg.Done()
-				m.DisplayDistance(a, b)
-			}(p[0], p[1])
-		}
-	}
-	wg.Wait()
-	// da/db and dc/dd have equal row counts within each pair, so each
-	// unordered pair may occupy at most two slots under the row-count
-	// ordering — but never more computations than slots.
-	if got, max := computes.Load(), int64(len(pairs)*2); got > max {
-		t.Fatalf("computed %d times for %d pairs (max %d)", got, len(pairs), max)
-	}
-	if m.Size() < len(pairs)/2 {
-		t.Fatalf("memo size = %d", m.Size())
-	}
-}
-
+// TestMemoIdentityFastPath: a display compared with itself costs 0
+// through the memo without a computation, though the direct metric is not
+// reflexive for a display without columns.
 func TestMemoIdentityFastPath(t *testing.T) {
-	da, _ := twoDisplays(t)
-	m := NewMemo()
-	m.ground = func(a, b *engine.Display) float64 {
-		t.Fatal("ground metric called for identical displays")
-		return 0
+	d := engine.NewSummaryDisplay(5, false, "", "", engine.NewProfile(5, nil, nil))
+	if got := DisplayDistance(d, d); got != 0.4 {
+		t.Fatalf("direct d(x,x) = %v, want 0.4", got)
 	}
-	if v := m.DisplayDistance(da, da); v != 0 {
-		t.Fatalf("d(a,a) = %v", v)
+	m := NewMemo()
+	if got := m.DisplayDistance(d, d); got != 0 {
+		t.Fatalf("memo d(x,x) = %v, want 0", got)
+	}
+	if m.Size() != 0 {
+		t.Fatalf("identity lookup cached %d entries", m.Size())
+	}
+}
+
+// TestMemoizedTreeEditDisplaylessNode: a context built without displays
+// (as the serving tests' chains are) meets the memo with pairs holding
+// exactly one nil display, where the metric answers 1.
+func TestMemoizedTreeEditDisplaylessNode(t *testing.T) {
+	root := packetRoot(t)
+	s := sessionWith(t, root,
+		engine.NewFilter(engine.Predicate{Column: "protocol", Op: engine.OpEq, Operand: dataset.S("HTTP")}),
+		engine.NewGroupCount("dst_ip"))
+	full := ctxAtEnd(t, s, 5)
+	bare := &session.Context{SessionID: "bare", N: 3, Size: 3, Root: &session.CtxNode{
+		Children: []*session.CtxNode{{Action: engine.NewGroupCount("dst_ip"), Step: 1}},
+	}}
+	plain, memo := TreeEdit{}, NewMemoizedTreeEdit(nil)
+	for _, pair := range [][2]*session.Context{{full, bare}, {bare, full}, {bare, bare}} {
+		p, c := plain.Distance(pair[0], pair[1]), memo.Distance(pair[0], pair[1])
+		if math.Float64bits(p) != math.Float64bits(c) {
+			t.Errorf("memoized %v, plain %v", c, p)
+		}
 	}
 }

@@ -160,15 +160,7 @@ func PairwiseDistancesCtx(ctx context.Context, samples []*offline.Sample, metric
 // fault probe, degrading to +Inf when retries exhaust.
 func guardedDistance(metric distance.Metric, a, b *session.Context, key string) float64 {
 	var v float64
-	err := faults.DefaultRetry.Do(nil, func(attempt int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = pipeline.Recovered(faults.SiteEvalPairwise, r)
-			}
-		}()
-		if err := faults.Inject(faults.SiteEvalPairwise, faults.Key(key, attempt), faults.KindAll); err != nil {
-			return err
-		}
+	err := faults.Guard(nil, faults.SiteEvalPairwise, key, func() error {
 		v = metric.Distance(a, b)
 		return nil
 	})
@@ -284,15 +276,7 @@ func (e *EvalSet) knnOutcomeGuarded(i int, eligible []bool, cfg KNNConfig) Outco
 		return e.knnOutcome(i, eligible, cfg)
 	}
 	var o Outcome
-	err := faults.DefaultRetry.Do(nil, func(attempt int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = pipeline.Recovered(faults.SiteEvalLOOCV, r)
-			}
-		}()
-		if err := faults.Inject(faults.SiteEvalLOOCV, faults.Key(sampleFP(e.Samples[i]), attempt), faults.KindAll); err != nil {
-			return err
-		}
+	err := faults.Guard(nil, faults.SiteEvalLOOCV, sampleFP(e.Samples[i]), func() error {
 		o = e.knnOutcome(i, eligible, cfg)
 		return nil
 	})

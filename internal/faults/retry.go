@@ -42,11 +42,10 @@ type RetryAfterHinter interface {
 	RetryAfterHint() (time.Duration, bool)
 }
 
-// DefaultRetry is the policy the batch paths (reference execution, raw
-// scoring) use: three tries, immediate. Injected faults re-roll per
-// attempt (see Key), so with p=0.05 the chance of exhausting the policy is
-// ~1e-4 per item — rare enough to exercise the next degradation rung
-// without starving it.
+// DefaultRetry is the policy Guard runs every batch item under: three
+// tries, immediate. Injected faults re-roll per attempt (see Key), so with
+// p=0.05 the chance of exhausting the policy is ~1e-4 per item — rare
+// enough to exercise the next degradation rung without starving it.
 var DefaultRetry = RetryPolicy{Attempts: 3}
 
 // jitterRand feeds full-jitter draws. Timing-only: it never influences a

@@ -292,15 +292,7 @@ func (c *Classifier) predict(ctx context.Context, query *session.Context, w int)
 	} else {
 		base := query.SessionID + "@" + strconv.Itoa(query.T) + "/" + strconv.Itoa(query.N)
 		// An exhausted probe leaves cands empty; its error has no other use.
-		_ = faults.DefaultRetry.Do(nil, func(attempt int) (perr error) {
-			defer func() {
-				if r := recover(); r != nil {
-					perr = pipeline.Recovered(faults.SiteKNNScan, r)
-				}
-			}()
-			if perr := faults.Inject(faults.SiteKNNScan, faults.Key(base, attempt), faults.KindAll); perr != nil {
-				return perr
-			}
+		_ = faults.Guard(nil, faults.SiteKNNScan, base, func() error {
 			scanOnce()
 			return nil
 		})

@@ -112,15 +112,7 @@ func fitOneGuarded(ctx context.Context, name string, series []float64) (MeasureN
 	}
 	var mn MeasureNorm
 	var fitErr error
-	err := faults.DefaultRetry.Do(ctx, func(attempt int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = pipeline.Recovered(faults.SiteNormalizeFit, r)
-			}
-		}()
-		if err := faults.Inject(faults.SiteNormalizeFit, faults.Key(name, attempt), faults.KindAll); err != nil {
-			return err
-		}
+	err := faults.Guard(ctx, faults.SiteNormalizeFit, name, func() error {
 		mn, fitErr = fitOne(series)
 		return nil
 	})

@@ -115,9 +115,8 @@ type execCacheKey struct {
 // execCache is the concurrent per-(parent, action) execution cache. A
 // miss claims the key with an in-flight entry so concurrent workers
 // needing the same reference execution wait for the first computation
-// instead of duplicating it (the same singleflight discipline as
-// distance.Memo). Values are deterministic pure functions of the key, so
-// which worker computes an entry never affects the scores.
+// instead of duplicating it. Values are deterministic pure functions of
+// the key, so which worker computes an entry never affects the scores.
 type execCache struct {
 	mu sync.Mutex
 	m  map[execCacheKey]*execEntry
@@ -390,23 +389,12 @@ func executeAndScore(ctx context.Context, a *Analysis, dataset string, parent, r
 	// text — never pointers or call order, so the same executions fault
 	// at every worker count and the chaos equivalence tests hold.
 	var base string
-	injecting := faults.Enabled()
-	if injecting {
+	if faults.Enabled() {
 		base = dataset + "|" + strconv.Itoa(parent.NumRows()) + "|" + ra.String()
 	}
 	var scores map[string]float64
 	var overBudget bool
-	err := faults.DefaultRetry.Do(ctx, func(attempt int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = pipeline.Recovered(faults.SiteRefExecute, r)
-			}
-		}()
-		if injecting {
-			if err := faults.Inject(faults.SiteRefExecute, faults.Key(base, attempt), faults.KindAll); err != nil {
-				return err
-			}
-		}
+	err := faults.Guard(ctx, faults.SiteRefExecute, base, func() error {
 		mRefExecs.Inc()
 		t0 := time.Now()
 		d, execErr := engine.Execute(parent, ra)

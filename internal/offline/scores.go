@@ -364,15 +364,7 @@ func scoreActionGuarded(ctx context.Context, msrs []measures.Measure, ns *NodeSc
 		return
 	}
 	base := strconv.Itoa(idx) + ":" + ns.Node.Action.String()
-	err := faults.DefaultRetry.Do(ctx, func(attempt int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = pipeline.Recovered(faults.SiteOfflineRawScore, r)
-			}
-		}()
-		if err := faults.Inject(faults.SiteOfflineRawScore, faults.Key(base, attempt), faults.KindAll); err != nil {
-			return err
-		}
+	err := faults.Guard(ctx, faults.SiteOfflineRawScore, base, func() error {
 		ns.Raw = scoreAction(msrs, ns.Session, ns.Node)
 		return nil
 	})

@@ -569,7 +569,7 @@ func firstLine(b []byte) string {
 func (rt *Router) probeReplica(ctx context.Context, n ring.Node) error {
 	if faults.Enabled() {
 		key := n.Name + "/round:" + strconv.FormatUint(rt.healthRound.Load(), 10)
-		if err := injectSiteGuarded(faults.SiteRingHealth, key); err != nil {
+		if err := faults.Probe(faults.SiteRingHealth, key); err != nil {
 			return err
 		}
 	}
@@ -587,17 +587,6 @@ func (rt *Router) probeReplica(ctx context.Context, n ring.Node) error {
 		return fmt.Errorf("%s: readyz %s", n.Name, resp.Status)
 	}
 	return nil
-}
-
-// injectSiteGuarded runs one fault probe, converting an injected panic
-// into an error (probes on background loops must never crash the tier).
-func injectSiteGuarded(site, key string) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = pipeline.Recovered(site, r)
-		}
-	}()
-	return faults.Inject(site, key, faults.KindAll)
 }
 
 // ProbeOnce drives one active health-probe round (tests and the startup
@@ -681,7 +670,7 @@ func (rt *Router) fetchModel(ctx context.Context, n ring.Node) (ModelStatus, err
 func (rt *Router) pushSnapshot(ctx context.Context, n ring.Node, sweep uint64) error {
 	if faults.Enabled() {
 		key := n.Name + "/sweep:" + strconv.FormatUint(sweep, 10)
-		if err := injectSiteGuarded(faults.SiteRingRepair, key); err != nil {
+		if err := faults.Probe(faults.SiteRingRepair, key); err != nil {
 			return err
 		}
 	}

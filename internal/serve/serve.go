@@ -443,7 +443,7 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 	// identity never factor in.
 	if faults.Enabled() {
 		key := fmt.Sprintf("%s@%d/%d#%d", wire[0].SessionID, wire[0].T, wire[0].N, len(wire))
-		if err := injectSiteGuarded(faults.SiteServePredict, key); err != nil {
+		if err := faults.Probe(faults.SiteServePredict, key); err != nil {
 			if obs.On() {
 				mErrors.Inc()
 			}

@@ -70,8 +70,9 @@ func TestLenientQuarantinesInvalidAction(t *testing.T) {
 	log := corruptMiddleSession(t, func(ls *LogSession) {
 		ls.Steps[0].Action.Type = "warp-drive"
 	})
+	prevMode := obs.Default.Mode()
 	obs.SetMode(obs.ModeCounters)
-	t.Cleanup(func() { obs.SetMode(obs.ModeOff) })
+	t.Cleanup(func() { obs.SetMode(prevMode) })
 	before := obs.C("session.quarantined").Load()
 
 	lf, quar, err := ReadLogLenient(strings.NewReader(log))

@@ -106,8 +106,7 @@ func TestChaosRingFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	obs.SetMode(obs.ModeCounters)
-	t.Cleanup(func() { obs.SetMode(obs.ModeOff) })
+	countersOn(t)
 	abandonBefore := obs.C("distance.treeedit.early_abandon").Load()
 	armFaults(t, faults.Config{
 		Prob:       0.05,

@@ -97,8 +97,7 @@ func TestTailLatencyArmor(t *testing.T) {
 		t.Fatalf("unexpected node name %q", victim)
 	}
 
-	obs.SetMode(obs.ModeCounters)
-	t.Cleanup(func() { obs.SetMode(obs.ModeOff) })
+	countersOn(t)
 	wonBefore := obs.C("ring.hedge.won").Load()
 	armFaults(t, faults.Config{
 		Prob:  1,
