@@ -10,9 +10,9 @@
 //
 // Durability model: a single checkpoint file per directory, written
 // atomically (temp + fsync + rename, internal/atomicio) inside a
-// checksummed envelope, so the file on disk is always a complete,
-// verifiable snapshot of progress — a kill mid-write leaves the previous
-// checkpoint intact. Writes are best-effort by design: a failed flush
+// checksummed frame (internal/frame), so the file on disk is always a
+// complete, verifiable snapshot of progress — a kill mid-write leaves the
+// previous checkpoint intact. Writes are best-effort by design: a failed flush
 // (disk trouble, or the checkpoint.write chaos probe) increments an obs
 // counter and leaves the progress dirty in memory for the next flush;
 // the computation itself never stalls on checkpoint I/O.
@@ -20,12 +20,9 @@ package checkpoint
 
 import (
 	"bytes"
-	"compress/gzip"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -34,28 +31,16 @@ import (
 
 	"repro/internal/atomicio"
 	"repro/internal/faults"
+	"repro/internal/frame"
 	"repro/internal/obs"
 )
 
-// The on-disk envelope mirrors internal/snapshot's:
-//
-//	offset  size  field
-//	0       8     magic "IDACKPTv"
-//	8       4     format version (big-endian uint32)
-//	12      4     flags (bit 0: payload is gzip-compressed)
-//	16      8     payload length in bytes (big-endian uint64)
-//	24      n     payload (JSON-encoded progress file, gzipped)
-//	24+n    8     FNV-64a checksum of the payload bytes (big-endian)
+// A checkpoint file is one internal/frame frame under the magic
+// "IDACKPTv", holding the JSON-encoded progress file.
 const (
 	magic = "IDACKPTv"
 	// Version is the current checkpoint format version.
 	Version = 1
-
-	flagGzip = 1 << 0
-
-	// maxPayload bounds the declared payload length so a corrupted header
-	// cannot make the reader allocate unbounded memory.
-	maxPayload = 8 << 30
 )
 
 // FileName is the checkpoint file inside a checkpoint directory.
@@ -68,7 +53,11 @@ var ErrFingerprint = errors.New("checkpoint fingerprint mismatch (different data
 
 // ErrChecksum is wrapped by Open when the checkpoint payload does not
 // match its stored checksum.
-var ErrChecksum = errors.New("checkpoint checksum mismatch")
+var ErrChecksum = frame.ErrChecksum
+
+// ErrNewerVersion is wrapped by Open when the checkpoint was written by a
+// newer format version, or sets flag bits this build does not know.
+var ErrNewerVersion = frame.ErrNewerVersion
 
 var (
 	mWrites      = obs.C("checkpoint.writes")
@@ -91,7 +80,7 @@ type stageRec struct {
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
-// progressFile is the JSON payload of the envelope.
+// progressFile is the JSON payload of the frame.
 type progressFile struct {
 	// Fingerprint identifies the inputs this progress belongs to
 	// (hex-encoded; see session.Repository.Fingerprint and the offline
@@ -251,74 +240,29 @@ func (m *Manager) flushLocked() error {
 	return nil
 }
 
-// encode wraps the progress file in the checksummed envelope.
+// encode wraps the progress file in the checksummed frame.
 func encode(f *progressFile) ([]byte, error) {
 	raw, err := json.Marshal(f)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode: %w", err)
 	}
-	var zbuf bytes.Buffer
-	zw := gzip.NewWriter(&zbuf)
-	if _, err := zw.Write(raw); err != nil {
-		return nil, fmt.Errorf("checkpoint: compress: %w", err)
+	var buf bytes.Buffer
+	if err := frame.Write(&buf, magic, Version, raw); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("checkpoint: compress: %w", err)
-	}
-	payload := zbuf.Bytes()
-
-	out := make([]byte, 0, 24+len(payload)+8)
-	var head [24]byte
-	copy(head[:8], magic)
-	binary.BigEndian.PutUint32(head[8:12], Version)
-	binary.BigEndian.PutUint32(head[12:16], flagGzip)
-	binary.BigEndian.PutUint64(head[16:24], uint64(len(payload)))
-	out = append(out, head[:]...)
-	out = append(out, payload...)
-	h := fnv.New64a()
-	h.Write(payload)
-	var sum [8]byte
-	binary.BigEndian.PutUint64(sum[:], h.Sum64())
-	return append(out, sum[:]...), nil
+	return buf.Bytes(), nil
 }
 
-// decode parses and verifies the envelope: magic and version first, then
-// the checksum, and only then the JSON decode.
+// decode verifies the frame, which must fill the file, and only then
+// decodes the JSON inside it.
 func decode(blob []byte) (*progressFile, error) {
-	if len(blob) < 24+8 {
-		return nil, fmt.Errorf("checkpoint: file truncated at %d bytes", len(blob))
+	rd := bytes.NewReader(blob)
+	raw, err := frame.Read(rd, magic, Version)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if string(blob[:8]) != magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %q (not a checkpoint file)", blob[:8])
-	}
-	version := binary.BigEndian.Uint32(blob[8:12])
-	if version > Version {
-		return nil, fmt.Errorf("checkpoint: file version %d, this build reads <= %d", version, Version)
-	}
-	flags := binary.BigEndian.Uint32(blob[12:16])
-	n := binary.BigEndian.Uint64(blob[16:24])
-	if n > maxPayload || n != uint64(len(blob)-24-8) {
-		return nil, fmt.Errorf("checkpoint: declared payload length %d does not fit a %d-byte file", n, len(blob))
-	}
-	payload := blob[24 : 24+n]
-	h := fnv.New64a()
-	h.Write(payload)
-	if got, want := h.Sum64(), binary.BigEndian.Uint64(blob[24+n:]); got != want {
-		return nil, fmt.Errorf("checkpoint: payload hash %016x, stored %016x: %w", got, want, ErrChecksum)
-	}
-	raw := payload
-	if flags&flagGzip != 0 {
-		zr, err := gzip.NewReader(bytes.NewReader(payload))
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: decompress: %w", err)
-		}
-		raw, err = io.ReadAll(zr)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: decompress: %w", err)
-		}
-		if err := zr.Close(); err != nil {
-			return nil, fmt.Errorf("checkpoint: decompress: %w", err)
-		}
+	if rd.Len() != 0 {
+		return nil, fmt.Errorf("checkpoint: %d bytes after the frame", rd.Len())
 	}
 	var f progressFile
 	if err := json.Unmarshal(raw, &f); err != nil {

@@ -99,6 +99,44 @@ func TestCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestNewerFrameRefused: a checkpoint from a newer format — a higher
+// version, or a flag bit this build does not know — fails Open with
+// ErrNewerVersion instead of resuming from half-understood bytes.
+func TestNewerFrameRefused(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(dir, 11, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Update("s", Progress{Done: 1, Total: 2}, payload{Scores: []float64{2}}); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(m.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(b []byte){
+		"unknown flag bit": func(b []byte) { b[15] |= 0x02 },
+		"newer version":    func(b []byte) { b[11]++ }, // big-endian version 1 → 2
+	} {
+		bad := append([]byte(nil), good...)
+		edit(bad)
+		if err := os.WriteFile(m.Path(), bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, 11, true); !errors.Is(err, ErrNewerVersion) {
+			t.Errorf("%s: Open err = %v, want ErrNewerVersion", name, err)
+		}
+	}
+	// Bytes after the frame are refused too.
+	if err := os.WriteFile(m.Path(), append(good, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, 11, true); err == nil {
+		t.Error("a checkpoint with a trailing byte resumed")
+	}
+}
+
 func TestMissingFileResumesFresh(t *testing.T) {
 	m, err := Open(t.TempDir(), 9, true)
 	if err != nil {
@@ -113,8 +151,16 @@ func TestMissingFileResumesFresh(t *testing.T) {
 // exhausted checkpoint.write fault must not surface as an error — the
 // progress stays dirty and the next (unfaulted) Sync lands it.
 func TestInjectedWriteFailureDegrades(t *testing.T) {
+	// Restore the telemetry mode and the injector this test found, so an
+	// environment-armed run keeps its faults in later tests.
+	prevMode := obs.Default.Mode()
 	obs.SetMode(obs.ModeCounters)
-	t.Cleanup(func() { obs.SetMode(obs.ModeOff) })
+	t.Cleanup(func() { obs.SetMode(prevMode) })
+	if prev, armed := faults.Active(); armed {
+		t.Cleanup(func() { faults.Enable(prev) })
+	} else {
+		t.Cleanup(faults.Disable)
+	}
 	dir := t.TempDir()
 	m, err := Open(dir, 5, false)
 	if err != nil {
@@ -125,7 +171,6 @@ func TestInjectedWriteFailureDegrades(t *testing.T) {
 		Sites: []string{faults.SiteCheckpointWrite}})
 	failedBefore := obs.C("checkpoint.write_failed").Load()
 	if err := m.Update("s", Progress{Done: 1, Total: 4}, payload{Scores: []float64{3}}); err != nil {
-		faults.Disable()
 		t.Fatalf("injected write failure leaked out of Update: %v", err)
 	}
 	faults.Disable()

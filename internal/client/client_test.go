@@ -459,11 +459,17 @@ func TestInjectedFaultSite(t *testing.T) {
 	}))
 	defer ts.Close()
 
+	// Restore the injector this test found, so an environment-armed run
+	// keeps its faults in later tests.
+	if prev, armed := faults.Active(); armed {
+		t.Cleanup(func() { faults.Enable(prev) })
+	} else {
+		t.Cleanup(faults.Disable)
+	}
 	faults.Enable(faults.Config{
 		Prob: 1, Seed: 1, Kinds: faults.KindError,
 		Sites: []string{faults.SiteClientRequest},
 	})
-	t.Cleanup(faults.Disable)
 
 	c, err := New(Options{BaseURL: ts.URL, Retry: fastRetry(2), PriorLabel: "variance"})
 	if err != nil {

@@ -10,11 +10,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/netlog"
 	"repro/internal/simulate"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this run")
+var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
 
 // bracketedDuration matches the wall-clock suffixes Setup prints, such as
 // "[2.562s]" or "[1m3.2s]".
@@ -23,12 +24,41 @@ var bracketedDuration = regexp.MustCompile(`\[[0-9][0-9.hmsµun]*\]`)
 // TestQuickGolden pins the paper-level numbers: it runs the pipeline with
 // the `experiments -quick` settings and compares every report except the
 // timing-only Table 3, durations blanked, byte for byte with
-// testdata/quick.golden. Regenerate the file with
+// testdata/quick.golden. Regenerate the goldens with
 //
 //	go test ./internal/experiments -run QuickGolden -update
 //
 // only when a change is meant to move the paper's numbers.
 func TestQuickGolden(t *testing.T) {
+	checkQuickGolden(t, "quick.golden")
+}
+
+// TestQuickFaultsGolden pins the degradation ladder: the same run with
+// the injector armed by the spec prob=0.3,seed=5,kinds=error|panic (as
+// IDAREPRO_FAULTS would arm it), compared with
+// testdata/quick_faults.golden. At this rate three tries no longer
+// absorb every fault: items exhaust their retries and take lower rungs
+// of the ladder, so the reports differ from the fault-free golden, and a
+// change to the retry budget or to any rung moves them. The test
+// restores the injector it found.
+func TestQuickFaultsGolden(t *testing.T) {
+	cfg, err := faults.ParseSpec("prob=0.3,seed=5,kinds=error|panic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prev, armed := faults.Active(); armed {
+		t.Cleanup(func() { faults.Enable(prev) })
+	} else {
+		t.Cleanup(faults.Disable)
+	}
+	faults.Enable(cfg)
+	checkQuickGolden(t, "quick_faults.golden")
+}
+
+// checkQuickGolden runs the quick pipeline and compares its reports with
+// testdata/name, or rewrites that file under -update.
+func checkQuickGolden(t *testing.T, name string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("runs the whole quick pipeline")
 	}
@@ -36,7 +66,7 @@ func TestQuickGolden(t *testing.T) {
 		// The file was recorded on amd64. Other ports may fuse a
 		// multiply and an add into one rounding, which the Go spec
 		// allows, so their float bits need not match it.
-		t.Skip("quick.golden holds amd64 float results")
+		t.Skip(name + " holds amd64 float results")
 	}
 	// The cmd/experiments -quick configuration.
 	cfg := simulate.Config{
@@ -60,7 +90,7 @@ func TestQuickGolden(t *testing.T) {
 	}
 	got := bracketedDuration.ReplaceAll(buf.Bytes(), []byte("[-]"))
 
-	path := filepath.Join("testdata", "quick.golden")
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

@@ -214,6 +214,9 @@ type Server struct {
 	// reloadMu serializes Reload calls; the swap itself is the atomic
 	// pointer store, so the request path never takes this lock.
 	reloadMu sync.Mutex
+	// pushMu serializes snapshot pushes, so a push whose reload fails
+	// writes back the bytes it replaced, not a concurrent push's.
+	pushMu sync.Mutex
 }
 
 // New builds a server. The classifier must be fully constructed; the

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
+	"os"
 
 	"repro/internal/atomicio"
 	"repro/internal/faults"
@@ -178,10 +180,13 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshotPush is POST /v1/admin/snapshot — the receiving end of
 // the ring's self-healing repair loop. The body is a complete snapshot
-// file; it is verified (envelope checksum, decodable model) BEFORE it
+// file; it is verified (frame checksum, decodable model) BEFORE it
 // replaces anything on disk, then written atomically to ModelPath and
 // hot-reloaded through the same validate-and-swap path as any reload. A
-// corrupt push can therefore never destroy a replica's good snapshot.
+// push that fails verification never touches the file; one whose reload
+// fails gets the previous bytes written back, so a restart finds the
+// model that kept serving. Only a crash between the write and that
+// restore can leave the pushed bytes on disk.
 func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request) {
 	if !allowMethod(w, r, http.MethodPost) {
 		return
@@ -199,14 +204,23 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request) {
 		httpClientError(w, http.StatusBadRequest, fmt.Errorf("pushed snapshot rejected: %w", err))
 		return
 	}
-	if err := atomicio.WriteFile(s.opts.ModelPath, func(w io.Writer) error {
-		_, err := w.Write(body)
-		return err
-	}); err != nil {
+	s.pushMu.Lock()
+	defer s.pushMu.Unlock()
+	prev, err := os.ReadFile(s.opts.ModelPath) // nil when there is no file
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("read current snapshot: %v", err)})
+		return
+	}
+	if err := replaceFile(s.opts.ModelPath, body); err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: fmt.Sprintf("write snapshot: %v", err)})
 		return
 	}
 	st, err := s.Reload()
+	if err != nil {
+		if rerr := replaceFile(s.opts.ModelPath, prev); rerr != nil {
+			err = fmt.Errorf("%w; restoring the previous snapshot: %v", err, rerr)
+		}
+	}
 	switch {
 	case errors.Is(err, ErrDraining):
 		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
@@ -218,4 +232,16 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, st)
 	}
+}
+
+// replaceFile atomically replaces path with data, or removes path when
+// data is nil.
+func replaceFile(path string, data []byte) error {
+	if data == nil {
+		return os.Remove(path)
+	}
+	return atomicio.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }

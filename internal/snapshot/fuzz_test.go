@@ -46,12 +46,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	// it discards their content, so the same invariant holds over the
 	// extended format. Seed the section header boundaries and a flip in
 	// the section's checksummed region (header fields + payload).
-	var sbuf bytes.Buffer
-	if err := WriteSections(&sbuf, testModel(),
-		Section{Kind: SectionKNNIndex, Version: KNNIndexVersion, Payload: []byte(`{"count":2}`)}); err != nil {
-		f.Fatal(err)
-	}
-	withSec := sbuf.Bytes()
+	withSec := sectionFile(f, retiredIndex(`{"count":2}`))
 	f.Add(withSec)
 	for _, cut := range []int{len(good) + 1, len(good) + 8, len(good) + 28, len(withSec) - 9, len(withSec) - 1} {
 		if cut >= 0 && cut <= len(withSec) {

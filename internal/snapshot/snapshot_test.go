@@ -11,6 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/distance"
 	"repro/internal/engine"
+	"repro/internal/frame"
 	"repro/internal/offline"
 	"repro/internal/session"
 	"repro/internal/stats"
@@ -248,7 +249,7 @@ func TestReadRejectsCorruption(t *testing.T) {
 
 	// An absurd declared payload length is capped, not allocated.
 	huge := append([]byte(nil), good[:24]...)
-	binary.BigEndian.PutUint64(huge[16:24], maxPayload+1)
+	binary.BigEndian.PutUint64(huge[16:24], frame.MaxPayload+1)
 	if _, err := Read(bytes.NewReader(huge)); err == nil {
 		t.Fatal("oversized payload declaration should fail")
 	}

@@ -2,13 +2,17 @@ package repro
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -297,16 +301,15 @@ func TestRetiredIndexSectionStillLoads(t *testing.T) {
 	if err := pred.WriteSnapshot(&plain); err != nil {
 		t.Fatal(err)
 	}
-	if _, secs, err := snapshot.ReadSections(bytes.NewReader(plain.Bytes())); err != nil || len(secs) != 0 {
-		t.Fatalf("new snapshot: %d trailing sections, err %v; want none", len(secs), err)
+	if n := binary.BigEndian.Uint64(plain.Bytes()[16:24]); uint64(plain.Len()) != 24+n+8 {
+		t.Fatalf("new snapshot: %d bytes, want exactly the %d of its model frame", plain.Len(), 24+n+8)
 	}
 
 	var old bytes.Buffer
-	index := snapshot.Section{Kind: snapshot.SectionKNNIndex, Version: snapshot.KNNIndexVersion,
-		Payload: []byte(`{"leaf_size":8,"count":2,"root":0,"nodes":[{"v":-1,"in":-1,"out":-1,"leaf":[0,1]}]}`)}
-	if err := snapshot.WriteSections(&old, pred.buildModel(), index); err != nil {
+	if err := snapshot.Write(&old, pred.buildModel()); err != nil {
 		t.Fatal(err)
 	}
+	appendRetiredIndex(t, &old, []byte(`{"leaf_size":8,"count":2,"root":0,"nodes":[{"v":-1,"in":-1,"out":-1,"leaf":[0,1]}]}`))
 	path := filepath.Join(t.TempDir(), "indexed.snap")
 	if err := os.WriteFile(path, old.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
@@ -331,5 +334,142 @@ func TestRetiredIndexSectionStillLoads(t *testing.T) {
 		if !bytes.Equal(again.Bytes(), plain.Bytes()) {
 			t.Fatalf("%s: re-saving the old snapshot did not write the sectionless bytes", loaded.name)
 		}
+	}
+}
+
+// appendRetiredIndex appends a kind-1 trailing section, version 1, as the
+// builds that searched through a metric index wrote it: the "IDASECTv"
+// header, the gzipped payload, and an FNV-64a checksum over the header
+// fields and the payload (internal/snapshot/section.go).
+func appendRetiredIndex(t *testing.T, buf *bytes.Buffer, index []byte) {
+	t.Helper()
+	var zbuf bytes.Buffer
+	zw := gzip.NewWriter(&zbuf)
+	if _, err := zw.Write(index); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	head := make([]byte, 28)
+	copy(head, "IDASECTv")
+	binary.BigEndian.PutUint32(head[8:12], 1)  // kind: the retired index
+	binary.BigEndian.PutUint32(head[12:16], 1) // version
+	binary.BigEndian.PutUint32(head[16:20], 1) // flags: gzip
+	binary.BigEndian.PutUint64(head[20:28], uint64(zbuf.Len()))
+	h := fnv.New64a()
+	h.Write(head[8:])
+	h.Write(zbuf.Bytes())
+	buf.Write(head)
+	buf.Write(zbuf.Bytes())
+	buf.Write(binary.BigEndian.AppendUint64(nil, h.Sum64()))
+}
+
+// pushReplica saves pred to a fresh model file and returns a handler
+// that accepts snapshot pushes onto it, reloading through
+// SnapshotReloader as `idarepro serve -reload` does.
+func pushReplica(t *testing.T, pred *Predictor) (http.Handler, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "model.snap")
+	if err := pred.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	return pred.Handler(ServeOptions{ModelPath: path, Reloader: SnapshotReloader(path)}), path
+}
+
+// push POSTs body to /v1/admin/snapshot and returns the status code.
+func push(h http.Handler, body []byte) int {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/admin/snapshot", bytes.NewReader(body)))
+	return rec.Code
+}
+
+// TestRejectedPushKeepsSnapshot: a well-framed snapshot whose model does
+// not load (an unknown method) fails the reload, and the replica's model
+// file keeps the bytes it serves from, so a restart still loads.
+func TestRejectedPushKeepsSnapshot(t *testing.T) {
+	pred := trainSnapshotPredictor(t, testFramework(t), PredictorConfig{N: 2, K: 3, ThetaDelta: 0.25})
+	h, path := pushReplica(t, pred)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := pred.buildModel()
+	m.Method = "bogus"
+	var bad bytes.Buffer
+	if err := snapshot.Write(&bad, m); err != nil {
+		t.Fatal(err)
+	}
+	if code := push(h, bad.Bytes()); code != http.StatusInternalServerError {
+		t.Fatalf("push of an unloadable model: %d, want 500", code)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, orig) {
+		t.Fatalf("model file after the rejected push: %d bytes (%v), want the original %d", len(got), err, len(orig))
+	}
+	if _, err := LoadPredictor(path); err != nil {
+		t.Fatalf("restart after the rejected push: %v", err)
+	}
+	// A good push still lands.
+	if code := push(h, orig); code != http.StatusOK {
+		t.Fatalf("push of the served model: %d, want 200", code)
+	}
+}
+
+// inflateBomb is a well-framed snapshot, checksum included, whose payload
+// of 256 MiB of spaces and then "{}" gzips to about 261 KB: 256
+// concatenated gzip members of 1 MiB of spaces, then one of "{}".
+func inflateBomb(t *testing.T) []byte {
+	t.Helper()
+	zip := func(raw []byte) []byte {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		if _, err := zw.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	payload := append(bytes.Repeat(zip(bytes.Repeat([]byte(" "), 1<<20)), 256), zip([]byte("{}"))...)
+	head := make([]byte, 24)
+	copy(head, "IDASNAPv")
+	binary.BigEndian.PutUint32(head[8:12], snapshot.Version)
+	binary.BigEndian.PutUint32(head[12:16], 1) // flags: gzip
+	binary.BigEndian.PutUint64(head[16:24], uint64(len(payload)))
+	h := fnv.New64a()
+	h.Write(payload)
+	return binary.BigEndian.AppendUint64(append(head, payload...), h.Sum64())
+}
+
+// TestInflateBombRefused: a snapshot that inflates about 1,000 times is
+// refused by snapshot.Read, which stops inflating at the frame's bound,
+// and by POST /v1/admin/snapshot, which leaves the model file alone.
+func TestInflateBombRefused(t *testing.T) {
+	bomb := inflateBomb(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := snapshot.Read(bytes.NewReader(bomb))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("snapshot.Read accepted a %d-byte frame inflating to 256 MiB", len(bomb))
+	}
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	if mb > 200 {
+		t.Fatalf("refusing the bomb allocated %.0f MB, want under 200", mb)
+	}
+	t.Logf("refused a %d-byte frame after allocating %.0f MB", len(bomb), mb)
+
+	h, path := pushReplica(t, trainSnapshotPredictor(t, testFramework(t), PredictorConfig{N: 2, K: 3, ThetaDelta: 0.25}))
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := push(h, bomb); code != http.StatusBadRequest {
+		t.Fatalf("push of the bomb: %d, want 400", code)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, orig) {
+		t.Fatal("a refused push changed the model file")
 	}
 }
