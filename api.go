@@ -211,10 +211,6 @@ type PredictorConfig struct {
 	ThetaDelta float64
 	// ThetaI is the interestingness threshold θ_I (method-scaled).
 	ThetaI float64
-	// Workers bounds the training-scan worker pool: <1 means one worker
-	// per CPU, 1 forces the sequential path. Predictions are bit-identical
-	// at every setting.
-	Workers int
 	// Fallback selects the degradation policy applied when the model
 	// abstains. The zero value (FallbackAbstain) preserves the paper's
 	// abstention semantics exactly.
@@ -299,7 +295,6 @@ func (f *Framework) TrainPredictorContext(ctx context.Context, I MeasureSet, met
 	clf := knn.New(samples, distance.TreeEdit{}, knn.Config{
 		K:          cfg.K,
 		ThetaDelta: cfg.ThetaDelta,
-		Workers:    cfg.Workers,
 		Fallback:   cfg.Fallback,
 	})
 	p = &Predictor{clf: clf, I: I, method: method, cfg: cfg, norm: f.Analysis.Normalizer}
@@ -317,8 +312,9 @@ func (f *Framework) TrainPredictorContext(ctx context.Context, I MeasureSet, met
 // different model configuration — the analysis fingerprint already
 // matched, so a config echo mismatch means the caller changed the train
 // request, and the honest move is to retrain, not to resume the wrong
-// model). Restore failures also fall back to retraining: the checkpoint
-// is advisory, never load-bearing for correctness.
+// model). Restore failures, a model Validate refuses included, also fall
+// back to retraining: the checkpoint is advisory, never load-bearing for
+// correctness.
 func resumeTrainedModel(ck *checkpoint.Manager, I MeasureSet, method Method, cfg PredictorConfig) *Predictor {
 	if ck == nil || !ck.Resumed() {
 		return nil
@@ -328,7 +324,7 @@ func resumeTrainedModel(ck *checkpoint.Manager, I MeasureSet, method Method, cfg
 		return nil
 	}
 	var m snapshot.Model
-	if err := json.Unmarshal(raw, &m); err != nil {
+	if err := json.Unmarshal(raw, &m); err != nil || m.Validate() != nil {
 		return nil
 	}
 	names := I.Names()
@@ -346,9 +342,6 @@ func resumeTrainedModel(ck *checkpoint.Manager, I MeasureSet, method Method, cfg
 	if err != nil {
 		return nil
 	}
-	if p.cfg.Workers != cfg.Workers {
-		p.SetWorkers(cfg.Workers)
-	}
 	return p
 }
 
@@ -361,13 +354,12 @@ func (p *Predictor) Config() PredictorConfig { return p.cfg }
 // Method returns the comparison method the model was trained under.
 func (p *Predictor) Method() Method { return p.method }
 
-// SetWorkers rebounds the prediction fan-out width after construction or
-// load — a deployment knob, not a model parameter: predictions are
-// bit-identical at every setting. Set it before serving traffic.
-func (p *Predictor) SetWorkers(n int) {
-	p.cfg.Workers = n
-	p.clf.SetWorkers(n)
-}
+// SetWorkers bounds the prediction fan-out width (<1 means one worker per
+// CPU, 1 forces the sequential path) — a deployment knob, not a model
+// parameter: snapshots do not carry it, and predictions are
+// bit-identical at every setting. Set it before serving traffic; a
+// server's hot reload keeps it (see SnapshotReloader).
+func (p *Predictor) SetWorkers(n int) { p.clf.SetWorkers(n) }
 
 // MeasureSet returns the measure configuration the model predicts over.
 func (p *Predictor) MeasureSet() MeasureSet { return p.I }
@@ -461,7 +453,6 @@ func (p *Predictor) buildModel() *snapshot.Model {
 		K:          p.cfg.K,
 		ThetaDelta: p.cfg.ThetaDelta,
 		ThetaI:     p.cfg.ThetaI,
-		Workers:    p.cfg.Workers,
 		Fallback:   p.cfg.Fallback.String(),
 	}
 	if p.norm != nil {
@@ -525,24 +516,15 @@ func LoadPredictor(path string) (*Predictor, error) {
 	return p, nil
 }
 
-// predictorFromModel rebuilds a predictor from a decoded model.
+// predictorFromModel rebuilds a predictor from a model Validate accepted,
+// so the method, fallback and measure names all resolve.
 func predictorFromModel(m *snapshot.Model) (*Predictor, error) {
-	method, err := offline.ParseMethod(m.Method)
-	if err != nil {
-		return nil, fmt.Errorf("repro: load predictor: %w", err)
-	}
-	fb, err := knn.ParseFallbackPolicy(m.Fallback)
-	if err != nil {
-		return nil, fmt.Errorf("repro: load predictor: %w", err)
-	}
+	method, _ := offline.ParseMethod(m.Method)
+	fb, _ := knn.ParseFallbackPolicy(m.Fallback)
 	reg := measures.NewRegistry()
 	I := make(MeasureSet, len(m.Measures))
 	for i, name := range m.Measures {
-		msr, err := reg.Get(name)
-		if err != nil {
-			return nil, fmt.Errorf("repro: load predictor: %w", err)
-		}
-		I[i] = msr
+		I[i], _ = reg.Get(name)
 	}
 	displays := snapshot.DecodeDisplays(m.Displays)
 	samples := make([]*offline.Sample, len(m.Samples))
@@ -558,13 +540,11 @@ func predictorFromModel(m *snapshot.Model) (*Predictor, error) {
 		K:          m.K,
 		ThetaDelta: m.ThetaDelta,
 		ThetaI:     m.ThetaI,
-		Workers:    m.Workers,
 		Fallback:   fb,
 	}
 	clf := knn.New(samples, distance.TreeEdit{}, knn.Config{
 		K:          cfg.K,
 		ThetaDelta: cfg.ThetaDelta,
-		Workers:    cfg.Workers,
 		Fallback:   cfg.Fallback,
 	})
 	p := &Predictor{clf: clf, I: I, method: method, cfg: cfg}
@@ -593,8 +573,10 @@ type (
 // SnapshotReloader returns a reloader that re-reads the model snapshot
 // at path on every reload: wire it into ServeOptions.Reloader and a
 // SIGHUP (or POST /v1/admin/reload) swaps in whatever model the file
-// holds — after checksum verification and a self-test, atomically, with
-// in-flight requests finishing on the model they started with.
+// holds — after checksum verification, Validate and a self-test,
+// atomically, with in-flight requests finishing on the model they
+// started with. The swapped-in model scans with the serving model's
+// worker count, so SetWorkers outlives every reload.
 func SnapshotReloader(path string) ServeReloader {
 	return func() (*knn.Classifier, ServeModelInfo, error) {
 		p, err := LoadPredictor(path)

@@ -101,9 +101,7 @@ func cmdLoadtest(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		if workerCount != 0 {
-			pred.SetWorkers(workerCount)
-		}
+		pred.SetWorkers(workerCount)
 		opts.Handler = pred.Handler(repro.ServeOptions{})
 		fmt.Fprintf(os.Stderr, "loadtest: serving %s in-process (%d samples)\n", *model, pred.TrainingSize())
 	}

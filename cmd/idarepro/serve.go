@@ -64,7 +64,6 @@ func cmdTrain(ctx context.Context, args []string) error {
 		fmt.Fprintf(os.Stderr, "train: resumed from checkpoint %s (completed stages skipped)\n", *ckptDir)
 	}
 	cfg := repro.DefaultPredictorConfig(method)
-	cfg.Workers = workerCount
 	cfg.Fallback = fb
 	pred, err := fw.TrainPredictorContext(ctx, repro.DefaultMeasureSet(), method, cfg)
 	if err != nil {
@@ -166,9 +165,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if workerCount != 0 {
-		pred.SetWorkers(workerCount)
-	}
+	pred.SetWorkers(workerCount)
 	cfg := pred.Config()
 	fmt.Fprintf(os.Stderr, "serve: loaded %s model from %s (%d samples, n=%d k=%d θ_δ=%g fallback=%s)\n",
 		pred.Method(), *model, pred.TrainingSize(), cfg.N, cfg.K, cfg.ThetaDelta, cfg.Fallback)

@@ -40,7 +40,7 @@ func realServer(t *testing.T) *httptest.Server {
 	clf := knn.New([]*offline.Sample{sample}, distance.NewMemoizedTreeEdit(nil), knn.Config{
 		K: 1, ThetaDelta: 0.25, Workers: 1,
 	})
-	s := serve.New(clf, serve.ModelInfo{Method: "normalized", TrainingSize: 1, Prior: "variance"}, serve.Options{})
+	s := serve.New(clf, serve.ModelInfo{Method: "normalized", N: 2, TrainingSize: 1, Prior: "variance"}, serve.Options{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts

@@ -9,8 +9,8 @@ import (
 )
 
 // boundedContexts builds a spread of contexts with different sizes and
-// depths, plus same-shape contexts whose actions differ in type, so every
-// lower bound (size, height, actions) and the full-DP path are exercised.
+// depths, plus same-shape contexts whose actions differ in type, so both
+// the action bound and the full-DP path are exercised.
 func boundedContexts(t *testing.T) []*session.Context {
 	t.Helper()
 	root := packetRoot(t)
@@ -68,11 +68,10 @@ func TestDistanceWithinMatchesDistance(t *testing.T) {
 	ctxs := boundedContexts(t)
 	m := TreeEdit{}
 	bounds := []float64{0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.9, 1}
-	abandoned, byActions := 0, 0
+	abandoned := 0
 	for i, a := range ctxs {
 		for j, b := range ctxs {
 			exact := m.Distance(a, b)
-			structural := lowerBound(flatten(a), flatten(b))
 			for _, bound := range bounds {
 				d, within := m.NewEvaluator(a).DistanceWithin(m.Prepare(b), bound)
 				if within {
@@ -84,9 +83,6 @@ func TestDistanceWithinMatchesDistance(t *testing.T) {
 					}
 				} else {
 					abandoned++
-					if structural <= bound {
-						byActions++
-					}
 					if exact <= bound {
 						t.Fatalf("pair (%d,%d) bound %g: abandoned but exact %v <= bound", i, j, bound, exact)
 					}
@@ -98,10 +94,7 @@ func TestDistanceWithinMatchesDistance(t *testing.T) {
 		}
 	}
 	if abandoned == 0 {
-		t.Fatal("no pair ever abandoned; the bounds are vacuous for this corpus")
-	}
-	if byActions == 0 {
-		t.Fatal("the action bound never abandoned a pair the size/height bound kept")
+		t.Fatal("no pair ever abandoned; the bound is vacuous for this corpus")
 	}
 }
 
@@ -135,27 +128,19 @@ func actionBound(m TreeEdit, a, b *session.Context) float64 {
 	return e.run(tb)
 }
 
-// TestLowerBoundNeverExceedsDistance checks every lower bound the
+// TestLowerBoundNeverExceedsDistance checks the action bound the
 // evaluator abandons on against the exact metric over all corpus pairs.
 // The comparison is exact, with no tolerance: the scan compares the
-// bounds against θ_δ and the k-th-best distance in floating point, so a
+// bound against θ_δ and the k-th-best distance in floating point, so a
 // bound one ULP above the computed distance could drop a true neighbor.
 func TestLowerBoundNeverExceedsDistance(t *testing.T) {
 	ctxs := boundedContexts(t)
 	for _, m := range []TreeEdit{{}, NewMemoizedTreeEdit(nil)} {
-		for _, lb := range []struct {
-			name  string
-			bound func(a, b *session.Context) float64
-		}{
-			{"size/height", func(a, b *session.Context) float64 { return lowerBound(flatten(a), flatten(b)) }},
-			{"actions", func(a, b *session.Context) float64 { return actionBound(m, a, b) }},
-		} {
-			for i, a := range ctxs {
-				for j, b := range ctxs {
-					if got, exact := lb.bound(a, b), m.Distance(a, b); got > exact {
-						t.Fatalf("metric %+v, %s bound of pair (%d,%d) is %v, above the exact distance %v",
-							m, lb.name, i, j, got, exact)
-					}
+		for i, a := range ctxs {
+			for j, b := range ctxs {
+				if got, exact := actionBound(m, a, b), m.Distance(a, b); got > exact {
+					t.Fatalf("metric %+v, action bound of pair (%d,%d) is %v, above the exact distance %v",
+						m, i, j, got, exact)
 				}
 			}
 		}

@@ -17,10 +17,10 @@ import (
 // scratch is reused between evaluations.
 
 // Telemetry handles for the bounded path: bounded_calls counts
-// DistanceWithin invocations, early_abandon those a lower bound rejected
-// before any display distance was computed — the early-abandon hit rate
-// of the kNN scan. An evaluator tallies them locally and adds them in
-// one write per counter (Flush).
+// DistanceWithin invocations, early_abandon those the action bound
+// rejected before any display distance was computed — the early-abandon
+// hit rate of the kNN scan. An evaluator tallies them locally and adds
+// them in one write per counter (Flush).
 var (
 	mBoundedCalls = obs.C("distance.treeedit.bounded_calls")
 	mEarlyAbandon = obs.C("distance.treeedit.early_abandon")
@@ -84,22 +84,16 @@ func addNonZero(c *obs.Counter, n uint64) {
 
 // DistanceWithin returns (d, true) with the exact distance from the query
 // to p when d <= bound, else (lb, false) with lb a lower bound on the
-// true distance, not the distance itself. Two tests can abandon a pair
-// before the exact dynamic program runs, cheapest first:
+// true distance, not the distance itself. One test can abandon a pair
+// before the exact dynamic program runs: the same dynamic program with
+// relabel cost 0.5·ActionDistance. The real relabel cost adds
+// 0.5·DisplayDistance >= 0 to every pair, so no edit script costs less
+// under the real costs, and the program's only operations — + and min
+// over the same cells — are monotone under IEEE rounding: the computed
+// action-only distance never exceeds the computed exact one. It runs
+// before any display distance is computed, which is where the time goes.
 //
-//   - size and height: every insert/delete changes the node count by one,
-//     and moves the tree height by at most one (a delete splices a node's
-//     children into its parent), while relabels leave structure alone —
-//     so raw >= max(|size(a) − size(b)|, |height(a) − height(b)|);
-//   - actions: the same dynamic program with relabel cost
-//     0.5·ActionDistance. The real relabel cost adds 0.5·DisplayDistance
-//     >= 0 to every pair, so no edit script costs less under the real
-//     costs, and the program's only operations — + and min over the same
-//     cells — are monotone under IEEE rounding: the computed action-only
-//     distance never exceeds the computed exact one. It runs before any
-//     display distance is computed, which is where the time goes.
-//
-// Both abandon only when their bound strictly exceeds `bound`, so pairs at
+// It abandons only when its bound strictly exceeds `bound`, so pairs at
 // the bound are computed exactly and a scan's ties survive. Whenever
 // (d, true) is returned, d carries the exact distance's float bits.
 func (e *Evaluator) DistanceWithin(p *Prepared, bound float64) (float64, bool) {
@@ -117,10 +111,6 @@ func (e *Evaluator) within(p *Prepared, bound float64) (float64, bool) {
 	ta, tb := e.q, p.ft
 	if d, done := degenerateDistance(ta, tb); done {
 		return d, d <= bound
-	}
-	if lb := lowerBound(ta, tb); lb > bound {
-		e.abandoned++
-		return lb, false
 	}
 	e.grow(len(ta.nodes), len(tb.nodes))
 	e.actionCosts(tb)
@@ -158,24 +148,6 @@ func (e *Evaluator) addDisplayCosts(tb *flatTree) {
 			row[j] += 0.5 * e.displayDistance(a.Display, b.Display)
 		}
 	}
-}
-
-// lowerBound returns the normalized-distance lower bound of two non-empty
-// flattened trees by size and height.
-func lowerBound(ta, tb *flatTree) float64 {
-	sizeDiff := len(ta.nodes) - len(tb.nodes)
-	if sizeDiff < 0 {
-		sizeDiff = -sizeDiff
-	}
-	heightDiff := ta.height - tb.height
-	if heightDiff < 0 {
-		heightDiff = -heightDiff
-	}
-	diff := sizeDiff
-	if heightDiff > diff {
-		diff = heightDiff
-	}
-	return float64(diff) / float64(len(ta.nodes)+len(tb.nodes))
 }
 
 // displayDistance is the display half of a relabel cost. A display

@@ -73,7 +73,6 @@ type flatTree struct {
 	nodes    []*session.CtxNode // postorder, 0-based
 	leftmost []int              // leftmost[i] = postorder index of leftmost leaf of subtree i
 	keyroots []int
-	height   int // nodes on the longest root-to-leaf path (leaf = 1)
 }
 
 func flatten(c *session.Context) *flatTree {
@@ -81,16 +80,13 @@ func flatten(c *session.Context) *flatTree {
 	if c == nil || c.Root == nil {
 		return ft
 	}
-	var walk func(n *session.CtxNode) (lm, height int)
-	walk = func(n *session.CtxNode) (int, int) {
-		lm, maxH := -1, 0
+	var walk func(n *session.CtxNode) int
+	walk = func(n *session.CtxNode) int {
+		lm := -1
 		for _, ch := range n.Children {
-			l, h := walk(ch)
+			l := walk(ch)
 			if lm == -1 {
 				lm = l
-			}
-			if h > maxH {
-				maxH = h
 			}
 		}
 		idx := len(ft.nodes)
@@ -99,9 +95,9 @@ func flatten(c *session.Context) *flatTree {
 			lm = idx
 		}
 		ft.leftmost = append(ft.leftmost, lm)
-		return lm, maxH + 1
+		return lm
 	}
-	_, ft.height = walk(c.Root)
+	walk(c.Root)
 	// Keyroots: nodes with no parent, or that are not the leftmost child —
 	// equivalently the largest postorder index for each distinct leftmost
 	// value.

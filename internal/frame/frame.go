@@ -138,24 +138,45 @@ func ReadPayload(r io.Reader, n uint64, covered []byte) ([]byte, error) {
 }
 
 // Inflate gunzips a payload, refusing one that inflates past
-// maxInflation times its stored length.
+// maxInflation times its stored length. It reads into one buffer sized
+// from the gzip trailer's ISIZE, capped by that bound. ISIZE is the last
+// gzip member's inflated length (mod 2^32), exact for the one-member
+// streams Write produces; a stream that outgrows the buffer (several
+// members, or a trailer that lies) grows once, straight to the bound.
 func Inflate(payload []byte) ([]byte, error) {
 	zr, err := gzip.NewReader(bytes.NewReader(payload))
 	if err != nil {
 		return nil, fmt.Errorf("decompress: %w", err)
 	}
 	limit := int64(len(payload)) * maxInflation
-	raw, err := io.ReadAll(io.LimitReader(zr, limit+1))
-	if err != nil {
-		return nil, fmt.Errorf("decompress: %w", err)
+	size := limit
+	if n := len(payload); n >= 4 {
+		size = min(int64(binary.LittleEndian.Uint32(payload[n-4:])), limit)
 	}
-	if int64(len(raw)) > limit {
-		return nil, fmt.Errorf("decompress: payload inflates past %d times its %d stored bytes", maxInflation, len(payload))
+	// One byte past the expected size, so a stream of exactly that size
+	// reads to its end without growing.
+	buf := make([]byte, size+1)
+	n := 0
+	for {
+		m, err := io.ReadFull(zr, buf[n:])
+		n += m
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("decompress: %w", err)
+		}
+		if int64(len(buf)) > limit {
+			return nil, fmt.Errorf("decompress: payload inflates past %d times its %d stored bytes", maxInflation, len(payload))
+		}
+		grown := make([]byte, limit+1)
+		copy(grown, buf)
+		buf = grown
 	}
 	if err := zr.Close(); err != nil {
 		return nil, fmt.Errorf("decompress: %w", err)
 	}
-	return raw, nil
+	return buf[:n], nil
 }
 
 // checksum is FNV-64a over covered followed by payload.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -159,6 +160,60 @@ func TestInflateBound(t *testing.T) {
 	// Read applies the bound to every gzipped frame.
 	if _, err := Read(bytes.NewReader(framed(t, 1, make([]byte, 4<<20))), testMagic, 1); err == nil {
 		t.Fatal("Read accepted a frame past the inflate bound")
+	}
+}
+
+// TestInflateSizesFromTrailer: a one-member stream, as Write produces,
+// inflates into one buffer sized from its gzip trailer, allocating little
+// more than the inflated bytes; a stream the trailer undercounts (several
+// members, or a rewritten ISIZE) or overcounts still inflates exactly.
+func TestInflateSizesFromTrailer(t *testing.T) {
+	zipped := func(raw []byte) []byte {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		zw.Write(raw)
+		zw.Close()
+		return buf.Bytes()
+	}
+	var text []byte
+	for i := 0; len(text) < 1<<20; i++ {
+		text = fmt.Appendf(text, `{"t":%d,"best":%g},`, i, float64(i*i)/7)
+	}
+	one := zipped(text)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	raw, err := Inflate(one)
+	runtime.ReadMemStats(&after)
+	if err != nil || !bytes.Equal(raw, text) {
+		t.Fatalf("one member: %d bytes, %v", len(raw), err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(len(text))*3/2 {
+		t.Errorf("inflating %d bytes allocated %d", len(text), alloc)
+	}
+	lying := func(isize uint32) []byte {
+		z := append([]byte(nil), one...)
+		binary.LittleEndian.PutUint32(z[len(z)-4:], isize)
+		return z
+	}
+	for name, payload := range map[string][]byte{
+		"two members":    append(zipped(text[:1000]), zipped(text[1000:])...),
+		"small last":     append(zipped(text), zipped(nil)...),
+		"ISIZE too low":  lying(7),
+		"ISIZE too high": lying(1 << 31),
+	} {
+		raw, err := Inflate(payload)
+		if strings.HasPrefix(name, "ISIZE") {
+			// gzip verifies ISIZE after the data: a rewritten trailer is
+			// refused, whatever buffer it sized.
+			if err == nil {
+				t.Errorf("%s: a stream with a rewritten trailer inflated", name)
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(raw, text) {
+			t.Errorf("%s: %d bytes, %v; want the %d-byte text", name, len(raw), err, len(text))
+		}
 	}
 }
 

@@ -57,7 +57,11 @@ func (c *Classifier) Candidates(query *session.Context) []Candidate {
 // first. Disagreeing duplicates keep the closest copy — the one the
 // matching single-process scan would have measured.
 func MergeCandidates(k int, lists ...[]Candidate) []Candidate {
-	byIndex := make(map[int]Candidate, k*len(lists))
+	total := 0
+	for _, list := range lists {
+		total += len(list)
+	}
+	byIndex := make(map[int]Candidate, total)
 	for _, list := range lists {
 		for _, cd := range list {
 			if old, ok := byIndex[cd.Index]; !ok || cd.Dist < old.Dist {
@@ -65,7 +69,7 @@ func MergeCandidates(k int, lists ...[]Candidate) []Candidate {
 			}
 		}
 	}
-	merged := newTopK(k)
+	merged := newTopK(k, len(byIndex))
 	for _, cd := range byIndex {
 		merged.add(cd)
 	}

@@ -364,7 +364,7 @@ func (c *Classifier) scanRange(query *session.Context, lo, hi int, limit float64
 	if c.prepared != nil {
 		ev = c.metric.(distance.TreeEdit).NewEvaluator(query)
 	}
-	acc := newTopK(c.cfg.K)
+	acc := newTopK(c.cfg.K, hi-lo)
 	for i := lo; i < hi; i++ {
 		bound := limit
 		if acc.full() {
@@ -438,7 +438,7 @@ func (c *Classifier) PredictAllCtx(ctx context.Context, queries []*session.Conte
 // versions sorted it in place, which corrupted callers that reuse
 // neighbor lists — see TestVoteDoesNotMutateInput).
 func Vote(eligible []Neighbor, k int) Prediction {
-	acc := newTopK(k)
+	acc := newTopK(k, len(eligible))
 	for i := range eligible {
 		acc.add(Candidate{Index: i, Dist: eligible[i].Dist})
 	}

@@ -2,6 +2,8 @@ package knn
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/offline"
@@ -147,5 +149,44 @@ func TestClassifierDefaultMetricAndK(t *testing.T) {
 	p := clf.Predict(&session.Context{})
 	if !p.Covered || p.Label != "x" {
 		t.Errorf("prediction = %+v", p)
+	}
+}
+
+// TestHugeKAllocatesBySamples: a model's k sizes no allocation beyond
+// what its samples can fill. One Predict on a 3-sample classifier at
+// k = 1,000,000, and the merge of two 3-candidate lists at that k, each
+// allocate under 1 MB, and answer as at k = 3.
+func TestHugeKAllocatesBySamples(t *testing.T) {
+	samples := []*offline.Sample{
+		{Context: &session.Context{T: 1}, Labels: []string{"variance"}},
+		{Context: &session.Context{T: 2}, Labels: []string{"osf"}},
+		{Context: &session.Context{T: 9}, Labels: []string{"osf"}},
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const huge = 1_000_000
+	q := &session.Context{T: 3}
+	want := New(samples, stubMetric{}, Config{K: 3, ThetaDelta: math.Inf(1)}).Predict(q)
+	clf := New(samples, stubMetric{}, Config{K: huge, ThetaDelta: math.Inf(1)})
+	var got Prediction
+	if b := allocated(func() { got = clf.Predict(q) }); b >= 1<<20 {
+		t.Errorf("Predict at k = %d allocated %d bytes, want under 1 MB", huge, b)
+	}
+	if got.Label != want.Label || !reflect.DeepEqual(got.Votes, want.Votes) || len(got.Neighbors) != len(want.Neighbors) {
+		t.Errorf("k = %d answered %+v, k = 3 answered %+v", huge, got, want)
+	}
+	a, b := clf.Candidates(q), clf.Candidates(&session.Context{T: 8})
+	var merged []Candidate
+	if n := allocated(func() { merged = MergeCandidates(huge, a, b) }); n >= 1<<20 {
+		t.Errorf("MergeCandidates at k = %d allocated %d bytes, want under 1 MB", huge, n)
+	}
+	if !reflect.DeepEqual(merged, MergeCandidates(3, a, b)) {
+		t.Errorf("merge at k = %d: %+v, at k = 3: %+v", huge, merged, MergeCandidates(3, a, b))
 	}
 }

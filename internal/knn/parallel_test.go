@@ -187,7 +187,7 @@ func TestTopKMatchesStableSort(t *testing.T) {
 		for i := range dists {
 			dists[i] = float64(rng.Intn(10)) / 10 // many ties
 		}
-		acc := newTopK(k)
+		acc := newTopK(k, n)
 		for i, d := range dists {
 			acc.add(Candidate{Index: i, Dist: d})
 		}

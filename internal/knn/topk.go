@@ -10,19 +10,22 @@ func (c Candidate) less(o Candidate) bool {
 
 // topK is a bounded accumulator of the k smallest candidates under
 // (dist, index) order: a hand-rolled max-heap so one scan costs
-// O(n log k) and allocates O(k) — replacing the full sort.SliceStable
-// over every eligible neighbor (O(n log n) time, O(n) space) the scan
-// used before.
+// O(n log k) and allocates O(min(k, n)) — replacing the full
+// sort.SliceStable over every eligible neighbor (O(n log n) time, O(n)
+// space) the scan used before.
 type topK struct {
 	k int
 	h []Candidate // max-heap: h[0] is the worst kept candidate
 }
 
-func newTopK(k int) *topK {
+// newTopK returns an accumulator for the k smallest of at most n offered
+// candidates. It preallocates min(k, n) slots, so a model's k never
+// sizes an allocation beyond what its samples can fill.
+func newTopK(k, n int) *topK {
 	if k < 1 {
 		k = 1
 	}
-	return &topK{k: k, h: make([]Candidate, 0, k)}
+	return &topK{k: k, h: make([]Candidate, 0, min(k, n))}
 }
 
 // full reports whether k candidates are held.

@@ -155,7 +155,7 @@ func TestDeadlineAdmission(t *testing.T) {
 func TestDeadlineAdmissionOnCandidates(t *testing.T) {
 	samples := ringTrainingSet(20)
 	clf := knn.New(samples, distance.NewMemoizedTreeEdit(nil), knn.Config{K: 1, ThetaDelta: 0.3, Workers: 1})
-	tr := startRing(t, 1, 1, 1, clf, ModelInfo{Checksum: "cafe"}, RouterOptions{})
+	tr := startRing(t, 1, 1, 1, clf, ModelInfo{N: 6, Checksum: "cafe"}, RouterOptions{})
 	rep := tr.replicas[0]
 	rep.est.observe(time.Second)
 

@@ -77,7 +77,7 @@ func hedgeRing(t *testing.T, clf *knn.Classifier, info ModelInfo) (*testRing, in
 func TestHedgeLoserCancelledNoLeak(t *testing.T) {
 	samples := ringTrainingSet(40)
 	whole := knn.New(samples, distance.NewMemoizedTreeEdit(nil), knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1})
-	info := ModelInfo{Prior: whole.Prior(), Checksum: "cafe", TrainingSize: len(samples)}
+	info := ModelInfo{N: 6, Prior: whole.Prior(), Checksum: "cafe", TrainingSize: len(samples)}
 	tr, vidx, victim := hedgeRing(t, whole, info)
 
 	// The victim answers candidates calls only after its request context
@@ -160,7 +160,7 @@ func TestHedgedMergeBitIdentical(t *testing.T) {
 	samples := ringTrainingSet(60) // many duplicate depths → distance ties
 	cfg := knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1}
 	whole := knn.New(samples, distance.NewMemoizedTreeEdit(nil), cfg)
-	info := ModelInfo{Method: "normalized", K: cfg.K, ThetaDelta: cfg.ThetaDelta,
+	info := ModelInfo{Method: "normalized", N: 6, K: cfg.K, ThetaDelta: cfg.ThetaDelta,
 		TrainingSize: len(samples), Prior: whole.Prior(), Checksum: "cafe"}
 	tr, vidx, _ := hedgeRing(t, whole, info)
 

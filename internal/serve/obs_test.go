@@ -91,7 +91,7 @@ func TestEveryResponseCarriesRequestIDAndContentType(t *testing.T) {
 // classifier makes the predict call itself panic).
 func TestPanic500CarriesHeaders(t *testing.T) {
 	s := tinyServer(t, Options{})
-	s.cur.Store(&activeModel{clf: nil, gen: 1})
+	s.cur.Store(&activeModel{clf: nil, info: s.Status().ModelInfo, gen: 1})
 	rec := post(t, s.Handler(), "/v1/predict", wireBody(t, false, trainCtx("q", 1)))
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500 (body %s)", rec.Code, rec.Body)

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/distance"
@@ -17,22 +18,15 @@ import (
 )
 
 // snapshotReloader re-reads the snapshot at path as repro.SnapshotReloader
-// does: the method and fallback names must parse and every sample context
-// must decode against the display pool; the file's checksum is stamped on
-// the model.
+// does: snapshot.Load runs Validate, and every sample context must decode
+// against the display pool; the file's checksum is stamped on the model.
 func snapshotReloader(path string) Reloader {
 	return func() (*knn.Classifier, ModelInfo, error) {
 		m, err := snapshot.Load(path)
 		if err != nil {
 			return nil, ModelInfo{}, err
 		}
-		if _, err := offline.ParseMethod(m.Method); err != nil {
-			return nil, ModelInfo{}, err
-		}
-		fb, err := knn.ParseFallbackPolicy(m.Fallback)
-		if err != nil {
-			return nil, ModelInfo{}, err
-		}
+		fb, _ := knn.ParseFallbackPolicy(m.Fallback) // Validate checked the name
 		displays := snapshot.DecodeDisplays(m.Displays)
 		samples := make([]*offline.Sample, len(m.Samples))
 		for i, rec := range m.Samples {
@@ -47,9 +41,9 @@ func snapshotReloader(path string) Reloader {
 			return nil, ModelInfo{}, err
 		}
 		clf := knn.New(samples, distance.TreeEdit{}, knn.Config{
-			K: m.K, ThetaDelta: m.ThetaDelta, Workers: m.Workers, Fallback: fb,
+			K: m.K, ThetaDelta: m.ThetaDelta, Fallback: fb,
 		})
-		return clf, ModelInfo{Method: m.Method, Checksum: sum}, nil
+		return clf, ModelInfo{Method: m.Method, N: m.N, Checksum: sum}, nil
 	}
 }
 
@@ -59,7 +53,10 @@ func snapshotReloader(path string) Reloader {
 // snapshot frame, checksum included, so the fuzzer reaches model decode,
 // reload and restore. The handler never panics; after any answer but 200
 // the model file holds its previous bytes and the generation is
-// unchanged, and after a 200 the file holds the pushed body.
+// unchanged. After a 200 the file holds the pushed body, and the replica
+// answers a prediction whose allocation stays under 1 MB plus 64 bytes
+// per byte of the model's JSON: no field of the model, k included, sizes
+// an allocation beyond what its samples and nodes fill.
 func FuzzSnapshotPush(f *testing.F) {
 	var good bytes.Buffer
 	if err := snapshot.Write(&good, testSnapshotModel("new")); err != nil {
@@ -75,11 +72,18 @@ func FuzzSnapshotPush(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	wide := testSnapshotModel("new")
+	wide.K = 1_000_000
+	wideModel, err := json.Marshal(wide)
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, seed := range [][]byte{
 		append([]byte{0}, good.Bytes()...),
 		append([]byte{0}, good.Bytes()[:good.Len()/2]...),
 		append([]byte{1}, model...),
 		append([]byte{1}, bogusModel...),
+		append([]byte{1}, wideModel...),
 		append([]byte{1}, `{}`...),
 		append([]byte{1}, `{"method":"normalized","samples":[{"context":null}]}`...),
 		{},
@@ -90,6 +94,7 @@ func FuzzSnapshotPush(f *testing.F) {
 	if err := snapshot.Write(&served, testSnapshotModel("old")); err != nil {
 		f.Fatal(err)
 	}
+	query := wireBody(f, false, trainCtx("q", 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body := data
@@ -124,6 +129,20 @@ func FuzzSnapshotPush(f *testing.F) {
 		if rec.Code == http.StatusOK {
 			if !bytes.Equal(onDisk, body) {
 				t.Fatal("accepted push: the model file does not hold the pushed body")
+			}
+			raw, err := frame.Read(bytes.NewReader(body), "IDASNAPv", snapshot.Version)
+			if err != nil {
+				t.Fatalf("accepted push does not frame: %v", err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			pred := post(t, s.Handler(), "/v1/predict", query)
+			runtime.ReadMemStats(&after)
+			if pred.Code != http.StatusOK {
+				t.Fatalf("prediction after an accepted push: %d %s", pred.Code, pred.Body)
+			}
+			if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(raw)); alloc > limit {
+				t.Fatalf("prediction after an accepted push allocated %d bytes, over %d", alloc, limit)
 			}
 			return
 		}

@@ -43,7 +43,7 @@ func predictMeasure(t *testing.T, s *Server) string {
 func TestReloadSwapsModelAtomically(t *testing.T) {
 	s := tinyServer(t, Options{
 		Reloader: func() (*knn.Classifier, ModelInfo, error) {
-			return labeledClassifier("schutz"), ModelInfo{Method: "normalized", TrainingSize: 1}, nil
+			return labeledClassifier("schutz"), ModelInfo{Method: "normalized", N: 2, TrainingSize: 1}, nil
 		},
 	})
 	if got := predictMeasure(t, s); got != "variance" {
@@ -144,7 +144,7 @@ func TestReloadWithoutReloader(t *testing.T) {
 func TestReloadRejectedWhileDraining(t *testing.T) {
 	s := tinyServer(t, Options{
 		Reloader: func() (*knn.Classifier, ModelInfo, error) {
-			return labeledClassifier("schutz"), ModelInfo{}, nil
+			return labeledClassifier("schutz"), ModelInfo{N: 2}, nil
 		},
 	})
 	s.SetReady(false)
@@ -238,11 +238,11 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	metric := &gatedMetric{gate: gate, inner: distance.NewMemoizedTreeEdit(nil)}
 	sample := &offline.Sample{Context: trainCtx("train", 1), Labels: []string{"variance"}}
 	clf := knn.New([]*offline.Sample{sample}, metric, knn.Config{K: 1, ThetaDelta: 0.25, Workers: 1})
-	s := New(clf, ModelInfo{Method: "normalized", TrainingSize: 1}, Options{
+	s := New(clf, ModelInfo{Method: "normalized", N: 2, TrainingSize: 1}, Options{
 		MaxInFlight:   4,
 		ShutdownGrace: 5 * time.Second,
 		Reloader: func() (*knn.Classifier, ModelInfo, error) {
-			return labeledClassifier("schutz"), ModelInfo{}, nil
+			return labeledClassifier("schutz"), ModelInfo{N: 2}, nil
 		},
 	})
 

@@ -105,7 +105,7 @@ type RouterOptions struct {
 	// Info describes the model the router merges for (served on
 	// /v1/model with Role "router"). Info.Checksum is the reference the
 	// repair loop compares replicas against; Info.Prior is the last-rung
-	// degradation answer.
+	// degradation answer; Info.N caps a request context's node count.
 	Info ModelInfo
 	// Cfg carries the gate/vote/fallback hyper-parameters the router-side
 	// merge applies; it must come from the same snapshot the replicas
@@ -240,7 +240,7 @@ func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch 
 	tr := obs.TraceFrom(r.Context())
 
 	spDecode := stDecode.StartCtx(r.Context())
-	wire, _, ok := decodeWireRequest(w, r, batch, rt.opts.MaxBatch)
+	wire, _, ok := decodeWireRequest(w, r, batch, rt.opts.MaxBatch, rt.opts.Info.N)
 	spDecode.End()
 	if !ok {
 		return

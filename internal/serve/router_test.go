@@ -175,7 +175,7 @@ func TestRouterBitIdenticalToWholeModel(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			whole := knn.New(samples, distance.NewMemoizedTreeEdit(nil), tc.cfg)
-			info := ModelInfo{Method: "normalized", Measures: []string{"variance", "osf", "schutz"},
+			info := ModelInfo{Method: "normalized", Measures: []string{"variance", "osf", "schutz"}, N: 6,
 				K: tc.cfg.K, ThetaDelta: tc.cfg.ThetaDelta, TrainingSize: len(samples),
 				Prior: whole.Prior(), Checksum: "cafe"}
 			tr := startRing(t, 3, 2, 3, whole, info, RouterOptions{})
@@ -210,7 +210,7 @@ func TestRouterFailoverKeepsAnswersIdentical(t *testing.T) {
 	samples := ringTrainingSet(60)
 	cfg := knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1}
 	whole := knn.New(samples, distance.NewMemoizedTreeEdit(nil), cfg)
-	info := ModelInfo{Prior: whole.Prior(), Checksum: "cafe", TrainingSize: len(samples)}
+	info := ModelInfo{N: 6, Prior: whole.Prior(), Checksum: "cafe", TrainingSize: len(samples)}
 	tr := startRing(t, 3, 2, 3, whole, info, RouterOptions{})
 
 	tr.ts[1].Close() // SIGKILL stand-in: connections now refuse
@@ -261,7 +261,7 @@ func TestRouterDegradesToPriorWhenShardLost(t *testing.T) {
 	samples := ringTrainingSet(30)
 	cfg := knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1}
 	whole := knn.New(samples, distance.NewMemoizedTreeEdit(nil), cfg)
-	info := ModelInfo{Prior: whole.Prior(), Checksum: "cafe"}
+	info := ModelInfo{N: 6, Prior: whole.Prior(), Checksum: "cafe"}
 	tr := startRing(t, 3, 1, 3, whole, info, RouterOptions{})
 	tr.killOwner(t, 0)
 
@@ -294,7 +294,7 @@ func TestRouterDegradesToPriorWhenShardLost(t *testing.T) {
 func TestRouterReadyzReflectsRing(t *testing.T) {
 	samples := ringTrainingSet(20)
 	whole := knn.New(samples, distance.NewMemoizedTreeEdit(nil), knn.Config{K: 1, ThetaDelta: 0.3, Workers: 1})
-	info := ModelInfo{Prior: whole.Prior()}
+	info := ModelInfo{N: 6, Prior: whole.Prior()}
 	tr := startRing(t, 3, 1, 3, whole, info, RouterOptions{})
 
 	get := func(path string) *httptest.ResponseRecorder {
@@ -333,7 +333,7 @@ func TestRouterReadyzReflectsRing(t *testing.T) {
 // turned the router's /readyz to 503 and was answered 200 from the prior.
 func TestRouterRejectsMalformedContexts(t *testing.T) {
 	whole := knn.New(ringTrainingSet(30), distance.NewMemoizedTreeEdit(nil), knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1})
-	info := ModelInfo{Prior: whole.Prior(), Checksum: "cafe"}
+	info := ModelInfo{N: 6, Prior: whole.Prior(), Checksum: "cafe"}
 	tr := startRing(t, 3, 2, 3, whole, info, RouterOptions{})
 	single := New(whole, info, Options{}).Handler()
 	for _, body := range []string{
@@ -358,6 +358,54 @@ func TestRouterRejectsMalformedContexts(t *testing.T) {
 	}
 }
 
+// TestContextsOverNRefused: the node cap is the served model's n. A
+// context of n+1 nodes is answered 400 by a single server, by a
+// replica's /v1/knn/candidates and by the router, which counts no
+// replica failure for it; a context of exactly n nodes is served.
+func TestContextsOverNRefused(t *testing.T) {
+	whole := knn.New(ringTrainingSet(30), distance.NewMemoizedTreeEdit(nil), knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1})
+	info := ModelInfo{N: 4, Prior: whole.Prior(), Checksum: "cafe"}
+	tr := startRing(t, 3, 2, 3, whole, info, RouterOptions{})
+	single := New(whole, info, Options{}).Handler()
+	replica := tr.replicas[0]
+	for _, r := range tr.replicas {
+		if len(r.Status().Shards) > 0 {
+			replica = r
+			break
+		}
+	}
+	for nodes, want := range map[int]int{info.N: http.StatusOK, info.N + 1: http.StatusBadRequest} {
+		q := chainCtx("q", 1, nodes)
+		body := wireBody(t, false, q)
+		cands, err := json.Marshal(candidatesRequest{
+			Shard:    replica.Status().Shards[0],
+			Contexts: []*snapshot.WireContext{snapshot.EncodeContext(q, nil)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, rec := range map[string]*httptest.ResponseRecorder{
+			"single server": post(t, single, "/v1/predict", body),
+			"replica":       post(t, replica.Handler(), "/v1/knn/candidates", string(cands)),
+			"router":        post(t, tr.rt.Handler(), "/v1/predict", body),
+		} {
+			if rec.Code != want {
+				t.Errorf("%s answered %d %s to a %d-node context (n = %d), want %d", name, rec.Code, rec.Body, nodes, info.N, want)
+			}
+		}
+	}
+	for _, n := range tr.nodes {
+		if st := tr.rt.Checker().State(n.Name); st != ring.Healthy {
+			t.Errorf("node %s is %v after an oversized request, want healthy", n.Name, st)
+		}
+	}
+	rec := httptest.NewRecorder()
+	tr.rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("router readyz = %d after an oversized request, want 200", rec.Code)
+	}
+}
+
 // TestOversizedHistogramRejected: a request display whose column carries
 // more histogram keys than any encoder writes (engine.TopFreqLimit+1) is
 // refused at decode — 400 from a single server and from the router,
@@ -365,7 +413,7 @@ func TestRouterRejectsMalformedContexts(t *testing.T) {
 // is served.
 func TestOversizedHistogramRejected(t *testing.T) {
 	whole := knn.New(ringTrainingSet(30), distance.TreeEdit{}, knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1})
-	info := ModelInfo{Prior: whole.Prior(), Checksum: "cafe"}
+	info := ModelInfo{N: 6, Prior: whole.Prior(), Checksum: "cafe"}
 	tr := startRing(t, 3, 2, 3, whole, info, RouterOptions{})
 	single := New(whole, info, Options{}).Handler()
 	body := func(keys int) string {
@@ -458,7 +506,7 @@ func TestRouterRepairsStaleReplica(t *testing.T) {
 		if err != nil {
 			return nil, ModelInfo{}, err
 		}
-		return mkClf(), ModelInfo{Checksum: sum}, nil
+		return mkClf(), ModelInfo{N: 6, Checksum: sum}, nil
 	}
 
 	swap := &hswap{}
@@ -469,13 +517,13 @@ func TestRouterRepairsStaleReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica := New(mkClf(), ModelInfo{Checksum: oldSum}, Options{
+	replica := New(mkClf(), ModelInfo{N: 6, Checksum: oldSum}, Options{
 		Ring: r, NodeName: "n0", ModelPath: replicaPath, Reloader: reload,
 	})
 	swap.set(replica.Handler())
 
 	rt := NewRouter(r, RouterOptions{
-		Info:      ModelInfo{Checksum: newSum, Prior: "variance"},
+		Info:      ModelInfo{N: 6, Checksum: newSum, Prior: "variance"},
 		ModelPath: newPath,
 	})
 
@@ -507,7 +555,7 @@ func TestRouterRepairsStaleReplica(t *testing.T) {
 func TestRequestIDPropagatesAcrossHops(t *testing.T) {
 	samples := ringTrainingSet(20)
 	whole := knn.New(samples, distance.NewMemoizedTreeEdit(nil), knn.Config{K: 1, ThetaDelta: 0.3, Workers: 1})
-	info := ModelInfo{Prior: whole.Prior()}
+	info := ModelInfo{N: 6, Prior: whole.Prior()}
 	tr := startRing(t, 2, 1, 2, whole, info, RouterOptions{})
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict",
@@ -553,7 +601,7 @@ func TestRequestIDPropagatesAcrossHops(t *testing.T) {
 func TestCandidatesEndpointContract(t *testing.T) {
 	samples := ringTrainingSet(30)
 	whole := knn.New(samples, distance.NewMemoizedTreeEdit(nil), knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1})
-	tr := startRing(t, 3, 1, 3, whole, ModelInfo{Checksum: "cafe"}, RouterOptions{})
+	tr := startRing(t, 3, 1, 3, whole, ModelInfo{N: 6, Checksum: "cafe"}, RouterOptions{})
 
 	// Find a shard the first replica does NOT serve.
 	r0 := tr.replicas[0]

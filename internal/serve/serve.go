@@ -71,7 +71,10 @@ var (
 	stEncode      = obs.S("serve.encode")
 )
 
-// ModelInfo describes the loaded model on /v1/model.
+// ModelInfo describes the loaded model on /v1/model. N, the model's
+// context size n, also caps a request context's node count: every
+// endpoint that decodes contexts answers 400 to one with more than N
+// nodes (snapshot.CheckContext), so a model with N = 0 accepts none.
 type ModelInfo struct {
 	Method       string   `json:"method"`
 	Measures     []string `json:"measures"`
@@ -261,12 +264,14 @@ func (s *Server) MaxInFlight() int { return s.opts.MaxInFlight }
 func (s *Server) Status() ModelStatus { return s.cur.Load().status() }
 
 // Reload swaps in a fresh model from the configured Reloader:
-// load, validate (checksum verification happens inside the reloader's
-// snapshot read; a self-test probe here), then an atomic pointer swap.
-// In-flight requests finish on the model they started with. Any failure
-// — load error, injected fault, panic, self-test rejection — leaves the
-// previous model serving and returns the error. A draining server
-// rejects reloads with ErrDraining.
+// load, validate (checksum verification and snapshot.Validate happen
+// inside the reloader's snapshot read; a self-test probe here), then an
+// atomic pointer swap. The new classifier takes the live one's worker
+// count before the self-test, so a reload never changes how the process
+// fans out. In-flight requests finish on the model they started with.
+// Any failure — load error, injected fault, panic, self-test rejection —
+// leaves the previous model serving and returns the error. A draining
+// server rejects reloads with ErrDraining.
 func (s *Server) Reload() (ModelStatus, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -279,6 +284,9 @@ func (s *Server) Reload() (ModelStatus, error) {
 	prev := s.cur.Load()
 	gen := prev.gen + 1
 	clf, info, err := s.loadGuarded(gen)
+	if err == nil && clf != nil {
+		clf.SetWorkers(prev.clf.Config().Workers)
+	}
 	if err == nil {
 		err = selfTest(clf)
 	}
@@ -417,9 +425,9 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 
 // servePrediction is the shared single/batch prediction path: decode
 // wire contexts, run the classifier under the admission envelope, and
-// translate abstentions/fallbacks to the wire form. The classifier
-// pointer is read once per request, so a concurrent reload never changes
-// the model mid-request.
+// translate abstentions/fallbacks to the wire form. The model pointer is
+// read once per request, so a concurrent reload never changes the model
+// mid-request, node cap included.
 func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch bool) {
 	if !allowMethod(w, r, http.MethodPost) {
 		return
@@ -431,9 +439,10 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 	defer done()
 	defer timePredict(r.Context())()
 	tr := obs.TraceFrom(r.Context())
+	am := s.cur.Load()
 
 	spDecode := stDecode.StartCtx(r.Context())
-	wire, ctxs, ok := decodeWireRequest(w, r, batch, s.opts.MaxBatch)
+	wire, ctxs, ok := decodeWireRequest(w, r, batch, s.opts.MaxBatch, am.info.N)
 	spDecode.End()
 	if !ok {
 		return
@@ -458,7 +467,7 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 		}
 	}
 
-	preds, err := s.cur.Load().clf.PredictAllCtx(rctx, ctxs)
+	preds, err := am.clf.PredictAllCtx(rctx, ctxs)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) && rctx.Err() != nil {
 			deadlineExceeded(w, tr)
@@ -479,10 +488,11 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 
 // decodeWireRequest is the single/batch request decode shared by the
 // standalone Server and the ring Router, which forwards the wire contexts
-// to replicas verbatim. Both answer a malformed context with the same
-// 400: forwarded, every replica would refuse it, and the router would
-// count each refusal as a replica failure.
-func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBatch int) ([]*snapshot.WireContext, []*session.Context, bool) {
+// to replicas verbatim. Both answer a malformed context, or one with more
+// than maxNodes nodes, with the same 400: forwarded, every replica would
+// refuse it, and the router would count each refusal as a replica
+// failure.
+func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBatch, maxNodes int) ([]*snapshot.WireContext, []*session.Context, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		httpClientError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("read body: %w", err))
@@ -521,7 +531,7 @@ func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBa
 			fmt.Errorf("batch of %d exceeds the %d-context cap", len(wire), maxBatch))
 		return nil, nil, false
 	}
-	ctxs, err := decodeAll(wire)
+	ctxs, err := decodeAll(wire, maxNodes)
 	if err != nil {
 		httpClientError(w, http.StatusBadRequest, err)
 		return nil, nil, false
@@ -529,7 +539,15 @@ func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBa
 	return wire, ctxs, true
 }
 
-func decodeAll(wire []*snapshot.WireContext) ([]*session.Context, error) {
+// decodeAll checks every request context against the node cap, then
+// decodes them, so a request with an oversized context is refused before
+// any of its displays is decoded.
+func decodeAll(wire []*snapshot.WireContext, maxNodes int) ([]*session.Context, error) {
+	for i, wc := range wire {
+		if err := snapshot.CheckContext(wc, maxNodes); err != nil {
+			return nil, fmt.Errorf("context %d: %w", i, err)
+		}
+	}
 	out := make([]*session.Context, len(wire))
 	for i, wc := range wire {
 		c, err := snapshot.DecodeContext(wc, nil)

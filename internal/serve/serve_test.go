@@ -38,7 +38,7 @@ func trainCtx(id string, t int) *session.Context {
 	return &session.Context{SessionID: id, T: t, N: 2, Size: 1, Root: &session.CtxNode{Step: t}}
 }
 
-func wireBody(t *testing.T, batch bool, ctxs ...*session.Context) string {
+func wireBody(t testing.TB, batch bool, ctxs ...*session.Context) string {
 	t.Helper()
 	wire := make([]*snapshot.WireContext, len(ctxs))
 	for i, c := range ctxs {

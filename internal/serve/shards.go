@@ -93,8 +93,9 @@ type candidatesResponse struct {
 // handleCandidates is POST /v1/knn/candidates: the replica-side scan of
 // the sharded predict path. It answers 501 on a standalone server, 404
 // for a shard the ring does not place here (the router treats that as a
-// routing failure and moves to the next replica), and otherwise the
-// shard's ungated top-k per query with globally numbered indexes.
+// routing failure and moves to the next replica), 400 for a malformed
+// context or one over the model's node cap, and otherwise the shard's
+// ungated top-k per query with globally numbered indexes.
 func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	if !allowMethod(w, r, http.MethodPost) {
 		return
@@ -150,7 +151,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 		_ = faults.Inject(site, key, faults.KindLatency)
 	}
 
-	ctxs, err := decodeAll(req.Contexts)
+	ctxs, err := decodeAll(req.Contexts, am.info.N)
 	if err != nil {
 		httpClientError(w, http.StatusBadRequest, err)
 		return

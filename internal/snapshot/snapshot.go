@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/atomicio"
 	"repro/internal/frame"
+	"repro/internal/measures"
 	"repro/internal/offline"
 )
 
@@ -37,7 +39,9 @@ var ErrChecksum = frame.ErrChecksum
 // predictions in a fresh process: the hyper-parameters, the measure
 // configuration (by name, resolved against the built-in registry on
 // load), the per-measure Box-Cox/z-score normalization state, and the
-// labeled training contexts with their shared display pool.
+// labeled training contexts with their shared display pool. It carries
+// no deployment setting: the serving process picks its own worker
+// count, and a "workers" key written by earlier builds is ignored.
 //
 // All floating-point state is carried as JSON numbers, which Go encodes
 // in shortest-exact form and parses back to the identical float64 — the
@@ -55,7 +59,6 @@ type Model struct {
 	K          int     `json:"k"`
 	ThetaDelta float64 `json:"theta_delta"`
 	ThetaI     float64 `json:"theta_i"`
-	Workers    int     `json:"workers,omitempty"`
 	// Fallback is the abstention degradation policy name
 	// (knn.FallbackPolicy.String).
 	Fallback string `json:"fallback,omitempty"`
@@ -92,8 +95,9 @@ func Write(w io.Writer, m *Model) error {
 
 // Read parses a snapshot: the model frame, then every trailing section,
 // each verified and discarded (see section.go), and only then the JSON
-// model. Validating the whole file keeps Read's contract whole-file: a
-// snapshot Read accepts has no corrupt byte anywhere, which the replica
+// model, which must pass Validate. Validating the whole file keeps
+// Read's contract whole-file: a snapshot Read accepts has no corrupt
+// byte anywhere and a model the scan can serve, which the replica
 // snapshot-push handler and the corruption tests rely on.
 func Read(r io.Reader) (*Model, error) {
 	raw, err := frame.Read(r, magic, Version)
@@ -107,12 +111,56 @@ func Read(r io.Reader) (*Model, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("snapshot: decode model: %w", err)
 	}
-	for i, d := range m.Displays {
-		if err := checkDisplay(d); err != nil {
-			return nil, fmt.Errorf("snapshot: display pool entry %d: %w", i+1, err)
-		}
+	if err := m.Validate(); err != nil {
+		return nil, err
 	}
 	return &m, nil
+}
+
+// fallbackNames are the names knn.ParseFallbackPolicy accepts. This
+// package cannot import knn, since the tree-edit metric's tests import
+// this one; TestValidateFallbackNames keeps the two lists in step.
+var fallbackNames = map[string]bool{"": true, "abstain": true, "nearest": true, "prior": true}
+
+// Validate refuses a model the scan cannot serve: an unknown method,
+// fallback or measure name; n or k below 1; a negative θ_δ; no samples;
+// a null or oversized display in the pool; a sample context that is null
+// or has more than n nodes. Read runs it; a model decoded another way
+// (a training checkpoint) must run it before use.
+func (m *Model) Validate() error {
+	if _, err := offline.ParseMethod(m.Method); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	if !fallbackNames[m.Fallback] {
+		return fmt.Errorf("snapshot: unknown fallback policy %q (want abstain, nearest or prior)", m.Fallback)
+	}
+	reg := measures.NewRegistry()
+	for _, name := range m.Measures {
+		if _, err := reg.Get(name); err != nil {
+			return fmt.Errorf("snapshot: %w", err)
+		}
+	}
+	switch {
+	case m.N < 1:
+		return fmt.Errorf("snapshot: n = %d, want at least 1", m.N)
+	case m.K < 1:
+		return fmt.Errorf("snapshot: k = %d, want at least 1", m.K)
+	case !(m.ThetaDelta >= 0):
+		return fmt.Errorf("snapshot: θ_δ = %g, want at least 0", m.ThetaDelta)
+	case len(m.Samples) == 0:
+		return errors.New("snapshot: model has no samples")
+	}
+	for i, d := range m.Displays {
+		if err := checkDisplay(d); err != nil {
+			return fmt.Errorf("snapshot: display pool entry %d: %w", i+1, err)
+		}
+	}
+	for i, s := range m.Samples {
+		if err := CheckContext(s.Context, m.N); err != nil {
+			return fmt.Errorf("snapshot: sample %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Save writes the model to a file path atomically (temp file + fsync +

@@ -12,6 +12,7 @@ import (
 	"repro/internal/distance"
 	"repro/internal/engine"
 	"repro/internal/frame"
+	"repro/internal/knn"
 	"repro/internal/offline"
 	"repro/internal/session"
 	"repro/internal/stats"
@@ -263,5 +264,81 @@ func TestWriteRejectsNonFinite(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, m); err == nil {
 		t.Fatal("NaN in model should fail to encode")
+	}
+}
+
+// TestValidate: Read refuses, through Validate, every model the scan
+// cannot serve, and accepts the fixture model.
+func TestValidate(t *testing.T) {
+	if err := testModel().Validate(); err != nil {
+		t.Fatalf("fixture model: %v", err)
+	}
+	for name, mutate := range map[string]func(m *Model){
+		"unknown method":         func(m *Model) { m.Method = "bogus" },
+		"unknown fallback":       func(m *Model) { m.Fallback = "guess" },
+		"unknown measure":        func(m *Model) { m.Measures = append(m.Measures, "entropy?") },
+		"n = 0":                  func(m *Model) { m.N = 0 },
+		"k = 0":                  func(m *Model) { m.K = 0 },
+		"negative θ_δ":           func(m *Model) { m.ThetaDelta = -0.1 },
+		"no samples":             func(m *Model) { m.Samples = nil },
+		"null sample context":    func(m *Model) { m.Samples[0].Context = nil },
+		"null pooled display":    func(m *Model) { m.Displays = append(m.Displays, nil) },
+		"sample over n nodes":    func(m *Model) { m.N = 1 },
+		"oversized pool display": func(m *Model) { m.Displays = append(m.Displays, wideDisplay(maxTopFreqKeys+1)) },
+	} {
+		m := testModel()
+		mutate(m)
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(&buf); err == nil {
+			t.Errorf("Read accepted a model with %s", name)
+		}
+	}
+}
+
+// TestValidateFallbackNames keeps Validate's fallback names in step with
+// the policies knn parses.
+func TestValidateFallbackNames(t *testing.T) {
+	for _, name := range []string{"", "abstain", "nearest", "prior", "Prior", "none", "fallback(3)"} {
+		m := testModel()
+		m.Fallback = name
+		_, perr := knn.ParseFallbackPolicy(name)
+		if verr := m.Validate(); (verr == nil) != (perr == nil) {
+			t.Errorf("fallback %q: Validate %v, knn.ParseFallbackPolicy %v", name, verr, perr)
+		}
+	}
+}
+
+// TestCheckContext: the node cap counts the wire tree — null children
+// are skipped, DecodeContext refuses them — and stops counting past the
+// cap, so a deep chain is refused without walking it.
+func TestCheckContext(t *testing.T) {
+	chain := func(depth int) *WireContext {
+		root := &WireNode{}
+		for cur, i := root, 1; i < depth; i++ {
+			cur.Children = []*WireNode{{Step: i}}
+			cur = cur.Children[0]
+		}
+		return &WireContext{SessionID: "q", Root: root}
+	}
+	for _, tc := range []struct {
+		w        *WireContext
+		maxNodes int
+		ok       bool
+	}{
+		{nil, 5, false},
+		{&WireContext{}, 0, true},
+		{chain(3), 3, true},
+		{chain(4), 3, false},
+		{chain(1), 0, false},
+		{chain(1 << 16), 3, false},
+		{&WireContext{Root: &WireNode{Children: []*WireNode{{}, nil, {}}}}, 3, true},
+		{&WireContext{Root: &WireNode{Children: []*WireNode{{Children: []*WireNode{{}}}, {}}}}, 3, false},
+	} {
+		if err := CheckContext(tc.w, tc.maxNodes); (err == nil) != tc.ok {
+			t.Errorf("CheckContext(%d-node cap) = %v, want ok=%v", tc.maxNodes, err, tc.ok)
+		}
 	}
 }

@@ -22,10 +22,12 @@
 //
 // Decoding refuses a column histogram of more than engine.TopFreqLimit+1
 // keys: no encoder output carries more, and the display distance's cost
-// grows with the keys it merges.
+// grows with the keys it merges. CheckContext caps a context's node
+// count the same way: an n-context covers at most n elements.
 package snapshot
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/engine"
@@ -160,7 +162,7 @@ func decodeDisplay(w *WireDisplay) *engine.Display {
 // DecodeDisplays decodes a snapshot's display pool. Each pooled display is
 // decoded exactly once, so every Ref to the same index resolves to the
 // same *engine.Display — pointer sharing survives the round trip. The
-// pool must come from a Model that Read accepted: Read refuses the
+// pool must come from a Model that Validate accepted: it refuses the
 // displays DecodeDisplay would.
 func DecodeDisplays(ws []*WireDisplay) []*engine.Display {
 	out := make([]*engine.Display, len(ws))
@@ -199,6 +201,37 @@ func EncodeContext(c *session.Context, pool *Pool) *WireContext {
 	}
 	w.Root = enc(c.Root)
 	return w
+}
+
+// CheckContext refuses a null wire context, or one whose tree has more
+// than maxNodes nodes: an n-context covers at most n elements, and the
+// tree-edit distance's cost grows with the product of two trees' sizes.
+// It counts the wire tree, stopping past maxNodes, so an oversized
+// context is refused before any of its displays is decoded.
+func CheckContext(w *WireContext, maxNodes int) error {
+	if w == nil {
+		return errors.New("snapshot: null context")
+	}
+	if countNodes(w.Root, maxNodes+1) > maxNodes {
+		return fmt.Errorf("snapshot: context %s@%d has more than %d nodes", w.SessionID, w.T, maxNodes)
+	}
+	return nil
+}
+
+// countNodes counts the nodes of the tree under n, stopping once the
+// count reaches stop (so its recursion is at most stop deep).
+func countNodes(n *WireNode, stop int) int {
+	if n == nil {
+		return 0
+	}
+	count := 1
+	for _, ch := range n.Children {
+		if count >= stop {
+			break
+		}
+		count += countNodes(ch, stop-count)
+	}
+	return count
 }
 
 // DecodeContext rebuilds a context. displays is the decoded pool that Ref

@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/faults"
+	"repro/internal/frame"
+	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
 
@@ -159,5 +162,115 @@ func TestReloadServesIdenticalPredictions(t *testing.T) {
 		if got[i].Measure != want[i].MeasureName || got[i].OK != want[i].OK || got[i].Fallback != want[i].Fallback || got[i].Degraded {
 			t.Fatalf("query %d: reloaded server %+v != in-process %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestReloadKeepsServerWorkers: the worker count is the serving
+// process's, never the snapshot's. A 512-sample model served by a
+// one-worker replica is reloaded through /v1/admin/reload and then
+// pushed through /v1/admin/snapshot, both times from a file whose JSON
+// carries the "workers": 64 key earlier builds wrote; the server's
+// batch predictions and candidate scans still run inline
+// (parallel.batches does not move), and the file still loads and answers
+// bit-identically to the same model without the key.
+func TestReloadKeepsServerWorkers(t *testing.T) {
+	fw := chaosFramework(t)
+	if err := fw.RunOfflineAnalysis(AnalysisOptions{SkipReference: true}); err != nil {
+		t.Fatal(err)
+	}
+	trained, err := fw.TrainPredictor(DefaultMeasureSet(), Normalized, PredictorConfig{N: 2, K: 5, ThetaDelta: 0.5, ThetaI: -10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Repeat the training set past the 512 samples a scan needs to split
+	// across workers.
+	m := trained.buildModel()
+	for base := m.Samples; len(m.Samples) < 512; {
+		m.Samples = append(m.Samples, base...)
+	}
+	dir := t.TempDir()
+	plainPath, path := filepath.Join(dir, "plain.snap"), filepath.Join(dir, "model.snap")
+	if err := snapshot.Save(plainPath, m); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var withKey bytes.Buffer
+	if err := frame.Write(&withKey, "IDASNAPv", snapshot.Version, append([]byte(`{"workers":64,`), raw[1:]...)); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := LoadPredictor(plainPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, withKey.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	keyed, err := LoadPredictor(path)
+	if err != nil {
+		t.Fatalf("a snapshot carrying the workers key: %v", err)
+	}
+	qs := testContexts(t, fw, 2, 24)
+	want := plain.PredictAll(qs)
+	assertSamePredictions(t, "workers key", want, keyed.PredictAll(qs))
+
+	plain.SetWorkers(1)
+	spec := &RingSpec{Shards: 1, Replicas: 1, Nodes: []RingNode{{Name: "n0", Addr: "http://127.0.0.1:1"}}}
+	srv, err := plain.NewShardServer(spec, "n0", ServeOptions{Reloader: SnapshotReloader(path), ModelPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	wire := make([]*snapshot.WireContext, len(qs))
+	for i, q := range qs {
+		wire[i] = EncodeWireContext(q)
+	}
+	batch, err := json.Marshal(map[string]any{"contexts": wire})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := json.Marshal(map[string]any{"shard": 0, "contexts": wire[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(endpoint string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, endpoint, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", endpoint, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	countersOn(t)
+	for i, reload := range []struct {
+		endpoint string
+		body     []byte
+	}{{"/v1/admin/reload", nil}, {"/v1/admin/snapshot", withKey.Bytes()}} {
+		post(reload.endpoint, reload.body)
+		if gen := srv.Status().Generation; gen != uint64(i+2) {
+			t.Fatalf("reload %d: generation %d, want %d", i+1, gen, i+2)
+		}
+		before := obs.Default.Snapshot().Counters["parallel.batches"]
+		var got struct {
+			Predictions []struct {
+				Measure  string `json:"measure"`
+				OK       bool   `json:"ok"`
+				Fallback bool   `json:"fallback"`
+			} `json:"predictions"`
+		}
+		if err := json.Unmarshal(post("/v1/predict/batch", batch).Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		post("/v1/knn/candidates", cands)
+		if after := obs.Default.Snapshot().Counters["parallel.batches"]; after != before {
+			t.Fatalf("reload %d: parallel.batches moved %d -> %d; the server took the snapshot's worker count", i+1, before, after)
+		}
+		served := make([]BatchPrediction, len(got.Predictions))
+		for j, p := range got.Predictions {
+			served[j] = BatchPrediction{MeasureName: p.Measure, OK: p.OK, Fallback: p.Fallback}
+		}
+		assertSamePredictions(t, "served after a reload", want, served)
 	}
 }

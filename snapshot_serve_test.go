@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/session"
 	"repro/internal/snapshot"
 )
@@ -384,9 +385,24 @@ func push(h http.Handler, body []byte) int {
 	return rec.Code
 }
 
-// TestRejectedPushKeepsSnapshot: a well-framed snapshot whose model does
-// not load (an unknown method) fails the reload, and the replica's model
-// file keeps the bytes it serves from, so a restart still loads.
+// modelGeneration reads the serving generation from /v1/model.
+func modelGeneration(t *testing.T, h http.Handler) uint64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/model", nil))
+	var st ServeModelStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	return st.Generation
+}
+
+// TestRejectedPushKeepsSnapshot: a well-framed snapshot whose model
+// Validate refuses is answered 400 before the replica's model file is
+// written; one that validates but whose reload fails (an injected
+// serve.reload fault) is answered 500 and has the replaced bytes written
+// back. Either way the file keeps the bytes the replica serves from, so
+// a restart still loads, and the generation does not move.
 func TestRejectedPushKeepsSnapshot(t *testing.T) {
 	pred := trainSnapshotPredictor(t, testFramework(t), PredictorConfig{N: 2, K: 3, ThetaDelta: 0.25})
 	h, path := pushReplica(t, pred)
@@ -394,24 +410,56 @@ func TestRejectedPushKeepsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := pred.buildModel()
-	m.Method = "bogus"
-	var bad bytes.Buffer
-	if err := snapshot.Write(&bad, m); err != nil {
-		t.Fatal(err)
+	encode := func(m *snapshot.Model) []byte {
+		var buf bytes.Buffer
+		if err := snapshot.Write(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	if code := push(h, bad.Bytes()); code != http.StatusInternalServerError {
-		t.Fatalf("push of an unloadable model: %d, want 500", code)
+	keeps := func(what string) {
+		t.Helper()
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, orig) {
+			t.Fatalf("model file after %s: %d bytes (%v), want the original %d", what, len(got), err, len(orig))
+		}
+		if gen := modelGeneration(t, h); gen != 1 {
+			t.Fatalf("generation after %s: %d, want 1", what, gen)
+		}
 	}
-	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, orig) {
-		t.Fatalf("model file after the rejected push: %d bytes (%v), want the original %d", len(got), err, len(orig))
+	for name, mutate := range map[string]func(m *snapshot.Model){
+		"an unknown method": func(m *snapshot.Model) { m.Method = "bogus" },
+		"k = 0":             func(m *snapshot.Model) { m.K = 0 },
+		"n = 0":             func(m *snapshot.Model) { m.N = 0 },
+		"a sample context over n nodes": func(m *snapshot.Model) {
+			root := m.Samples[0].Context.Root
+			for i := 0; i < m.N; i++ {
+				root.Children = append(root.Children, &snapshot.WireNode{Step: 100 + i})
+			}
+		},
+	} {
+		m := pred.buildModel()
+		mutate(m)
+		if code := push(h, encode(m)); code != http.StatusBadRequest {
+			t.Fatalf("push of a model with %s: %d, want 400", name, code)
+		}
+		keeps("a push of a model with " + name)
 	}
+
+	// A model that validates but whose reload fails restores the file.
+	other := pred.buildModel()
+	other.K = 5
+	armFaults(t, faults.Config{Prob: 1, Seed: 1, Kinds: faults.KindError, Sites: []string{faults.SiteServeReload}})
+	if code := push(h, encode(other)); code != http.StatusInternalServerError {
+		t.Fatalf("push under an armed serve.reload site: %d, want 500", code)
+	}
+	faults.Disable()
+	keeps("a push whose reload failed")
 	if _, err := LoadPredictor(path); err != nil {
-		t.Fatalf("restart after the rejected push: %v", err)
+		t.Fatalf("restart after the rejected pushes: %v", err)
 	}
 	// A good push still lands.
-	if code := push(h, orig); code != http.StatusOK {
-		t.Fatalf("push of the served model: %d, want 200", code)
+	if code := push(h, encode(other)); code != http.StatusOK {
+		t.Fatalf("push of a valid model: %d, want 200", code)
 	}
 }
 
@@ -443,8 +491,10 @@ func inflateBomb(t *testing.T) []byte {
 }
 
 // TestInflateBombRefused: a snapshot that inflates about 1,000 times is
-// refused by snapshot.Read, which stops inflating at the frame's bound,
-// and by POST /v1/admin/snapshot, which leaves the model file alone.
+// refused by snapshot.Read, which stops inflating at the frame's bound
+// (64 times the stored payload) after allocating less than twice that
+// bound, and by POST /v1/admin/snapshot, which leaves the model file
+// alone.
 func TestInflateBombRefused(t *testing.T) {
 	bomb := inflateBomb(t)
 	var before, after runtime.MemStats
@@ -455,11 +505,11 @@ func TestInflateBombRefused(t *testing.T) {
 	if err == nil {
 		t.Fatalf("snapshot.Read accepted a %d-byte frame inflating to 256 MiB", len(bomb))
 	}
-	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
-	if mb > 200 {
-		t.Fatalf("refusing the bomb allocated %.0f MB, want under 200", mb)
+	alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(len(bomb)-32)*64 // frame: 24-byte header, 8-byte checksum
+	if alloc >= 2*bound {
+		t.Fatalf("refusing the bomb allocated %.1f MB, want under %.1f MB (twice the %.1f MB inflate bound)",
+			float64(alloc)/1e6, float64(2*bound)/1e6, float64(bound)/1e6)
 	}
-	t.Logf("refused a %d-byte frame after allocating %.0f MB", len(bomb), mb)
 
 	h, path := pushReplica(t, trainSnapshotPredictor(t, testFramework(t), PredictorConfig{N: 2, K: 3, ThetaDelta: 0.25}))
 	orig, err := os.ReadFile(path)
