@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -49,6 +51,10 @@ func (s Schema) Equal(o Schema) bool {
 
 // Column is a typed vertical slice of a table. Exactly one of the payload
 // slices is populated, matching Kind; its length equals the table's row count.
+//
+// A column built by a Builder or selected from one is also dictionary
+// encoded (see Dict and IDs); the two are set when the column is made
+// and never change.
 type Column struct {
 	Name string
 	Kind Kind
@@ -57,7 +63,21 @@ type Column struct {
 	Ints   []int64
 	Flts   []float64
 	TimeNS []int64
+
+	dict []string
+	ids  []uint32
 }
+
+// Dict returns the column's dictionary: the distinct Value.String() forms
+// of the cells Builder.Build encoded, sorted by bytes, so ids order
+// exactly as their strings do. A column Table.Select made
+// shares its source's dictionary, which may hold strings none of its own
+// cells has. Callers must not modify the slice.
+func (c *Column) Dict() []string { return c.dict }
+
+// IDs returns each row's dictionary id: Dict()[IDs()[i]] is
+// Value(i).String(). Callers must not modify the slice.
+func (c *Column) IDs() []uint32 { return c.ids }
 
 // Len returns the number of rows in the column.
 func (c *Column) Len() int {
@@ -173,7 +193,10 @@ func (t *Table) SelectChecked(rows []int) (*Table, error) {
 func (t *Table) Select(rows []int) *Table {
 	cols := make([]*Column, len(t.cols))
 	for j, c := range t.cols {
-		nc := &Column{Name: c.Name, Kind: c.Kind}
+		nc := &Column{Name: c.Name, Kind: c.Kind, dict: c.dict, ids: make([]uint32, len(rows))}
+		for i, r := range rows {
+			nc.ids[i] = c.ids[r]
+		}
 		switch c.Kind {
 		case KindString:
 			nc.Strs = make([]string, len(rows))
@@ -330,12 +353,72 @@ func (b *Builder) Append(vals ...Value) {
 	b.rows++
 }
 
-// Build finalizes the table. It returns an error if any Append failed.
+// Build finalizes the table, dictionary encoding each column. It returns
+// an error if any Append failed.
 func (b *Builder) Build() (*Table, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
+	for _, c := range b.cols {
+		c.dict, c.ids = encode(c)
+	}
 	return &Table{name: b.name, cols: b.cols, rows: b.rows}, nil
+}
+
+// encode dictionary encodes c: it numbers the distinct payloads in
+// first-seen order, formats each one once, then renumbers them by their
+// sorted strings, merging payloads that format alike (NaNs of different
+// bits).
+func encode(c *Column) (dict []string, ids []uint32) {
+	var strs []string
+	switch c.Kind {
+	case KindString:
+		ids, strs = firstSeen(c.Strs, func(s string) string { return s })
+	case KindInt:
+		ids, strs = firstSeen(c.Ints, func(i int64) string { return I(i).String() })
+	case KindFloat:
+		bits := make([]uint64, len(c.Flts))
+		for i, f := range c.Flts {
+			bits[i] = math.Float64bits(f)
+		}
+		ids, strs = firstSeen(bits, func(u uint64) string { return F(math.Float64frombits(u)).String() })
+	case KindTime:
+		ids, strs = firstSeen(c.TimeNS, func(ns int64) string { return Value{Kind: KindTime, TimeNS: ns}.String() })
+	}
+	order := make([]uint32, len(strs))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(x, y uint32) int { return strings.Compare(strs[x], strs[y]) })
+	remap := make([]uint32, len(strs))
+	dict = make([]string, 0, len(strs))
+	for _, code := range order {
+		if s := strs[code]; len(dict) == 0 || dict[len(dict)-1] != s {
+			dict = append(dict, s)
+		}
+		remap[code] = uint32(len(dict) - 1)
+	}
+	for i, code := range ids {
+		ids[i] = remap[code]
+	}
+	return dict, ids
+}
+
+// firstSeen numbers the distinct values of keys in first-seen order and
+// returns each key's number and each number's string form.
+func firstSeen[K comparable](keys []K, format func(K) string) (codes []uint32, strs []string) {
+	codes = make([]uint32, len(keys))
+	seen := make(map[K]uint32)
+	for i, k := range keys {
+		code, ok := seen[k]
+		if !ok {
+			code = uint32(len(strs))
+			seen[k] = code
+			strs = append(strs, format(k))
+		}
+		codes[i] = code
+	}
+	return codes, strs
 }
 
 // MustBuild is Build that panics on error; intended for tests and

@@ -1,8 +1,11 @@
 package dataset
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 func packetsTable(t *testing.T) *Table {
@@ -174,5 +177,72 @@ func TestColumnValueRoundTrip(t *testing.T) {
 	}
 	if got := col.Value(2); !got.Equal(F(0.75)) {
 		t.Errorf("col.Value(2) = %v", got)
+	}
+}
+
+// TestDictionaryEncoding checks each column's dictionary: the distinct
+// string forms of its cells in ascending byte order, which every row's
+// id indexes, including floats whose bits differ but whose strings do
+// not (NaNs) and ints whose numeric and byte orders differ; a selection
+// shares its source's dictionary.
+func TestDictionaryEncoding(t *testing.T) {
+	b := NewBuilder("enc", Schema{
+		{Name: "s", Kind: KindString},
+		{Name: "i", Kind: KindInt},
+		{Name: "f", Kind: KindFloat},
+		{Name: "t", Kind: KindTime},
+	})
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	t0 := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)
+	rows := []struct {
+		s string
+		i int64
+		f float64
+		h int
+	}{
+		{"b", 10, math.NaN(), 0}, {"a", 9, 0.5, 1}, {"", -1, nan2, 0},
+		{"b", 10, math.Copysign(0, -1), 2}, {"é", 100, 0, 1}, {"a", 9, math.Inf(1), 0},
+	}
+	for _, r := range rows {
+		b.Append(S(r.s), I(r.i), F(r.f), T(t0.Add(time.Duration(r.h)*time.Hour)))
+	}
+	tbl := b.MustBuild()
+	for j := 0; j < tbl.NumCols(); j++ {
+		c := tbl.Column(j)
+		dict, ids := c.Dict(), c.IDs()
+		if !slices.IsSorted(dict) || len(slices.Compact(slices.Clone(dict))) != len(dict) {
+			t.Fatalf("column %s: dictionary %q not strictly ascending", c.Name, dict)
+		}
+		if len(ids) != c.Len() {
+			t.Fatalf("column %s: %d ids for %d rows", c.Name, len(ids), c.Len())
+		}
+		used := make([]bool, len(dict))
+		for i, id := range ids {
+			if dict[id] != c.Value(i).String() {
+				t.Fatalf("column %s row %d: id %d is %q, cell is %q", c.Name, i, id, dict[id], c.Value(i).String())
+			}
+			used[id] = true
+		}
+		if slices.Contains(used, false) {
+			t.Fatalf("column %s: dictionary %q holds a string no cell has", c.Name, dict)
+		}
+	}
+	if got := tbl.Column(1).Dict(); !slices.Equal(got, []string{"-1", "10", "100", "9"}) {
+		t.Errorf("int dictionary %q, want byte order", got)
+	}
+	if got := tbl.Column(2).Dict(); !slices.Equal(got, []string{"+Inf", "-0", "0", "0.5", "NaN"}) {
+		t.Errorf("float dictionary %q", got)
+	}
+	sel := tbl.Select([]int{4, 4, 1})
+	for j := 0; j < sel.NumCols(); j++ {
+		c, src := sel.Column(j), tbl.Column(j)
+		if &c.Dict()[0] != &src.Dict()[0] {
+			t.Errorf("column %s: selection has its own dictionary", c.Name)
+		}
+		for i, r := range []int{4, 4, 1} {
+			if c.IDs()[i] != src.IDs()[r] {
+				t.Errorf("column %s: selected row %d has id %d, source row %d has %d", c.Name, i, c.IDs()[i], r, src.IDs()[r])
+			}
+		}
 	}
 }

@@ -141,8 +141,9 @@ func EnumerateActions(d *Display, opts EnumerateOptions) []*Action {
 		for i := 0; i < col.Len(); i++ {
 			vals[i] = col.Value(i).Float()
 		}
+		sort.Float64s(vals)
 		for _, q := range opts.NumericQuantiles {
-			thr := quantile(vals, q)
+			thr := quantileSorted(vals, q)
 			operand := numericOperand(col.Kind, thr)
 			out = append(out, NewFilter(Predicate{Column: c, Op: OpGt, Operand: operand}))
 			out = append(out, NewFilter(Predicate{Column: c, Op: OpLe, Operand: operand}))
@@ -162,25 +163,24 @@ func numericOperand(kind dataset.Kind, f float64) dataset.Value {
 	}
 }
 
-// quantile returns the q-th quantile of xs with linear interpolation.
-func quantile(xs []float64, q float64) float64 {
+// quantileSorted returns the q-th quantile of the ascending xs with
+// linear interpolation.
+func quantileSorted(xs []float64, q float64) float64 {
 	n := len(xs)
 	if n == 0 {
 		return 0
 	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
 	if q <= 0 {
-		return cp[0]
+		return xs[0]
 	}
 	if q >= 1 {
-		return cp[n-1]
+		return xs[n-1]
 	}
 	pos := q * float64(n-1)
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= n {
-		return cp[n-1]
+		return xs[n-1]
 	}
-	return cp[lo]*(1-frac) + cp[lo+1]*frac
+	return xs[lo]*(1-frac) + xs[lo+1]*frac
 }

@@ -44,7 +44,7 @@ func (d *Display) ColumnReference(name string) *stats.Reference {
 		prof := d.GetProfile()
 		r.columns = make(map[string]*stats.Reference, len(prof.byName))
 		for name, cp := range prof.byName {
-			r.columns[name] = stats.NewReference(cp.Freq)
+			r.columns[name] = stats.NewReference(cp.Freq())
 		}
 	})
 	return r.columns[name]
@@ -70,18 +70,27 @@ func (d *Display) GroupReference(by string, agg AggFunc, aggColumn string) *stat
 	return v.(*stats.Reference)
 }
 
-// GroupWeights maps each group of an aggregated display, by its group
-// value's string form, to its aggregate value. It is empty when the
-// display lacks its group or value column.
-func (d *Display) GroupWeights() map[string]float64 {
-	out := make(map[string]float64, d.Table.NumRows())
+// GroupWeights returns each group's aggregate value of an aggregated
+// display as a histogram over its group column's dictionary. It is empty
+// when the display lacks its group or value column.
+func (d *Display) GroupWeights() *stats.IDHist {
 	gc := d.Table.ColumnByName(d.GroupColumn)
 	vc := d.Table.ColumnByName(d.ValueColumn)
 	if gc == nil || vc == nil {
-		return out
+		return &stats.IDHist{}
 	}
-	for i := 0; i < d.Table.NumRows(); i++ {
-		out[gc.Value(i).String()] = vc.Value(i).Float()
+	// last[id] is one past the last row holding id, or 0.
+	dict, ids := gc.Dict(), gc.IDs()
+	last := make([]int, len(dict))
+	for row, id := range ids {
+		last[id] = row + 1
 	}
-	return out
+	h := &stats.IDHist{Dict: dict}
+	for id, row := range last {
+		if row > 0 {
+			h.IDs = append(h.IDs, uint32(id))
+			h.Weights = append(h.Weights, vc.Value(row-1).Float())
+		}
+	}
+	return h
 }

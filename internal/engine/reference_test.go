@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/stats"
 )
 
@@ -41,7 +44,7 @@ func TestRootReferencesSharedAcrossGoroutines(t *testing.T) {
 			t.Fatalf("goroutine %d derived its own TopFreq", g)
 		}
 	}
-	if !reflect.DeepEqual(histMap(tops[0]), root.GetProfile().Column("protocol").Freq) {
+	if !reflect.DeepEqual(histMap(tops[0]), freqMap(root.GetProfile().Column("protocol").Freq())) {
 		t.Errorf("TopFreq of a 4-value column = %v, want its Freq", tops[0])
 	}
 	if root.ColumnReference("no such column") != nil {
@@ -49,5 +52,48 @@ func TestRootReferencesSharedAcrossGoroutines(t *testing.T) {
 	}
 	if root.GroupReference("no such column", AggCount, "") != nil {
 		t.Error("a grouping that fails to execute has a reference")
+	}
+}
+
+// TestGroupWeightsMatchesStringMap checks GroupWeights against mapping
+// each group's key string to its aggregate, on int keys whose numeric
+// and byte orders differ and float keys with a signed zero.
+func TestGroupWeightsMatchesStringMap(t *testing.T) {
+	b := dataset.NewBuilder("g", dataset.Schema{
+		{Name: "i", Kind: dataset.KindInt},
+		{Name: "f", Kind: dataset.KindFloat},
+		{Name: "v", Kind: dataset.KindInt},
+	})
+	for i, k := range []int64{9, 10, 100, 9, -3, 10, 9} {
+		f := []float64{0.5, math.Copysign(0, -1), 0, 2.25}[i%4]
+		b.Append(dataset.I(k), dataset.F(f), dataset.I(int64(i*i)))
+	}
+	root := NewRootDisplay(b.MustBuild())
+	for _, a := range []*Action{
+		NewGroupCount("i"), NewGroupAgg("i", AggSum, "v"), NewGroupAgg("f", AggMax, "v"),
+		NewTopK("count", 2, false),
+	} {
+		d := root
+		if a.Type == ActionTopK {
+			var err error
+			if d, err = Execute(root, NewGroupCount("i")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := Execute(d, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]float64{}
+		for i := 0; i < d.Table.NumRows(); i++ {
+			want[d.Table.Cell(i, 0).String()] = d.Table.Cell(i, 1).Float()
+		}
+		h := d.GroupWeights()
+		if got := freqMap(h); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: GroupWeights %v, want %v", a, got, want)
+		}
+		if !slices.IsSorted(h.IDs) {
+			t.Errorf("%s: ids %v not ascending", a, h.IDs)
+		}
 	}
 }

@@ -47,12 +47,21 @@ func twoCallDeviation(d, root *engine.Display) float64 {
 		if rp == nil {
 			continue
 		}
-		pa, pb := stats.AlignedDistributions(cp.Freq, rp.Freq)
+		pa, pb := stats.AlignedDistributions(freqMap(cp.Freq()), freqMap(rp.Freq()))
 		if kl := stats.KLDivergence(pa, pb, 1e-6); kl > best {
 			best = kl
 		}
 	}
 	return best
+}
+
+// freqMap returns an id histogram as a key->weight map.
+func freqMap(h *stats.IDHist) map[string]float64 {
+	m := make(map[string]float64, h.Len())
+	for i, w := range h.Weights {
+		m[h.Key(i)] = w
+	}
+	return m
 }
 
 // deviationCoverage counts what a bit-identity sweep exercised.
@@ -89,8 +98,9 @@ func checkDeviationSweep(t *testing.T, root *engine.Display) deviationCoverage {
 			if rp == nil {
 				continue
 			}
-			for k := range cp.Freq {
-				if _, ok := rp.Freq[k]; !ok {
+			rootFreq := freqMap(rp.Freq())
+			for k := range freqMap(cp.Freq()) {
+				if _, ok := rootFreq[k]; !ok {
 					cov.outside++
 					return
 				}

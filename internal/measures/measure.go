@@ -13,9 +13,9 @@ package measures
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
+	"repro/internal/dataset"
 	"repro/internal/engine"
 )
 
@@ -104,6 +104,9 @@ func (c *Context) Distributions() []Distribution {
 
 const numericBins = 10
 
+// binKeys are the keys of a binned numeric distribution's cells.
+var binKeys = [numericBins]string{"bin0", "bin1", "bin2", "bin3", "bin4", "bin5", "bin6", "bin7", "bin8", "bin9"}
+
 func extractDistributions(d *engine.Display) []Distribution {
 	if d == nil || d.Table == nil || d.Table.NumRows() == 0 {
 		return nil
@@ -111,37 +114,36 @@ func extractDistributions(d *engine.Display) []Distribution {
 	if d.Aggregated {
 		vals := d.AggValues()
 		keys := make([]string, d.Table.NumRows())
-		col := d.Table.ColumnByName(d.GroupColumn)
-		for i := range keys {
-			if col != nil {
-				keys[i] = col.Value(i).String()
+		if col := d.Table.ColumnByName(d.GroupColumn); col != nil {
+			dict := col.Dict()
+			for i, id := range col.IDs() {
+				keys[i] = dict[id]
 			}
 		}
 		return []Distribution{makeDistribution(d.GroupColumn, keys, vals)}
 	}
 	prof := d.GetProfile()
 	out := make([]Distribution, 0, len(prof.Columns))
-	for _, cp := range prof.Columns {
+	for i := range prof.Columns {
+		cp := &prof.Columns[i]
 		if cp.IsNumeric && cp.Distinct > numericBins {
-			out = append(out, binnedNumericDistribution(d, cp.Name))
+			out = append(out, binnedNumericDistribution(d.Table.ColumnByName(cp.Name)))
 			continue
 		}
-		keys := make([]string, 0, len(cp.Freq))
-		for k := range cp.Freq {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		raw := make([]float64, len(keys))
-		for i, k := range keys {
-			raw[i] = cp.Freq[k] * float64(prof.Rows)
+		// The histogram's ids ascend, so its keys come sorted.
+		h := cp.Freq()
+		keys := make([]string, h.Len())
+		raw := make([]float64, h.Len())
+		for i := range keys {
+			keys[i] = h.Key(i)
+			raw[i] = h.Weights[i] * float64(prof.Rows)
 		}
 		out = append(out, makeDistribution(cp.Name, keys, raw))
 	}
 	return out
 }
 
-func binnedNumericDistribution(d *engine.Display, colName string) Distribution {
-	col := d.Table.ColumnByName(colName)
+func binnedNumericDistribution(col *dataset.Column) Distribution {
 	n := col.Len()
 	lo, hi := math.Inf(1), math.Inf(-1)
 	vals := make([]float64, n)
@@ -167,13 +169,11 @@ func binnedNumericDistribution(d *engine.Display, colName string) Distribution {
 		}
 		raw[b]++
 	}
-	keys := make([]string, numericBins)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("bin%d", i)
-	}
-	return makeDistribution(colName, keys, raw)
+	return makeDistribution(col.Name, binKeys[:], raw)
 }
 
+// makeDistribution normalizes raw into a Distribution, which keeps raw
+// and keys.
 func makeDistribution(column string, keys []string, raw []float64) Distribution {
 	p := make([]float64, len(raw))
 	sum := 0.0
@@ -194,7 +194,7 @@ func makeDistribution(column string, keys []string, raw []float64) Distribution 
 			p[i] = u
 		}
 	}
-	return Distribution{Column: column, P: p, Raw: append([]float64(nil), raw...), Keys: keys}
+	return Distribution{Column: column, P: p, Raw: raw, Keys: keys}
 }
 
 // Measure scores the interestingness facet it captures; higher is more

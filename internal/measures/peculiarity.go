@@ -121,7 +121,7 @@ func (DeviationMeasure) Score(ctx *Context) float64 {
 		if ref == nil {
 			continue
 		}
-		if kl := ref.KL(cp.Freq, 1e-6); kl > best {
+		if kl := ref.KL(cp.Freq(), 1e-6); kl > best {
 			best = kl
 		}
 	}

@@ -142,9 +142,10 @@ func LearnBeliefs(ctx *Context, maxCardinality int, confidence float64) (*Belief
 		if cp.Distinct > maxCardinality {
 			continue
 		}
-		expected := make(map[string]float64, len(cp.Freq))
-		for k, v := range cp.Freq {
-			expected[k] = v
+		h := cp.Freq()
+		expected := make(map[string]float64, h.Len())
+		for i, w := range h.Weights {
+			expected[h.Key(i)] = w
 		}
 		base.Add(Belief{Column: cp.Name, Expected: expected, Confidence: confidence})
 	}

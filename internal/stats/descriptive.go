@@ -142,18 +142,89 @@ func NormalCDF(z float64) float64 {
 }
 
 // Median returns the median of xs (average of middle two for even n),
-// or 0 for an empty slice. The input is not modified.
+// or 0 for an empty slice. The input is not modified. It selects the
+// middle order statistics instead of sorting a copy, ordering values as
+// sort.Float64s does (NaN first), so it picks the values the sorted copy
+// holds there; only the sign of a zero it picks may differ, as it may
+// between two sorts.
 func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
+	if len(xs) == 0 {
 		return 0
 	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if n%2 == 1 {
-		return cp[n/2]
+	return medianInPlace(append([]float64(nil), xs...))
+}
+
+// medianInPlace returns the median of a non-empty xs, reordering xs.
+func medianInPlace(xs []float64) float64 {
+	n := len(xs)
+	nan := 0
+	for i, x := range xs {
+		if x != x {
+			xs[i], xs[nan] = xs[nan], xs[i]
+			nan++
+		}
 	}
-	return (cp[n/2-1] + cp[n/2]) / 2
+	// xs[:nan] holds the NaNs, which order first; select among the rest.
+	k := n / 2
+	if k < nan {
+		return xs[k]
+	}
+	hi := selectKth(xs[nan:], k-nan)
+	if n%2 == 1 {
+		return hi
+	}
+	if k-1 < nan {
+		return (xs[k-1] + hi) / 2
+	}
+	// Selection left the order statistics below k in xs[:k]: the one
+	// just below is their maximum.
+	lo := xs[nan]
+	for _, x := range xs[nan+1 : k] {
+		if x > lo {
+			lo = x
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// selectKth reorders the NaN-free xs so that xs[k] holds its k-th
+// smallest value, every value before it is no larger and every value
+// after it no smaller, and returns xs[k]. It partitions around a
+// median-of-three pivot (Hoare's FIND) and sorts what is left if the
+// partitions stop shrinking fast.
+func selectKth(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	for rounds := 0; lo < hi; rounds++ {
+		if rounds > 64 {
+			sort.Float64s(xs[lo : hi+1])
+			break
+		}
+		mid := lo + (hi-lo)/2
+		a, b, c := xs[lo], xs[mid], xs[hi]
+		pivot := max(min(a, b), min(max(a, b), c))
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo:j+1] <= pivot <= xs[i:hi+1], and xs[j+1:i] == pivot.
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
+	return xs[k]
 }
 
 // Quantile returns the q-th quantile (0<=q<=1) of xs using linear
@@ -186,7 +257,7 @@ func Quantile(xs []float64, q float64) float64 {
 func MAD(xs []float64) float64 { return MADAbout(xs, Median(xs)) }
 
 // MADAbout is MAD for a caller that already holds med = Median(xs): it
-// skips sorting a copy of xs to find the median again.
+// skips selecting the median of xs again.
 func MADAbout(xs []float64, med float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -195,7 +266,7 @@ func MADAbout(xs []float64, med float64) float64 {
 	for i, x := range xs {
 		dev[i] = math.Abs(x - med)
 	}
-	return Median(dev)
+	return medianInPlace(dev)
 }
 
 // Pearson returns the Pearson correlation coefficient between xs and ys.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -174,5 +175,98 @@ func TestZScoresMeanZeroStdOneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// sortedMedian is the sort-based median Median must equal.
+func sortedMedian(xs []float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 0
+	}
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	if n%2 == 1 {
+		return cp[n/2]
+	}
+	return (cp[n/2-1] + cp[n/2]) / 2
+}
+
+// sortedMADAbout is the sort-based MADAbout.
+func sortedMADAbout(xs []float64, med float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	dev := make([]float64, len(xs))
+	for i, x := range xs {
+		dev[i] = math.Abs(x - med)
+	}
+	return sortedMedian(dev)
+}
+
+// sameValue reports equal values, every NaN equal to every other; -0
+// equals +0, as the order Median selects by does not tell them apart.
+func sameValue(x, y float64) bool {
+	return x == y || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+// TestMedianMatchesSort checks the selecting Median and MADAbout against
+// the sort-based formulas on samples full of ties, signed zeros,
+// infinities and NaNs, at every length up to 40 and a few long ones.
+func TestMedianMatchesSort(t *testing.T) {
+	rng := NewRNG(22)
+	pool := []float64{0, math.Copysign(0, -1), 1, -1, 2.5, 1e300, -1e300,
+		math.Inf(1), math.Inf(-1), math.NaN(), 5e-324}
+	draw := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return pool[rng.Intn(len(pool))]
+		case 1:
+			return float64(rng.Intn(4)) // heavy ties
+		default:
+			return rng.NormFloat64()
+		}
+	}
+	check := func(xs []float64) {
+		t.Helper()
+		in := append([]float64(nil), xs...)
+		med := Median(xs)
+		if want := sortedMedian(xs); !sameValue(med, want) {
+			t.Fatalf("Median(%v) = %v, sort gives %v", xs, med, want)
+		}
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(in[i]) {
+				t.Fatalf("Median reordered its input %v", in)
+			}
+		}
+		if got, want := MADAbout(xs, med), sortedMADAbout(xs, med); !sameValue(got, want) {
+			t.Fatalf("MADAbout(%v, %v) = %v, sort gives %v", xs, med, got, want)
+		}
+	}
+	for n := 0; n <= 40; n++ {
+		for trial := 0; trial < 200; trial++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = draw()
+			}
+			check(xs)
+		}
+	}
+	for _, n := range []int{1000, 4097} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = draw()
+		}
+		check(xs)
+		sort.Float64s(xs)
+		check(xs) // ascending
+		for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
+			xs[i], xs[j] = xs[j], xs[i]
+		}
+		check(xs) // descending
+		for i := range xs {
+			xs[i] = 7
+		}
+		check(xs) // all equal
 	}
 }

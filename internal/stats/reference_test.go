@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -16,14 +17,70 @@ func sameBits(x, y float64) bool {
 	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
 }
 
+// histOver returns m as a histogram over dict, which must hold every key
+// of m.
+func histOver(dict []string, m map[string]float64) *IDHist {
+	h := &IDHist{Dict: dict}
+	for id, k := range dict {
+		if w, ok := m[k]; ok {
+			h.IDs = append(h.IDs, uint32(id))
+			h.Weights = append(h.Weights, w)
+		}
+	}
+	return h
+}
+
+// dictOf returns the keys of the maps, and extra, as a dictionary.
+func dictOf(extra []string, ms ...map[string]float64) []string {
+	seen := map[string]bool{}
+	var dict []string
+	add := func(k string) {
+		if !seen[k] {
+			seen[k] = true
+			dict = append(dict, k)
+		}
+	}
+	for _, m := range ms {
+		for k := range m {
+			add(k)
+		}
+	}
+	for _, k := range extra {
+		add(k)
+	}
+	sort.Strings(dict)
+	return dict
+}
+
+// checkReferenceKL scores a against the reference prepared from b, both
+// read as histograms, against the two-call formula, to the bit, with the
+// histograms laid out four ways: each over a dictionary of its own keys
+// (merged by key string); both over one dictionary of their union plus
+// keys neither holds (a's keys outside b take the merge); both over b's
+// own dictionary when a's keys are b's (placed by id); and a over an
+// equal copy of that dictionary (merged, with no key outside b).
 func checkReferenceKL(t *testing.T, a, b map[string]float64, eps float64) {
 	t.Helper()
-	got := NewReference(b).KL(a, eps)
 	want := klOracle(a, b, eps)
-	if !sameBits(got, want) {
-		t.Fatalf("Reference(%v).KL(%v, %g) = %v (%#x), want %v (%#x)",
-			b, a, eps, got, math.Float64bits(got), want, math.Float64bits(want))
+	check := func(layout string, ha, hb *IDHist) {
+		t.Helper()
+		got := NewReference(hb).KL(ha, eps)
+		if !sameBits(got, want) {
+			t.Fatalf("%s: Reference(%v).KL(%v, %g) = %v (%#x), want %v (%#x)",
+				layout, b, a, eps, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
+	check("own dictionaries", histOver(dictOf(nil, a), a), histOver(dictOf(nil, b), b))
+	shared := dictOf([]string{"", "m", "\xff"}, a, b)
+	check("shared dictionary", histOver(shared, a), histOver(shared, b))
+	for k := range a {
+		if _, ok := b[k]; !ok {
+			return
+		}
+	}
+	own := dictOf(nil, b)
+	check("reference's dictionary", histOver(own, a), histOver(own, b))
+	check("equal dictionary", histOver(append([]string(nil), own...), a), histOver(own, b))
 }
 
 func TestReferenceKLEdgeCases(t *testing.T) {
@@ -127,9 +184,10 @@ func TestReferenceKLRandom(t *testing.T) {
 
 func TestReferenceKLReusable(t *testing.T) {
 	b := map[string]float64{"a": 0.25, "b": 0.5, "c": 0.25}
-	r := NewReference(b)
+	dict := dictOf([]string{"z"}, b)
+	r := NewReference(histOver(dict, b))
 	for _, a := range []map[string]float64{{"a": 1}, {"z": 1}, {"b": 2, "c": 1}, {}} {
-		if got, want := r.KL(a, 1e-6), klOracle(a, b, 1e-6); !sameBits(got, want) {
+		if got, want := r.KL(histOver(dict, a), 1e-6), klOracle(a, b, 1e-6); !sameBits(got, want) {
 			t.Fatalf("KL(%v) = %v, want %v", a, got, want)
 		}
 	}
@@ -160,6 +218,8 @@ func decodeHist(data []byte) map[string]float64 {
 	return h
 }
 
+// FuzzReferenceKL builds dictionaries from the fuzzed keys and scores
+// each layout checkReferenceKL makes against the two-call formula.
 func FuzzReferenceKL(f *testing.F) {
 	f.Add([]byte{1, 'a', 3, 1, 'b', 9}, []byte{1, 'a', 5, 1, 'c', 2}, 1e-6)
 	f.Add([]byte{}, []byte{1, 'a', 5}, 1e-6)
