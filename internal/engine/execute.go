@@ -143,15 +143,25 @@ func executeGroup(parent *Display, a *Action) (*Display, error) {
 		max   float64
 	}
 	groups := make(map[dataset.Value]*groupState)
-	order := make([]dataset.Value, 0, 16)
+	order := make([]*groupState, 0, 16)
+	// A NaN key never equals itself, so the map would open a group per NaN
+	// row and never find one again: every NaN row joins one group instead,
+	// which sorts after every number.
+	var nan *groupState
+	floatKeys := gc.Kind == dataset.KindFloat
 	n := t.NumRows()
 	for i := 0; i < n; i++ {
 		k := gc.Value(i)
-		g, ok := groups[k]
-		if !ok {
+		var g *groupState
+		if floatKeys && k.Flt != k.Flt {
+			if nan == nil {
+				nan = &groupState{key: k}
+			}
+			g = nan
+		} else if g = groups[k]; g == nil {
 			g = &groupState{key: k}
 			groups[k] = g
-			order = append(order, k)
+			order = append(order, g)
 		}
 		g.count++
 		if ac != nil {
@@ -165,12 +175,15 @@ func executeGroup(parent *Display, a *Action) (*Display, error) {
 			}
 		}
 	}
+	// Deterministic output order: sort groups by key so identical actions
+	// always yield identical displays (needed for byte-stable logs).
+	sort.Slice(order, func(i, j int) bool { return order[i].key.Compare(order[j].key) < 0 })
+	if nan != nil {
+		order = append(order, nan)
+	}
 	if len(order) == 0 {
 		return nil, ErrEmptyResult
 	}
-	// Deterministic output order: sort groups by key so identical actions
-	// always yield identical displays (needed for byte-stable logs).
-	sort.Slice(order, func(i, j int) bool { return order[i].Compare(order[j]) < 0 })
 
 	valueName := a.Agg.String()
 	if a.AggColumn != "" {
@@ -180,8 +193,7 @@ func executeGroup(parent *Display, a *Action) (*Display, error) {
 		{Name: a.GroupBy, Kind: gc.Kind},
 		{Name: valueName, Kind: dataset.KindFloat},
 	})
-	for _, k := range order {
-		g := groups[k]
+	for _, g := range order {
 		var v float64
 		switch a.Agg {
 		case AggCount:
@@ -195,7 +207,7 @@ func executeGroup(parent *Display, a *Action) (*Display, error) {
 		case AggMax:
 			v = g.max
 		}
-		b.Append(k, dataset.F(v))
+		b.Append(g.key, dataset.F(v))
 	}
 	table, err := b.Build()
 	if err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -192,6 +193,41 @@ func TestExecuteGroupOnFilteredDisplay(t *testing.T) {
 	}
 	if g.CoveredRows != 4 {
 		t.Errorf("covered = %d, want 4 (the filtered input)", g.CoveredRows)
+	}
+}
+
+// TestExecuteGroupNaNKeys: every NaN of a float group column falls into
+// one group, ordered after every number, with the aggregates of its rows.
+func TestExecuteGroupNaNKeys(t *testing.T) {
+	b := dataset.NewBuilder("nan", dataset.Schema{
+		{Name: "x", Kind: dataset.KindFloat},
+		{Name: "y", Kind: dataset.KindInt},
+	})
+	nan := math.NaN()
+	for i, x := range []float64{nan, 2, 1, nan} {
+		b.Append(dataset.F(x), dataset.I(int64(10*(i+1))))
+	}
+	root := NewRootDisplay(b.MustBuild())
+	for _, tc := range []struct {
+		action *Action
+		want   []float64
+	}{
+		{NewGroupCount("x"), []float64{1, 1, 2}},
+		{NewGroupAgg("x", AggSum, "y"), []float64{30, 20, 50}},
+	} {
+		d, err := Execute(root, tc.action)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.action, err)
+		}
+		if d.NumRows() != 3 || d.CoveredRows != 4 {
+			t.Fatalf("%v: %d groups over %d rows, want 3 over 4", tc.action, d.NumRows(), d.CoveredRows)
+		}
+		for i, key := range []float64{1, 2, nan} {
+			k, v := d.Table.Cell(i, 0).Flt, d.Table.Cell(i, 1).Flt
+			if math.Float64bits(k) != math.Float64bits(key) && !(math.IsNaN(k) && math.IsNaN(key)) || v != tc.want[i] {
+				t.Errorf("%v: group %d = (%v, %v), want (%v, %v)", tc.action, i, k, v, key, tc.want[i])
+			}
+		}
 	}
 }
 
