@@ -1,8 +1,6 @@
 package knn
 
 import (
-	"math"
-
 	"repro/internal/parallel"
 	"repro/internal/session"
 )
@@ -25,17 +23,17 @@ type Candidate struct {
 }
 
 // Candidates scans the classifier's whole training set and returns its
-// top-k nearest candidates in ascending (dist, index) order, UNGATED by
-// θ_δ. Ungated is deliberate: the θ_δ-gated neighbor set is exactly the
-// dist ≤ θ_δ prefix-filter of the unbounded top-k (the gate preserves
-// (dist, index) order, and any sample inside the gate that misses the
-// unbounded top-k is beaten by k closer samples that are also inside),
-// so one ungated list lets the merging router reproduce both the gated
-// vote and the FallbackNearest re-vote without a second scan.
+// top-k nearest candidates within limit (dist ≤ limit) in ascending
+// (dist, index) order. A caller that will decide the list under cfg
+// passes cfg.ScanLimit(): the θ_δ-gated top-k is the dist ≤ θ_δ prefix of
+// any wider top-k (the gate preserves (dist, index) order, and a sample
+// inside the gate that misses a wider top-k is beaten by k closer samples
+// that are also inside), so a list scanned under θ_δ decides the gated
+// vote exactly, and +∞ also serves FallbackNearest's re-vote.
 //
 // Indexes are positions in this classifier's own sample slice.
-func (c *Classifier) Candidates(query *session.Context) []Candidate {
-	cands, _ := c.scan(nil, query, math.Inf(1), parallel.Workers(c.cfg.Workers))
+func (c *Classifier) Candidates(query *session.Context, limit float64) []Candidate {
+	cands, _ := c.scan(nil, query, limit, parallel.Workers(c.cfg.Workers))
 	return cands
 }
 
@@ -79,9 +77,10 @@ func MergeCandidates(k int, lists ...[]Candidate) []Candidate {
 // PredictFromCandidates decides an ascending candidate list: θ_δ gate,
 // tie-weighted vote, then the fallback rung. It is the one decision of
 // every prediction — Classifier.Predict decides its own scan's list with
-// it — so given the global top-k (MergeCandidates over every shard) and
-// the model's own Config and prior, the result is bit-identical to
-// Classifier.Predict on the undivided training set.
+// it — so given the global top-k within cfg.ScanLimit() or any wider
+// limit (MergeCandidates over every shard's Candidates) and the model's
+// own Config and prior, the result is bit-identical to Classifier.Predict
+// on the undivided training set.
 //
 // The returned Prediction carries no Neighbors — the caller holds
 // candidates, not samples.

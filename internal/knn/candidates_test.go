@@ -90,7 +90,7 @@ func TestPredictFromCandidatesMatchesPredict(t *testing.T) {
 				want := whole.Predict(q)
 				lists := make([][]Candidate, len(shardClfs))
 				for i, sc := range shardClfs {
-					lists[i] = remapGlobal(sc.Candidates(q), globals[i])
+					lists[i] = remapGlobal(sc.Candidates(q, tc.cfg.ScanLimit()), globals[i])
 				}
 				merged := MergeCandidates(tc.cfg.K, lists...)
 				got := PredictFromCandidates(merged, tc.cfg, whole.Prior())
@@ -106,32 +106,39 @@ func TestPredictFromCandidatesMatchesPredict(t *testing.T) {
 	}
 }
 
-// Candidates must return the unbounded top-k in ascending (dist, index)
-// order with global slot occupancy intact (unlabeled samples included).
+// Candidates must return the top-k within the limit it is given, in
+// ascending (dist, index) order with global slot occupancy intact
+// (unlabeled samples included): the brute-force reference's top-k under
+// the same limit, for θ_δ and for +∞. Under |ΔT|/10 only the six samples
+// at distance 0 pass θ_δ = 0.05, fewer than k, so the two limits give
+// different lists.
 func TestCandidatesOrderAndContent(t *testing.T) {
 	samples := candTrainingSet(40)
-	clf := New(samples, stubMetric{}, Config{K: 8, ThetaDelta: 0.1})
 	q := &session.Context{SessionID: "q", T: 2, N: 3}
-	cds := clf.Candidates(q)
-	if len(cds) != 8 {
-		t.Fatalf("got %d candidates, want k=8", len(cds))
-	}
-	for i := 1; i < len(cds); i++ {
-		a, b := cds[i-1], cds[i]
-		if a.Dist > b.Dist || (a.Dist == b.Dist && a.Index >= b.Index) {
-			t.Fatalf("candidates not ascending (dist, index): %+v before %+v", a, b)
+	for _, workers := range []int{1, 3} {
+		cfg := Config{K: 8, ThetaDelta: 0.05, Workers: workers}
+		clf := New(samples, stubMetric{}, cfg)
+		for _, limit := range []float64{cfg.ThetaDelta, math.Inf(1)} {
+			cds := clf.Candidates(q, limit)
+			want := referencePredict(samples, stubMetric{}, Config{K: cfg.K, ThetaDelta: limit}, q).Neighbors
+			if len(cds) != len(want) {
+				t.Fatalf("workers=%d limit=%v: %d candidates, want %d", workers, limit, len(cds), len(want))
+			}
+			for i, cd := range cds {
+				if samples[cd.Index] != want[i].Sample || cd.Dist != want[i].Dist || !reflect.DeepEqual(cd.Labels, want[i].Sample.Labels) {
+					t.Fatalf("workers=%d limit=%v: candidate %d is %+v, want sample %+v at %v", workers, limit, i, cd, want[i].Sample, want[i].Dist)
+				}
+				if i > 0 {
+					if a := cds[i-1]; a.Dist > cd.Dist || (a.Dist == cd.Dist && a.Index >= cd.Index) {
+						t.Fatalf("workers=%d limit=%v: candidates not ascending (dist, index): %+v before %+v", workers, limit, a, cd)
+					}
+				}
+			}
+		}
+		if gated, all := clf.Candidates(q, cfg.ThetaDelta), clf.Candidates(q, math.Inf(1)); len(gated) >= len(all) {
+			t.Fatalf("workers=%d: θ_δ list has %d candidates and the +∞ list %d; the fixture must tell them apart", workers, len(gated), len(all))
 		}
 	}
-	for _, cd := range cds {
-		if cd.Dist > 0.1 {
-			// The gate is θ_δ=0.1 but Candidates must ignore it.
-			return
-		}
-	}
-	// With 40 samples and |ΔT|/10 distances, some top-8 entry exceeds the
-	// 0.1 gate only if ties don't fill the list — both outcomes are fine;
-	// the loop above only asserts ordering and the early return documents
-	// the ungated case.
 }
 
 func TestPredictFromCandidatesGateIsPrefix(t *testing.T) {
@@ -191,12 +198,12 @@ func TestMergeCandidatesSplitWidthsByteIdentical(t *testing.T) {
 		{SessionID: "q6", T: 6, N: 3},
 	} {
 		want := whole.Predict(q)
-		wantList := MergeCandidates(cfg.K, whole.Candidates(q))
+		wantList := MergeCandidates(cfg.K, whole.Candidates(q, cfg.ScanLimit()))
 		for shards := 1; shards <= 3; shards++ {
 			parts, globals := shardSamples(samples, shards)
 			lists := make([][]Candidate, len(parts))
 			for i, part := range parts {
-				lists[i] = remapGlobal(New(part, stubMetric{}, cfg).Candidates(q), globals[i])
+				lists[i] = remapGlobal(New(part, stubMetric{}, cfg).Candidates(q, cfg.ScanLimit()), globals[i])
 			}
 			// Merge repeatedly and under every rotation of list order: the
 			// result must never move.

@@ -43,8 +43,9 @@ func actionTree(rng *stats.RNG) *session.Context {
 // TestTreeEditScanEquivalence runs the tree-edit scan — prepared
 // contexts, one evaluator per query, size/height and action bounds —
 // against the brute-force reference at several worker counts, over a set
-// large enough for the chunked scan. Predictions and the ungated
-// Candidates lists must match bit for bit.
+// large enough for the chunked scan. Predictions must match bit for bit,
+// and so must Candidates under θ_δ and under +∞: each is the reference's
+// top-k within the same limit.
 func TestTreeEditScanEquivalence(t *testing.T) {
 	rng := stats.NewRNG(5)
 	labels := []string{"variance", "osf", "schutz"}
@@ -72,15 +73,17 @@ func TestTreeEditScanEquivalence(t *testing.T) {
 				if got := clf.Predict(q); !predictionsEqual(got, want) {
 					t.Fatalf("cfg=%+v workers=%d query %d:\n got %+v\nwant %+v", cfg, workers, qi, got, want)
 				}
-				top := referencePredict(samples, exact, Config{K: cfg.K, ThetaDelta: math.Inf(1)}, q)
-				cands := clf.Candidates(q)
-				if len(cands) != len(top.Neighbors) {
-					t.Fatalf("cfg=%+v workers=%d query %d: %d candidates, want %d", cfg, workers, qi, len(cands), len(top.Neighbors))
-				}
-				for i, cd := range cands {
-					if n := top.Neighbors[i]; samples[cd.Index] != n.Sample || math.Float64bits(cd.Dist) != math.Float64bits(n.Dist) {
-						t.Fatalf("cfg=%+v workers=%d query %d: candidate %d is (%d, %v), want (%v, %v)",
-							cfg, workers, qi, i, cd.Index, cd.Dist, n.Sample.Context, n.Dist)
+				for _, limit := range []float64{cfg.ThetaDelta, math.Inf(1)} {
+					top := referencePredict(samples, exact, Config{K: cfg.K, ThetaDelta: limit}, q)
+					cands := clf.Candidates(q, limit)
+					if len(cands) != len(top.Neighbors) {
+						t.Fatalf("cfg=%+v workers=%d limit=%v query %d: %d candidates, want %d", cfg, workers, limit, qi, len(cands), len(top.Neighbors))
+					}
+					for i, cd := range cands {
+						if n := top.Neighbors[i]; samples[cd.Index] != n.Sample || math.Float64bits(cd.Dist) != math.Float64bits(n.Dist) {
+							t.Fatalf("cfg=%+v workers=%d limit=%v query %d: candidate %d is (%d, %v), want (%v, %v)",
+								cfg, workers, limit, qi, i, cd.Index, cd.Dist, n.Sample.Context, n.Dist)
+						}
 					}
 				}
 			}

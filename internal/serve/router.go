@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -21,16 +22,15 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/ring"
-	"repro/internal/snapshot"
 )
 
 // Router is the fan-out tier of the replicated sharded serving layer
 // (DESIGN.md §11). It owns no training data: each predict request is
-// scattered to every shard's replica group as a candidates call, the
-// per-shard ungated top-k lists are merged, and the θ_δ gate + vote +
-// fallback run router-side over the merged list — bit-identical to a
-// single-process scan of the undivided model (see knn.Candidates for the
-// proof sketch).
+// scattered to every shard's replica group as a candidates call carrying
+// the model's scan limit, the per-shard top-k lists within that limit are
+// merged, and the θ_δ gate + vote + fallback run router-side over the
+// merged list — bit-identical to a single-process scan of the undivided
+// model (see knn.Candidates for the proof sketch).
 //
 // Availability is layered (the ring rungs of the degradation ladder):
 //
@@ -225,8 +225,9 @@ func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
 }
 
 // routePrediction is the scatter-gather predict path. The router decodes
-// the query contexts only to validate them: it forwards the wire form to
-// replicas verbatim and works with the candidate lists they return.
+// the query contexts only to validate them: it forwards the client's
+// bytes to replicas, one body per shard (candidatesBody), and works with
+// the candidate lists they return.
 func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch bool) {
 	if !allowMethod(w, r, http.MethodPost) {
 		return
@@ -240,7 +241,7 @@ func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch 
 	tr := obs.TraceFrom(r.Context())
 
 	spDecode := stDecode.StartCtx(r.Context())
-	wire, _, ok := decodeWireRequest(w, r, batch, rt.opts.MaxBatch, rt.opts.Info.N)
+	raw, ctxs, ok := decodeWireRequest(w, r, batch, rt.opts.MaxBatch, rt.opts.Info.N)
 	spDecode.End()
 	if !ok {
 		return
@@ -248,7 +249,8 @@ func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch 
 
 	// Scatter: every shard in parallel; within a shard, replicas in the
 	// checker's preference order, then last-ditch ejected ones.
-	base := fmt.Sprintf("%s@%d/%d#%d", wire[0].SessionID, wire[0].T, wire[0].N, len(wire))
+	base := fmt.Sprintf("%s@%d/%d#%d", ctxs[0].SessionID, ctxs[0].T, ctxs[0].N, len(ctxs))
+	limit := rt.opts.Cfg.ScanLimit()
 	shards := rt.ring.Shards()
 	lists := make([][][]knn.Candidate, shards)
 	var failed atomic.Int32
@@ -257,7 +259,7 @@ func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch 
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
-			res, err := rt.shardCandidates(rctx, sh, base, wire, tr)
+			res, err := rt.shardCandidates(rctx, sh, base, candidatesBody(sh, limit, raw), len(raw), tr)
 			if err != nil {
 				if obs.On() {
 					mShardUnavailable.Inc()
@@ -293,7 +295,7 @@ func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch 
 			return
 		}
 		tr.Rung("ring.prior")
-		out := make([]predictResponse, len(wire))
+		out := make([]predictResponse, len(raw))
 		for i := range out {
 			out[i] = predictResponse{Measure: rt.opts.Info.Prior, OK: true, Fallback: true}
 		}
@@ -303,9 +305,9 @@ func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch 
 
 	// Gather: merge the per-shard top-k per query and reproduce the
 	// gate + vote + fallback exactly as the whole model would.
-	out := make([]predictResponse, len(wire))
+	out := make([]predictResponse, len(raw))
 	perShard := make([][]knn.Candidate, shards)
-	for qi := range wire {
+	for qi := range raw {
 		for sh := 0; sh < shards; sh++ {
 			perShard[sh] = lists[sh][qi]
 		}
@@ -339,8 +341,9 @@ type shardOutcome struct {
 // detector as a censored lower bound but never the failure machine (the
 // node did not fail — the router stopped waiting). Every call, the hedge
 // included, takes a plan slot, so one shard call makes at most 2R
-// candidates calls (R = replicas per shard; DESIGN.md §11).
-func (rt *Router) shardCandidates(ctx context.Context, shard int, base string, wire []*snapshot.WireContext, tr *obs.Trace) ([][]knn.Candidate, error) {
+// candidates calls (R = replicas per shard; DESIGN.md §11), and every
+// call sends the same body: the shard's request for its queries.
+func (rt *Router) shardCandidates(ctx context.Context, shard int, base string, body []byte, queries int, tr *obs.Trace) ([][]knn.Candidate, error) {
 	order := rt.checker.Order(shard)
 	tried := make(map[string]bool, len(order))
 	for _, n := range order {
@@ -387,7 +390,7 @@ func (rt *Router) shardCandidates(ctx context.Context, shard int, base string, w
 		n := plan[i]
 		go func() {
 			t0 := time.Now()
-			res, err := rt.callCandidates(actx, n, shard, base, i, wire, tr)
+			res, err := rt.callCandidates(actx, n, shard, base, i, body, queries, tr)
 			elapsed := time.Since(t0)
 			if err != nil && flag.Load() {
 				// Cancelled loser of a won race: feed the gray detector
@@ -490,13 +493,43 @@ func (rt *Router) shardCandidates(ctx context.Context, shard int, base string, w
 	return nil, fmt.Errorf("shard %d unavailable: %w", shard, lastErr)
 }
 
+// candidatesBody writes one shard's candidates request,
+// {"shard":N,"max_dist":L,"contexts":[…]}, around the contexts' bytes as
+// the client sent them: the router validated them, and re-encoding the
+// decoded form cost a marshal per replica call. max_dist is the
+// scan limit in shortest round-trip form — a candidate at exactly θ_δ
+// passes the gate, so the replica must scan under the same bits — and is
+// left out when the limit is +∞, which JSON cannot write and an absent
+// max_dist means.
+func candidatesBody(shard int, limit float64, raw []json.RawMessage) []byte {
+	size := 64
+	for _, rc := range raw {
+		size += len(rc) + 1
+	}
+	b := make([]byte, 0, size)
+	b = append(b, `{"shard":`...)
+	b = strconv.AppendInt(b, int64(shard), 10)
+	if !math.IsInf(limit, 1) {
+		b = append(b, `,"max_dist":`...)
+		b = strconv.AppendFloat(b, limit, 'g', -1, 64)
+	}
+	b = append(b, `,"contexts":[`...)
+	for i, rc := range raw {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, rc...)
+	}
+	return append(b, "]}"...)
+}
+
 // callCandidates performs one replica candidates call behind the
 // ring.route fault probe. The probe key is (query content, batch size,
 // shard, replica) with the failover position as the attempt re-roll —
 // deterministic across runs, independent across replicas, so an armed
 // site exercises failover without any replica pair failing together
 // systematically.
-func (rt *Router) callCandidates(ctx context.Context, n ring.Node, shard int, base string, attempt int, wire []*snapshot.WireContext, tr *obs.Trace) (res *candidatesResponse, err error) {
+func (rt *Router) callCandidates(ctx context.Context, n ring.Node, shard int, base string, attempt int, body []byte, queries int, tr *obs.Trace) (res *candidatesResponse, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, pipeline.Recovered(faults.SiteRingRoute, r)
@@ -508,10 +541,6 @@ func (rt *Router) callCandidates(ctx context.Context, n ring.Node, shard int, ba
 			tr.FaultSite(faults.SiteRingRoute)
 			return nil, ferr
 		}
-	}
-	body, err := json.Marshal(candidatesRequest{Shard: shard, Contexts: wire})
-	if err != nil {
-		return nil, err
 	}
 	cctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
@@ -545,8 +574,8 @@ func (rt *Router) callCandidates(ctx context.Context, n ring.Node, shard int, ba
 	if err := json.Unmarshal(raw, &cr); err != nil {
 		return nil, fmt.Errorf("%s: decode candidates: %w", n.Name, err)
 	}
-	if len(cr.Results) != len(wire) {
-		return nil, fmt.Errorf("%s: %d results for %d queries", n.Name, len(cr.Results), len(wire))
+	if len(cr.Results) != queries {
+		return nil, fmt.Errorf("%s: %d results for %d queries", n.Name, len(cr.Results), queries)
 	}
 	return &cr, nil
 }

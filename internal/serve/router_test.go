@@ -1,16 +1,22 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/distance"
 	"repro/internal/engine"
@@ -595,9 +601,166 @@ func TestRequestIDPropagatesAcrossHops(t *testing.T) {
 	}
 }
 
+// shardTopK is the brute-force reference of a replica's answer: the k
+// nearest of the shard's samples (globals, in training order) within
+// limit, by exact tree-edit distance, in ascending (dist, index) order and
+// globally numbered.
+func shardTopK(samples []*offline.Sample, globals []int, q *session.Context, k int, limit float64) []knn.Candidate {
+	var out []knn.Candidate
+	for _, g := range globals {
+		if d := (distance.TreeEdit{}).Distance(q, samples[g].Context); d <= limit {
+			out = append(out, knn.Candidate{Index: g, Dist: d, Labels: samples[g].Labels})
+		}
+	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Dist < out[b].Dist })
+	return out[:min(k, len(out))]
+}
+
+// recordingTransport is a router's outbound transport that records every
+// candidates call's body by shard. The first call for failShard fails and
+// the second waits delay (or its cancellation), so one request through it
+// makes that shard fail over and, under a hedging router, fire a hedge.
+type recordingTransport struct {
+	base      *http.Transport
+	failShard int
+	delay     time.Duration
+
+	mu     sync.Mutex
+	bodies map[int][][]byte
+}
+
+func (rt *recordingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path != "/v1/knn/candidates" {
+		return rt.base.RoundTrip(req)
+	}
+	body, err := io.ReadAll(req.Body)
+	req.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var head struct {
+		Shard int `json:"shard"`
+	}
+	if err := json.Unmarshal(body, &head); err != nil {
+		return nil, err
+	}
+	rt.mu.Lock()
+	rt.bodies[head.Shard] = append(rt.bodies[head.Shard], body)
+	call := len(rt.bodies[head.Shard])
+	rt.mu.Unlock()
+	if head.Shard == rt.failShard {
+		switch call {
+		case 1:
+			return nil, errors.New("recording transport: first call refused")
+		case 2:
+			select {
+			case <-time.After(rt.delay):
+			case <-req.Context().Done():
+				return nil, req.Context().Err()
+			}
+		}
+	}
+	out := req.Clone(req.Context())
+	out.Body = io.NopCloser(bytes.NewReader(body))
+	return rt.base.RoundTrip(out)
+}
+
+// TestRouterSendsOneBodyPerShard: the router writes each shard's
+// candidates body once per request, from the contexts' bytes as the client
+// sent them, and every call for that shard (the failed one, its failover
+// and the hedge) carries those same bytes. max_dist is θ_δ to the bit; under
+// FallbackNearest, whose scan limit is +∞, it is left out. Answers stay
+// the whole model's.
+func TestRouterSendsOneBodyPerShard(t *testing.T) {
+	samples := ringTrainingSet(60)
+	for _, tc := range []struct {
+		name string
+		cfg  knn.Config
+	}{
+		// θ_δ just above 0.3: shortest round-trip formatting must keep its bits.
+		{"abstain", knn.Config{K: 3, ThetaDelta: math.Nextafter(0.3, 1), Workers: 1}},
+		{"nearest", knn.Config{K: 2, ThetaDelta: 0.05, Workers: 1, Fallback: knn.FallbackNearest}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			whole := knn.New(samples, distance.NewMemoizedTreeEdit(nil), tc.cfg)
+			info := ModelInfo{N: 6, Prior: whole.Prior(), Checksum: "cafe", TrainingSize: len(samples)}
+			transport := &recordingTransport{base: &http.Transport{}, failShard: 0, delay: 5 * time.Second, bodies: map[int][][]byte{}}
+			t.Cleanup(transport.base.CloseIdleConnections)
+			tr := startRing(t, 3, 2, 3, whole, info, RouterOptions{HedgeFraction: 1, Transport: transport})
+
+			// The client's contexts, indented and spaced, so a re-encoding
+			// anywhere on the way would show in the forwarded bytes.
+			queries := ringQueries()[:2]
+			raws := make([]string, len(queries))
+			for i, q := range queries {
+				blob, err := json.MarshalIndent(snapshot.EncodeContext(q, nil), "", "  ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				raws[i] = string(blob)
+			}
+			failovers, hedges := mRouteFailover.Load(), mHedgeFired.Load()
+			rec := post(t, tr.rt.Handler(), "/v1/predict/batch", `{"contexts": [`+raws[0]+" ,\n "+raws[1]+`]}`)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("router batch: %d %s", rec.Code, rec.Body)
+			}
+			for i, got := range decodeBatch(t, rec.Body.Bytes()) {
+				want := whole.Predict(queries[i])
+				if got.Measure != want.Label || got.OK != want.Covered || got.Fallback != want.Fallback {
+					t.Errorf("query %d: router (%q, %v, %v) != whole model (%q, %v, %v)",
+						i, got.Measure, got.OK, got.Fallback, want.Label, want.Covered, want.Fallback)
+				}
+			}
+			if mRouteFailover.Load() == failovers || mHedgeFired.Load() == hedges {
+				t.Fatalf("failovers %d → %d, hedges %d → %d: the request must fail over and hedge",
+					failovers, mRouteFailover.Load(), hedges, mHedgeFired.Load())
+			}
+
+			transport.mu.Lock()
+			defer transport.mu.Unlock()
+			if n := len(transport.bodies[0]); n < 3 {
+				t.Fatalf("shard 0 got %d calls, want the refused one, its failover and a hedge", n)
+			}
+			for sh := 0; sh < 3; sh++ {
+				bodies := transport.bodies[sh]
+				if len(bodies) == 0 {
+					t.Fatalf("shard %d got no call", sh)
+				}
+				for i, b := range bodies[1:] {
+					if !bytes.Equal(b, bodies[0]) {
+						t.Errorf("shard %d: call %d sent\n%s\nbut call 0 sent\n%s", sh, i+1, b, bodies[0])
+					}
+				}
+				var got map[string]json.RawMessage
+				if err := json.Unmarshal(bodies[0], &got); err != nil {
+					t.Fatal(err)
+				}
+				if string(got["shard"]) != strconv.Itoa(sh) {
+					t.Errorf("shard %d: body names shard %s", sh, got["shard"])
+				}
+				if want := "[" + raws[0] + "," + raws[1] + "]"; string(got["contexts"]) != want {
+					t.Errorf("shard %d: forwarded contexts\n%s\nwant the client's bytes\n%s", sh, got["contexts"], want)
+				}
+				md, ok := got["max_dist"]
+				switch limit := tc.cfg.ScanLimit(); {
+				case math.IsInf(limit, 1):
+					if ok {
+						t.Errorf("shard %d: max_dist %s sent for a +∞ scan limit", sh, md)
+					}
+				default:
+					var f float64
+					if err := json.Unmarshal(md, &f); err != nil || math.Float64bits(f) != math.Float64bits(limit) {
+						t.Errorf("shard %d: max_dist %s (%v), want θ_δ = %v to the bit", sh, md, err, limit)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestCandidatesEndpointContract pins the replica-side wire behavior:
-// shard ownership 404s, standalone servers 501, and indexes come back in
-// the global numbering.
+// shard ownership 404s, standalone servers 501, indexes come back in the
+// global numbering, and max_dist bounds the scan.
 func TestCandidatesEndpointContract(t *testing.T) {
 	samples := ringTrainingSet(30)
 	whole := knn.New(samples, distance.NewMemoizedTreeEdit(nil), knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1})
@@ -654,6 +817,57 @@ func TestCandidatesEndpointContract(t *testing.T) {
 		if !globals[cd.Index] {
 			t.Errorf("candidate index %d is not one of shard %d's global positions", cd.Index, ownedShard)
 		}
+	}
+
+	// The scan limit. Without max_dist the replica answers its shard's
+	// ungated top-k, which is what a router that sends no limit merges;
+	// with one, exactly the dist ≤ max_dist prefix of that list, a
+	// candidate at the limit included; a negative max_dist is refused.
+	wq, err := snapshot.DecodeContext(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ungated := shardTopK(samples, sm.global, wq, 3, math.Inf(1))
+	if !reflect.DeepEqual(resp.Results[0], ungated) {
+		t.Fatalf("no max_dist: candidates %+v, want the ungated top-k %+v", resp.Results[0], ungated)
+	}
+	limits := []float64{0}
+	for _, cd := range ungated {
+		limits = append(limits, cd.Dist, math.Nextafter(cd.Dist, -1))
+	}
+	cut := false
+	for _, limit := range limits {
+		if limit < 0 {
+			continue
+		}
+		blob, _ := json.Marshal(candidatesRequest{Shard: ownedShard, MaxDist: &limit, Contexts: []*snapshot.WireContext{q}})
+		rec := post(t, r0.Handler(), "/v1/knn/candidates", string(blob))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("max_dist %v: %d %s", limit, rec.Code, rec.Body)
+		}
+		var got candidatesResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		prefix := ungated
+		for i, cd := range ungated {
+			if cd.Dist > limit {
+				prefix = ungated[:i]
+				break
+			}
+		}
+		cut = cut || len(prefix) < len(ungated)
+		if len(got.Results) != 1 || len(got.Results[0]) != len(prefix) || (len(prefix) > 0 && !reflect.DeepEqual(got.Results[0], prefix)) {
+			t.Fatalf("max_dist %v: candidates %+v, want the prefix %+v of %+v", limit, got.Results, prefix, ungated)
+		}
+	}
+	if !cut {
+		t.Fatalf("no limit cut the ungated list %+v; the fixture must tell them apart", ungated)
+	}
+	qb, _ := json.Marshal(q)
+	neg := fmt.Sprintf(`{"shard":%d,"max_dist":-0.5,"contexts":[%s]}`, ownedShard, qb)
+	if rec := post(t, r0.Handler(), "/v1/knn/candidates", neg); rec.Code != http.StatusBadRequest {
+		t.Fatalf("negative max_dist: %d %s, want 400", rec.Code, rec.Body)
 	}
 
 	// A standalone server (no ring) answers 501.

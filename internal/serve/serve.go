@@ -442,7 +442,7 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 	am := s.cur.Load()
 
 	spDecode := stDecode.StartCtx(r.Context())
-	wire, ctxs, ok := decodeWireRequest(w, r, batch, s.opts.MaxBatch, am.info.N)
+	_, ctxs, ok := decodeWireRequest(w, r, batch, s.opts.MaxBatch, am.info.N)
 	spDecode.End()
 	if !ok {
 		return
@@ -454,7 +454,7 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 	// context's identity plus the batch size — call order and goroutine
 	// identity never factor in.
 	if faults.Enabled() {
-		key := fmt.Sprintf("%s@%d/%d#%d", wire[0].SessionID, wire[0].T, wire[0].N, len(wire))
+		key := fmt.Sprintf("%s@%d/%d#%d", ctxs[0].SessionID, ctxs[0].T, ctxs[0].N, len(ctxs))
 		if err := faults.Probe(faults.SiteServePredict, key); err != nil {
 			if obs.On() {
 				mErrors.Inc()
@@ -487,40 +487,50 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 }
 
 // decodeWireRequest is the single/batch request decode shared by the
-// standalone Server and the ring Router, which forwards the wire contexts
-// to replicas verbatim. Both answer a malformed context, or one with more
-// than maxNodes nodes, with the same 400: forwarded, every replica would
-// refuse it, and the router would count each refusal as a replica
-// failure.
-func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBatch, maxNodes int) ([]*snapshot.WireContext, []*session.Context, bool) {
+// standalone Server and the ring Router. It returns each context's bytes
+// as the client sent them, which the router forwards to replicas without
+// re-encoding, and the decoded contexts. Both answer a malformed context,
+// or one with more than maxNodes nodes, with the same 400: forwarded,
+// every replica would refuse it, and the router would count each refusal
+// as a replica failure.
+func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBatch, maxNodes int) ([]json.RawMessage, []*session.Context, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		httpClientError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("read body: %w", err))
 		return nil, nil, false
 	}
-	var wire []*snapshot.WireContext
+	var raw []json.RawMessage
 	if batch {
 		var req struct {
-			Contexts []*snapshot.WireContext `json:"contexts"`
+			Contexts []json.RawMessage `json:"contexts"`
 		}
 		if err := json.Unmarshal(body, &req); err != nil {
 			httpClientError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 			return nil, nil, false
 		}
-		wire = req.Contexts
+		raw = req.Contexts
 	} else {
 		var req struct {
-			Context *snapshot.WireContext `json:"context"`
+			Context json.RawMessage `json:"context"`
 		}
 		if err := json.Unmarshal(body, &req); err != nil {
 			httpClientError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 			return nil, nil, false
 		}
-		if req.Context == nil {
-			httpClientError(w, http.StatusBadRequest, errors.New(`missing "context"`))
+		if req.Context != nil {
+			raw = []json.RawMessage{req.Context}
+		}
+	}
+	wire := make([]*snapshot.WireContext, len(raw))
+	for i, rc := range raw {
+		if err := json.Unmarshal(rc, &wire[i]); err != nil {
+			httpClientError(w, http.StatusBadRequest, fmt.Errorf("decode request: context %d: %w", i, err))
 			return nil, nil, false
 		}
-		wire = []*snapshot.WireContext{req.Context}
+	}
+	if !batch && (len(wire) == 0 || wire[0] == nil) {
+		httpClientError(w, http.StatusBadRequest, errors.New(`missing "context"`))
+		return nil, nil, false
 	}
 	if len(wire) == 0 {
 		httpClientError(w, http.StatusBadRequest, errors.New("no contexts in request"))
@@ -536,7 +546,7 @@ func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBa
 		httpClientError(w, http.StatusBadRequest, err)
 		return nil, nil, false
 	}
-	return wire, ctxs, true
+	return raw, ctxs, true
 }
 
 // decodeAll checks every request context against the node cap, then

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"net/http"
 	"os"
 
@@ -74,15 +75,22 @@ func buildShards(clf *knn.Classifier, r *ring.Ring, node string) map[int]*shardM
 
 // candidatesRequest asks one replica for per-query candidate sets from
 // one shard it serves. Batching contexts keeps the router's fan-out at
-// one request per (shard, batch), not per (query, shard).
+// one request per (shard, batch), not per (query, shard). The router
+// writes this body itself (candidatesBody); the struct is the replica's
+// decode.
 type candidatesRequest struct {
-	Shard    int                     `json:"shard"`
+	Shard int `json:"shard"`
+	// MaxDist is the router's scan limit (knn.Config.ScanLimit): the
+	// replica returns only candidates within it. Absent means +∞, the
+	// superset a router that sends no limit merges.
+	MaxDist  *float64                `json:"max_dist,omitempty"`
 	Contexts []*snapshot.WireContext `json:"contexts"`
 }
 
-// candidatesResponse carries the shard's ungated local top-k per query,
-// indexes already remapped to global training order, plus the model
-// provenance the router's repair loop compares across replicas.
+// candidatesResponse carries the shard's local top-k within the request's
+// limit per query, indexes already remapped to global training order,
+// plus the model provenance the router's repair loop compares across
+// replicas.
 type candidatesResponse struct {
 	Shard      int               `json:"shard"`
 	Generation uint64            `json:"generation"`
@@ -94,8 +102,9 @@ type candidatesResponse struct {
 // the sharded predict path. It answers 501 on a standalone server, 404
 // for a shard the ring does not place here (the router treats that as a
 // routing failure and moves to the next replica), 400 for a malformed
-// context or one over the model's node cap, and otherwise the shard's
-// ungated top-k per query with globally numbered indexes.
+// context, one over the model's node cap or a negative max_dist, and
+// otherwise the shard's top-k within max_dist per query with globally
+// numbered indexes.
 func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	if !allowMethod(w, r, http.MethodPost) {
 		return
@@ -139,6 +148,14 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d exceeds the %d-context cap", len(req.Contexts), s.opts.MaxBatch))
 		return
 	}
+	limit := math.Inf(1)
+	if req.MaxDist != nil {
+		if *req.MaxDist < 0 {
+			httpClientError(w, http.StatusBadRequest, fmt.Errorf("max_dist %g is negative", *req.MaxDist))
+			return
+		}
+		limit = *req.MaxDist
+	}
 
 	// serve.slow is the gray-failure chaos site: a latency-only fault,
 	// injected while the in-flight slot is held (a slow request occupies
@@ -165,7 +182,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 			deadlineExceeded(w, tr)
 			return
 		}
-		cds := sm.clf.Candidates(q)
+		cds := sm.clf.Candidates(q, limit)
 		for j := range cds {
 			cds[j].Index = sm.global[cds[j].Index]
 		}
