@@ -220,10 +220,8 @@ type PredictorConfig struct {
 // DefaultPredictorConfig returns the paper's default configuration for a
 // comparison method (Table 4).
 func DefaultPredictorConfig(m Method) PredictorConfig {
-	if m == ReferenceBased {
-		return PredictorConfig{N: 3, K: 3, ThetaDelta: 0.2, ThetaI: 0.92}
-	}
-	return PredictorConfig{N: 2, K: 3, ThetaDelta: 0.1, ThetaI: 0.7}
+	n, cfg := eval.DefaultKNN(m)
+	return PredictorConfig{N: n, K: cfg.K, ThetaDelta: cfg.ThetaDelta, ThetaI: cfg.ThetaI}
 }
 
 // Predictor is the trained I-kNN model: it selects the most suitable
@@ -557,8 +555,8 @@ func predictorFromModel(m *snapshot.Model) (*Predictor, error) {
 // Serving layer re-exports.
 type (
 	// ServeOptions bounds the HTTP prediction server's resource envelope
-	// (in-flight requests, batch size, shutdown grace, Retry-After
-	// scaling, hot-reload source).
+	// (in-flight requests, batch size) and names its hot-reload source
+	// and ring role.
 	ServeOptions = serve.Options
 	// ServeModelInfo is the model description part of /v1/model.
 	ServeModelInfo = serve.ModelInfo

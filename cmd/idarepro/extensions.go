@@ -152,13 +152,12 @@ func cmdEval(ctx context.Context, args []string) error {
 		return err
 	}
 	method := offline.Normalized
-	n, cfg := 2, eval.KNNConfig{K: 3, ThetaDelta: 0.1, ThetaI: 0.7}
 	opts := offline.Options{SkipReference: true, Workers: workerCount}
 	if *methodName == "ref" {
 		method = offline.ReferenceBased
-		n, cfg = 3, eval.KNNConfig{K: 3, ThetaDelta: 0.2, ThetaI: 0.92}
 		opts = offline.Options{RefLimit: *refLimit, Workers: workerCount}
 	}
+	n, cfg := eval.DefaultKNN(method)
 	a, err := offline.AnalyzeContext(ctx, repo, opts)
 	if err != nil {
 		return err

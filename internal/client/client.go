@@ -2,17 +2,16 @@
 // server (internal/serve): the piece that keeps a caller useful while
 // the server restarts, reloads, or sheds load.
 //
-// Resilience is layered (DESIGN.md §9). Each request gets a bounded
-// per-attempt timeout; transient failures — network errors, timeouts,
-// 5xx — retry under the shared jittered-backoff policy of
-// internal/faults, honoring the server's Retry-After hint (the
-// occupancy-scaled value internal/serve computes). Above the retry
-// loop sits a rolling-window circuit breaker: when the recent failure
-// rate crosses the threshold the breaker opens and requests stop
+// Resilience is layered (DESIGN.md §9), with fixed settings. Each
+// attempt gets a 5s timeout; transient failures — network errors,
+// timeouts, 5xx, 429 — retry up to 3 tries in all, sleeping a jittered
+// exponential backoff raised to the server's Retry-After hint. Above
+// the retry loop sits a rolling-window circuit breaker: when at least 8
+// of the last 16 outcomes failed the breaker opens and requests stop
 // hitting the dying server; while open, predictions degrade to the
 // model's prior label (the same zero-information answer as
 // knn.FallbackPrior, learned from /v1/model or configured directly)
-// instead of failing. After a cooldown the breaker lets one probe
+// instead of failing. After a 5s cooldown the breaker lets one probe
 // through; success closes it, failure re-opens it.
 package client
 
@@ -24,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"sync"
@@ -32,7 +32,24 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/session"
 	"repro/internal/snapshot"
+)
+
+// The client's retry and breaker settings.
+const (
+	// maxTries bounds the HTTP attempts of one logical request.
+	maxTries = 3
+	// baseBackoff bounds the sleep before the second try; the bound
+	// doubles before each later one.
+	baseBackoff = 100 * time.Millisecond
+	// requestTimeout bounds each attempt, not the whole retry loop.
+	requestTimeout = 5 * time.Second
+	// The breaker opens when breakerThreshold of a full breakerWindow of
+	// outcomes failed, and lets one probe through after breakerCooldown.
+	breakerWindow    = 16
+	breakerThreshold = 0.5
+	breakerCooldown  = 5 * time.Second
 )
 
 var (
@@ -40,6 +57,10 @@ var (
 	mFailures    = obs.C("client.failures")
 	mDegraded    = obs.C("client.degraded")
 	mBreakerOpen = obs.C("client.breaker_open")
+	// Retries count into the injector's retry counters, so the -v table
+	// and /metrics show one retry total for the process.
+	mRetries        = obs.C("faults.retries")
+	mRetryExhausted = obs.C("faults.retry_exhausted")
 )
 
 // ErrBreakerOpen reports a request refused by an open circuit breaker
@@ -48,7 +69,7 @@ var ErrBreakerOpen = errors.New("client: circuit breaker open")
 
 // ErrBudgetExhausted reports a retry loop stopped early because the
 // caller's remaining context budget could not cover another useful
-// attempt (the next backoff sleep plus one full RequestTimeout). Match
+// attempt (the next backoff sleep plus one full attempt timeout). Match
 // with errors.Is; the underlying transient failure is wrapped.
 var ErrBudgetExhausted = errors.New("client: deadline budget exhausted")
 
@@ -69,59 +90,15 @@ func (e *budgetError) Unwrap() error { return e.cause }
 
 func (e *budgetError) Is(target error) bool { return target == ErrBudgetExhausted }
 
-// Options configures the client. The zero value is usable given a
-// BaseURL.
+// Options configures the client.
 type Options struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080". The
 	// client talks to this one endpoint; against a sharded tier it is the
 	// router, which owns replica failover (DESIGN.md §11).
 	BaseURL string
-	// HTTPClient overrides the transport. nil means http.DefaultClient.
-	HTTPClient *http.Client
-	// RequestTimeout bounds each attempt (not the whole retry loop).
-	// <=0 means 5s.
-	RequestTimeout time.Duration
-	// Retry is the per-request retry policy. Zero Attempts means 3
-	// attempts with 100ms jittered exponential backoff capped at 2s.
-	// The policy's Retryable is always overridden with the client's
-	// transient/permanent classification.
-	Retry faults.RetryPolicy
-	// BreakerWindow is the rolling outcome window size. <1 means 16.
-	BreakerWindow int
-	// BreakerThreshold opens the breaker when the window's failure
-	// rate reaches it (window full). <=0 means 0.5.
-	BreakerThreshold float64
-	// BreakerCooldown is how long an open breaker waits before letting
-	// a probe through. <=0 means 5s.
-	BreakerCooldown time.Duration
 	// PriorLabel seeds the degraded answer served while the breaker is
 	// open. When empty the client learns it from /v1/model's "prior".
 	PriorLabel string
-}
-
-func (o Options) withDefaults() Options {
-	if o.HTTPClient == nil {
-		o.HTTPClient = http.DefaultClient
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 5 * time.Second
-	}
-	if o.Retry.Attempts < 1 {
-		o.Retry.Attempts = 3
-		o.Retry.Backoff = 100 * time.Millisecond
-		o.Retry.MaxBackoff = 2 * time.Second
-		o.Retry.Jitter = true
-	}
-	if o.BreakerWindow < 1 {
-		o.BreakerWindow = 16
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 0.5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
-	}
-	return o
 }
 
 // Prediction is one answer. Degraded marks a prior-label answer the
@@ -138,9 +115,15 @@ type Prediction struct {
 // use.
 type Client struct {
 	opts Options
-	// now is the clock, swappable in tests.
-	now func() time.Time
-	br  breaker
+	// tries, backoff and timeout are maxTries, baseBackoff and
+	// requestTimeout; tests shrink them.
+	tries   int
+	backoff time.Duration
+	timeout time.Duration
+	// now is the clock and sleep the backoff wait, swappable in tests.
+	now   func() time.Time
+	sleep func(context.Context, time.Duration) bool
+	br    breaker
 
 	priorMu sync.Mutex
 	prior   string
@@ -151,15 +134,18 @@ func New(opts Options) (*Client, error) {
 	if opts.BaseURL == "" {
 		return nil, errors.New("client: BaseURL required")
 	}
-	o := opts.withDefaults()
 	return &Client{
-		opts:  o,
-		now:   time.Now,
-		prior: o.PriorLabel,
+		opts:    opts,
+		tries:   maxTries,
+		backoff: baseBackoff,
+		timeout: requestTimeout,
+		now:     time.Now,
+		sleep:   sleepCtx,
+		prior:   opts.PriorLabel,
 		br: breaker{
-			window:    make([]bool, o.BreakerWindow),
-			threshold: o.BreakerThreshold,
-			cooldown:  o.BreakerCooldown,
+			window:    make([]bool, breakerWindow),
+			threshold: breakerThreshold,
+			cooldown:  breakerCooldown,
 		},
 	}, nil
 }
@@ -262,54 +248,89 @@ func (c *Client) degraded(err error, n int) ([]Prediction, bool) {
 // do runs one logical request through the breaker and the retry loop,
 // decoding a 200 response into out. Each attempt claims breaker
 // admission and reports its outcome; 4xx answers say nothing about
-// server health and count as successes. ErrBreakerOpen is not
-// retryable, so callers degrade to the prior label immediately instead
-// of sleeping through a hopeless backoff.
-func (c *Client) do(ctx context.Context, method, path, key string, body []byte, out any) error {
+// server health and count as successes. Only transient failures retry:
+// before try i+1 (i from 0) the loop sleeps a draw from
+// [0, backoff·2^i], raised to the server's Retry-After when that is
+// longer, and a ctx canceled before a try or mid-sleep ends the loop
+// with its error. ErrBreakerOpen is not retryable, so callers degrade to
+// the prior label immediately instead of sleeping through a hopeless
+// backoff.
+func (c *Client) do(ctx context.Context, method, path, key string, body []byte, out any) (err error) {
 	if obs.On() {
 		mRequests.Inc()
+		defer func() {
+			if err != nil {
+				mFailures.Inc()
+			}
+		}()
 	}
 	// One correlation ID per LOGICAL request: every retry of it carries
 	// the same X-Request-ID, so the server's trace ring shows the
 	// attempts as one story instead of unrelated requests.
 	rid := obs.NewRequestID()
-	retry := c.opts.Retry
-	retry.Retryable = transient
-	err := retry.Do(ctx, func(attempt int) error {
+	var hint time.Duration // the last failure's Retry-After
+	for try := 0; try < c.tries; try++ {
+		if ctx != nil && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if try > 0 {
+			mRetries.Inc()
+			if !c.sleep(ctx, max(rand.N(c.backoff<<(try-1)+1), hint)) {
+				return ctx.Err()
+			}
+		}
 		if !c.br.allow(c.now()) {
 			return ErrBreakerOpen
 		}
 		// The fault-site key re-rolls per attempt so a chaos run injects
 		// independently across retries.
-		aerr := c.attempt(ctx, method, path, faults.Key(key, attempt), rid, body, out)
-		if c.br.record(aerr == nil || permanent(aerr), c.now()) && obs.On() {
+		err = c.attempt(ctx, method, path, faults.Key(key, try), rid, body, out)
+		if c.br.record(err == nil || permanent(err), c.now()) && obs.On() {
 			mBreakerOpen.Inc()
 		}
-		if aerr == nil || !transient(aerr) {
-			return aerr
+		if err == nil || !transient(err) {
+			return err
+		}
+		hint = 0
+		if he, ok := err.(*httpError); ok {
+			hint = he.retryAfter
 		}
 		// This transient failure would now sleep and retry. When the
-		// caller's remaining budget cannot cover the next backoff sleep
-		// plus one full attempt, that retry is doomed to die mid-flight —
-		// return the typed budget error (not retryable) so the caller
-		// gets a fast, honest answer instead of a late ctx timeout.
-		if attempt+1 < retry.Attempts && ctx != nil {
+		// caller's remaining budget cannot cover the bound of that sleep
+		// plus one full attempt, the retry is doomed to die mid-flight —
+		// return the typed budget error so the caller gets a fast, honest
+		// answer instead of a late ctx timeout.
+		if try+1 < c.tries && ctx != nil {
 			if dl, ok := ctx.Deadline(); ok {
-				need := nextSleepBound(retry, attempt, aerr) + c.opts.RequestTimeout
+				need := max(c.backoff<<try, hint) + c.timeout
 				if remaining := time.Until(dl); remaining < need {
-					return &budgetError{need: need, remaining: remaining, cause: aerr}
+					return &budgetError{need: need, remaining: remaining, cause: err}
 				}
 			}
 		}
-		return aerr
-	})
-	if err != nil {
-		if obs.On() {
-			mFailures.Inc()
-		}
-		return err
 	}
-	return nil
+	mRetryExhausted.Inc()
+	return err
+}
+
+// sleepCtx waits d or until ctx is canceled, whichever comes first,
+// reporting whether the full sleep elapsed.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	if d <= 0 {
+		return true
+	}
+	if ctx == nil {
+		time.Sleep(d)
+		return true
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // attempt is one HTTP round trip under the per-attempt timeout and the
@@ -326,7 +347,7 @@ func (c *Client) attempt(ctx context.Context, method, path, key, rid string, bod
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	actx, cancel := context.WithTimeout(ctx, c.opts.RequestTimeout)
+	actx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -341,7 +362,7 @@ func (c *Client) attempt(ctx context.Context, method, path, key, rid string, bod
 	}
 	req.Header.Set("X-Request-ID", rid)
 	// Stamp the attempt's budget (the tighter of the caller's deadline
-	// and RequestTimeout — actx carries both) so the server can fast-fail
+	// and the attempt timeout — actx carries both) so the server can fast-fail
 	// a request it cannot finish in time instead of timing out silently.
 	if dl, ok := actx.Deadline(); ok {
 		ms := time.Until(dl).Milliseconds()
@@ -350,7 +371,7 @@ func (c *Client) attempt(ctx context.Context, method, path, key, rid string, bod
 		}
 		req.Header.Set(serve.DeadlineHeader, strconv.FormatInt(ms, 10))
 	}
-	resp, err := c.opts.HTTPClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		// The caller's context ending is final; this attempt's timeout
 		// is a transient slow-server signal.
@@ -389,28 +410,6 @@ func recoveredErr(r any) error {
 		return fmt.Errorf("client: recovered panic: %w", err)
 	}
 	return fmt.Errorf("client: recovered panic: %v", r)
-}
-
-// nextSleepBound is an upper bound on the sleep the retry policy will
-// take before attempt+1: the exponential backoff (doubled attempt times,
-// capped), or the server's Retry-After hint when it asks for longer.
-// Jitter only shortens sleeps, so the un-jittered backoff is the bound.
-func nextSleepBound(p faults.RetryPolicy, attempt int, err error) time.Duration {
-	sleep := p.Backoff
-	for i := 0; i < attempt; i++ {
-		sleep *= 2
-		if p.MaxBackoff > 0 && sleep > p.MaxBackoff {
-			sleep = p.MaxBackoff
-			break
-		}
-	}
-	var hinter faults.RetryAfterHinter
-	if errors.As(err, &hinter) {
-		if hint, ok := hinter.RetryAfterHint(); ok && hint > sleep {
-			sleep = hint
-		}
-	}
-	return sleep
 }
 
 // transient classifies an attempt failure for the retry loop: injected
@@ -454,10 +453,9 @@ func (e *transportError) Error() string { return "client: " + e.err.Error() }
 func (e *transportError) Unwrap() error { return e.err }
 
 // httpError is a non-200 response. It carries the server's Retry-After
-// hint through faults.RetryAfterHinter, so the shared retry loop waits
-// as long as the server asked before the next attempt, and the server's
-// X-Request-ID so the error message names the trace to pull from
-// GET /v1/admin/trace.
+// hint, so the retry loop waits at least as long as the server asked
+// before the next attempt, and the server's X-Request-ID so the error
+// message names the trace to pull from GET /v1/admin/trace.
 type httpError struct {
 	code       int
 	body       string
@@ -482,18 +480,13 @@ func (e *httpError) StatusCode() int { return e.code }
 // RequestID reports the server-assigned X-Request-ID, when present.
 func (e *httpError) RequestID() string { return e.requestID }
 
-// RetryAfterHint implements faults.RetryAfterHinter.
-func (e *httpError) RetryAfterHint() (time.Duration, bool) {
-	return e.retryAfter, e.retryAfter > 0
-}
-
 // parseRetryAfter reads both RFC 9110 forms of Retry-After: delay-seconds
 // and HTTP-date. internal/serve only emits delay-seconds, but the client
 // also talks through proxies and to foreign implementations that send
 // dates; before HTTP-date support, those hints were silently dropped and
 // the backoff fell back to its generic schedule. A date is converted to
 // a delay relative to now; dates in the past (or clock-skewed) clamp to
-// 0, which RetryAfterHint treats as "no hint". Malformed values, and
+// 0, which the retry loop treats as no hint. Malformed values, and
 // delays too long for a time.Duration, also yield 0 — a garbled hint
 // must never stall or crash the retry loop.
 func parseRetryAfter(v string, now time.Time) time.Duration {
@@ -532,7 +525,7 @@ func errBody(blob []byte) string {
 // shape the server's own probe uses, so chaos runs line up across both
 // sides of the wire.
 func predictKey(wc *snapshot.WireContext, n int) string {
-	return fmt.Sprintf("%s@%d/%d#%d", wc.SessionID, wc.T, wc.N, n)
+	return session.Key(wc.SessionID, wc.T, wc.N) + "#" + strconv.Itoa(n)
 }
 
 // breaker is a rolling-window circuit breaker. Closed: outcomes feed a

@@ -46,9 +46,17 @@ func realServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// fastRetry keeps test retries sub-millisecond.
-func fastRetry(attempts int) faults.RetryPolicy {
-	return faults.RetryPolicy{Attempts: attempts, Backoff: time.Microsecond, MaxBackoff: time.Millisecond}
+// fastRetry shrinks c's retry loop to tries attempts with a
+// sub-millisecond backoff.
+func fastRetry(c *Client, tries int) {
+	c.tries, c.backoff = tries, time.Microsecond
+}
+
+// setBreaker resizes c's breaker: it opens when threshold of a full
+// window of outcomes failed, and probes after cooldown.
+func setBreaker(c *Client, window int, threshold float64, cooldown time.Duration) {
+	c.br.window = make([]bool, window)
+	c.br.threshold, c.br.cooldown = threshold, cooldown
 }
 
 func TestPredictRoundTrip(t *testing.T) {
@@ -100,10 +108,11 @@ func TestRetriesTransient503(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, err := New(Options{BaseURL: ts.URL, Retry: fastRetry(3)})
+	c, err := New(Options{BaseURL: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fastRetry(c, 3)
 	p, err := c.Predict(context.Background(), wire("q", 1))
 	if err != nil {
 		t.Fatal(err)
@@ -125,10 +134,12 @@ func TestPermanent4xxDoesNotRetryOrTrip(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, err := New(Options{BaseURL: ts.URL, Retry: fastRetry(3), BreakerWindow: 2, BreakerThreshold: 0.5})
+	c, err := New(Options{BaseURL: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fastRetry(c, 3)
+	setBreaker(c, 2, 0.5, breakerCooldown)
 	for i := 0; i < 4; i++ {
 		if _, err := c.Predict(context.Background(), wire("q", 1)); err == nil {
 			t.Fatal("400 response did not surface as an error")
@@ -150,17 +161,12 @@ func TestBreakerOpensAndDegradesToPrior(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, err := New(Options{
-		BaseURL:          ts.URL,
-		Retry:            fastRetry(1),
-		BreakerWindow:    4,
-		BreakerThreshold: 0.5,
-		BreakerCooldown:  time.Hour,
-		PriorLabel:       "variance",
-	})
+	c, err := New(Options{BaseURL: ts.URL, PriorLabel: "variance"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fastRetry(c, 1)
+	setBreaker(c, 4, 0.5, time.Hour)
 	for i := 0; i < 4; i++ {
 		if _, err := c.Predict(context.Background(), wire(fmt.Sprintf("q%d", i), 1)); err == nil {
 			t.Fatal("500 streak did not surface errors")
@@ -198,13 +204,12 @@ func TestBreakerOpenWithoutPriorSurfaces(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, err := New(Options{
-		BaseURL: ts.URL, Retry: fastRetry(1),
-		BreakerWindow: 2, BreakerThreshold: 0.5, BreakerCooldown: time.Hour,
-	})
+	c, err := New(Options{BaseURL: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fastRetry(c, 1)
+	setBreaker(c, 2, 0.5, time.Hour)
 	for i := 0; i < 2; i++ {
 		c.Predict(context.Background(), wire("q", 1))
 	}
@@ -224,13 +229,12 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, err := New(Options{
-		BaseURL: ts.URL, Retry: fastRetry(1),
-		BreakerWindow: 2, BreakerThreshold: 0.5, BreakerCooldown: time.Minute,
-	})
+	c, err := New(Options{BaseURL: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fastRetry(c, 1)
+	setBreaker(c, 2, 0.5, time.Minute)
 	clock := time.Unix(1000, 0)
 	c.now = func() time.Time { return clock }
 
@@ -265,13 +269,12 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, err := New(Options{
-		BaseURL: ts.URL, Retry: fastRetry(1),
-		BreakerWindow: 2, BreakerThreshold: 0.5, BreakerCooldown: time.Minute,
-	})
+	c, err := New(Options{BaseURL: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fastRetry(c, 1)
+	setBreaker(c, 2, 0.5, time.Minute)
 	clock := time.Unix(1000, 0)
 	c.now = func() time.Time { return clock }
 	for i := 0; i < 2; i++ {
@@ -298,13 +301,12 @@ func TestModelLearnsPrior(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, err := New(Options{
-		BaseURL: ts.URL, Retry: fastRetry(1),
-		BreakerWindow: 2, BreakerThreshold: 0.5, BreakerCooldown: time.Hour,
-	})
+	c, err := New(Options{BaseURL: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fastRetry(c, 1)
+	setBreaker(c, 2, 0.5, time.Hour)
 	st, err := c.Model(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -331,10 +333,11 @@ func TestCancelMidBackoff(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, err := New(Options{BaseURL: ts.URL, Retry: fastRetry(3)})
+	c, err := New(Options{BaseURL: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fastRetry(c, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -347,6 +350,85 @@ func TestCancelMidBackoff(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// recordSleeps makes c's backoff waits return at once, appending each
+// requested sleep to the returned slice.
+func recordSleeps(c *Client) *[]time.Duration {
+	var sleeps []time.Duration
+	c.sleep = func(_ context.Context, d time.Duration) bool {
+		sleeps = append(sleeps, d)
+		return true
+	}
+	return &sleeps
+}
+
+// TestBackoffJitterStaysWithinBound: against a server that always
+// answers 503 without a hint, each request makes maxTries attempts, and
+// the sleep before try i+1 is a random draw from [0, baseBackoff·2^i].
+func TestBackoffJitterStaysWithinBound(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer ts.Close()
+
+	c, err := New(Options{BaseURL: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sleeps := recordSleeps(c)
+	const requests = 5 // 15 outcomes: the 16-slot breaker window stays open for business
+	for i := 0; i < requests; i++ {
+		if _, err := c.Predict(context.Background(), wire("q", i)); err == nil {
+			t.Fatal("an always-503 server answered")
+		}
+	}
+	if got := calls.Load(); got != requests*maxTries {
+		t.Fatalf("server saw %d calls for %d requests, want %d tries each", got, requests, maxTries)
+	}
+	if len(*sleeps) != requests*(maxTries-1) {
+		t.Fatalf("%d sleeps for %d requests, want %d each", len(*sleeps), requests, maxTries-1)
+	}
+	distinct := map[time.Duration]bool{}
+	for i, d := range *sleeps {
+		bound := baseBackoff << (i % (maxTries - 1))
+		if d < 0 || d > bound {
+			t.Fatalf("sleep %d = %v, outside [0, %v]", i, d, bound)
+		}
+		distinct[d] = true
+	}
+	if len(distinct) < 2 {
+		t.Fatalf("every sleep was %v: no jitter", (*sleeps)[0])
+	}
+}
+
+// TestRetryAfterFloorsBackoff: a server's Retry-After longer than the
+// backoff bound is the sleep, exactly.
+func TestRetryAfterFloorsBackoff(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer ts.Close()
+
+	c, err := New(Options{BaseURL: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sleeps := recordSleeps(c)
+	if _, err := c.Predict(context.Background(), wire("q", 1)); err == nil {
+		t.Fatal("an always-503 server answered")
+	}
+	if len(*sleeps) != maxTries-1 {
+		t.Fatalf("%d sleeps, want %d", len(*sleeps), maxTries-1)
+	}
+	for i, d := range *sleeps {
+		if d != time.Second {
+			t.Fatalf("sleep %d = %v, want the server's 1s Retry-After", i, d)
+		}
 	}
 }
 
@@ -363,16 +445,13 @@ func TestBudgetExhaustedStopsRetries(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, err := New(Options{
-		BaseURL:        ts.URL,
-		RequestTimeout: 5 * time.Second,
-		Retry:          faults.RetryPolicy{Attempts: 3, Backoff: time.Millisecond, MaxBackoff: time.Millisecond},
-	})
+	c, err := New(Options{BaseURL: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Budget of 1s < 1ms sleep + 5s RequestTimeout: the first transient
-	// failure must end the loop.
+	c.backoff = time.Millisecond
+	// Budget of 1s < 1ms sleep + the 5s attempt timeout: the first
+	// transient failure must end the loop.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	t0 := time.Now()
@@ -406,10 +485,12 @@ func TestBudgetAllowsRetryWhenRoomy(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, err := New(Options{BaseURL: ts.URL, RequestTimeout: time.Second, Retry: fastRetry(3)})
+	c, err := New(Options{BaseURL: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fastRetry(c, 3)
+	c.timeout = time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	p, err := c.Predict(ctx, wire("q", 1))
@@ -436,15 +517,16 @@ func TestDeadlineHeaderStamped(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, err := New(Options{BaseURL: ts.URL, RequestTimeout: 2 * time.Second})
+	c, err := New(Options{BaseURL: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.timeout = 2 * time.Second
 	if _, err := c.Predict(context.Background(), wire("q", 1)); err != nil {
 		t.Fatal(err)
 	}
 	ms := sawMs.Load()
-	// The per-attempt budget is RequestTimeout (2s) minus scheduling
+	// The per-attempt budget is the attempt timeout (2s) minus scheduling
 	// slop; anything in (0, 2000] proves the stamp is real and bounded.
 	if ms <= 0 || ms > 2000 {
 		t.Fatalf("X-Deadline-Ms = %d, want in (0, 2000]", ms)
@@ -471,10 +553,11 @@ func TestInjectedFaultSite(t *testing.T) {
 		Sites: []string{faults.SiteClientRequest},
 	})
 
-	c, err := New(Options{BaseURL: ts.URL, Retry: fastRetry(2), PriorLabel: "variance"})
+	c, err := New(Options{BaseURL: ts.URL, PriorLabel: "variance"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fastRetry(c, 2)
 	_, err = c.Predict(context.Background(), wire("q", 1))
 	if err == nil || !faults.IsInjected(err) {
 		t.Fatalf("p=1 client.request fault: err = %v, want injected", err)
@@ -493,10 +576,11 @@ func TestInjectedFaultSite(t *testing.T) {
 
 func TestConnectionRefusedRetriesAndFails(t *testing.T) {
 	// A port nothing listens on: every attempt is a transport error.
-	c, err := New(Options{BaseURL: "http://127.0.0.1:1", Retry: fastRetry(2)})
+	c, err := New(Options{BaseURL: "http://127.0.0.1:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fastRetry(c, 2)
 	_, err = c.Predict(context.Background(), wire("q", 1))
 	if err == nil {
 		t.Fatal("predict against a dead port succeeded")
@@ -534,10 +618,11 @@ func TestRequestIDStableAcrossRetries(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, err := New(Options{BaseURL: ts.URL, Retry: fastRetry(3)})
+	c, err := New(Options{BaseURL: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fastRetry(c, 3)
 	if _, err := c.Predict(context.Background(), wire("q", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -576,10 +661,11 @@ func TestErrorNamesServerRequestID(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, err := New(Options{BaseURL: ts.URL, Retry: fastRetry(2)})
+	c, err := New(Options{BaseURL: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fastRetry(c, 2)
 	_, err = c.Predict(context.Background(), wire("q", 1))
 	if err == nil {
 		t.Fatal("want error from a 400 server")
@@ -647,8 +733,8 @@ func FuzzParseRetryAfter(f *testing.F) {
 }
 
 func TestRetryAfterDateHintReachesBackoff(t *testing.T) {
-	// End to end: a 503 carrying the HTTP-date form must surface through
-	// httpError.RetryAfterHint just like delay-seconds does.
+	// End to end: a 503 carrying the HTTP-date form must surface as
+	// httpError's Retry-After hint just like delay-seconds does.
 	var when atomic.Value // string; the header the stub sends
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", when.Load().(string))
@@ -656,10 +742,11 @@ func TestRetryAfterDateHintReachesBackoff(t *testing.T) {
 		fmt.Fprint(w, `{"error":"draining"}`)
 	}))
 	defer srv.Close()
-	c, err := New(Options{BaseURL: srv.URL, Retry: faults.RetryPolicy{Attempts: 1}})
+	c, err := New(Options{BaseURL: srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.tries = 1
 	for _, form := range []string{
 		"5",
 		time.Now().UTC().Add(5 * time.Second).Format(http.TimeFormat),
@@ -670,9 +757,8 @@ func TestRetryAfterDateHintReachesBackoff(t *testing.T) {
 		if !errors.As(err, &he) {
 			t.Fatalf("Retry-After %q: want httpError, got %v", form, err)
 		}
-		d, ok := he.RetryAfterHint()
-		if !ok || d <= 0 || d > 5*time.Second {
-			t.Fatalf("Retry-After %q: hint (%v, %v), want a positive duration <= 5s", form, d, ok)
+		if d := he.retryAfter; d <= 0 || d > 5*time.Second {
+			t.Fatalf("Retry-After %q: hint %v, want a positive duration <= 5s", form, d)
 		}
 	}
 }
@@ -703,13 +789,12 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, err := New(Options{
-		BaseURL: ts.URL, Retry: fastRetry(1),
-		BreakerWindow: 2, BreakerThreshold: 0.5, BreakerCooldown: time.Minute,
-	})
+	c, err := New(Options{BaseURL: ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fastRetry(c, 1)
+	setBreaker(c, 2, 0.5, time.Minute)
 	var mu sync.Mutex
 	clock := time.Unix(1000, 0)
 	c.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }

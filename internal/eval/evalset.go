@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"strconv"
 
 	"repro/internal/distance"
 	"repro/internal/faults"
@@ -31,7 +30,7 @@ var (
 // sample: stable across runs and worker counts, unlike pointers or call
 // order.
 func sampleFP(s *offline.Sample) string {
-	return s.Context.SessionID + "@" + strconv.Itoa(s.Context.T) + "/" + strconv.Itoa(s.Context.N)
+	return session.Key(s.Context.SessionID, s.Context.T, s.Context.N)
 }
 
 // EvalSet is a prepared evaluation dataset for one (I, method, n) triple:
@@ -211,6 +210,15 @@ type KNNConfig struct {
 	K          int
 	ThetaDelta float64
 	ThetaI     float64
+}
+
+// DefaultKNN returns the paper's default configuration for a comparison
+// method (Table 4): the context size n and the (k, θ_δ, θ_I) triple.
+func DefaultKNN(m offline.Method) (n int, cfg KNNConfig) {
+	if m == offline.ReferenceBased {
+		return 3, KNNConfig{K: 3, ThetaDelta: 0.2, ThetaI: 0.92}
+	}
+	return 2, KNNConfig{K: 3, ThetaDelta: 0.1, ThetaI: 0.7}
 }
 
 // EvaluateKNN runs Leave-One-Out cross validation of the I-kNN model: each

@@ -221,3 +221,14 @@ func TestDefaultAndFullGrids(t *testing.T) {
 		}
 	}
 }
+
+func TestDefaultKNNMatchesTable4(t *testing.T) {
+	n, cfg := DefaultKNN(offline.ReferenceBased)
+	if n != 3 || cfg.K != 3 || cfg.ThetaDelta != 0.2 || cfg.ThetaI != 0.92 {
+		t.Errorf("RB default = n=%d %+v", n, cfg)
+	}
+	n, cfg = DefaultKNN(offline.Normalized)
+	if n != 2 || cfg.K != 3 || cfg.ThetaDelta != 0.1 || cfg.ThetaI != 0.7 {
+		t.Errorf("Norm default = n=%d %+v", n, cfg)
+	}
+}

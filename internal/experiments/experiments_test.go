@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/netlog"
-	"repro/internal/offline"
 	"repro/internal/simulate"
 )
 
@@ -89,17 +88,6 @@ func TestConfigsQuickVsFull(t *testing.T) {
 	r2 := NewRunner(r.Repo, r.Analysis, &bytes.Buffer{}, false, 1)
 	if got := len(r2.Configs()); got != 16 {
 		t.Errorf("full configs = %d, want 16", got)
-	}
-}
-
-func TestDefaultKNNMatchesTable4(t *testing.T) {
-	n, cfg := defaultKNN(offline.ReferenceBased)
-	if n != 3 || cfg.K != 3 || cfg.ThetaDelta != 0.2 || cfg.ThetaI != 0.92 {
-		t.Errorf("RB default = n=%d %+v", n, cfg)
-	}
-	n, cfg = defaultKNN(offline.Normalized)
-	if n != 2 || cfg.K != 3 || cfg.ThetaDelta != 0.1 || cfg.ThetaI != 0.7 {
-		t.Errorf("Norm default = n=%d %+v", n, cfg)
 	}
 }
 

@@ -17,14 +17,6 @@ func everyOther(xs []float64) []float64 {
 	return out
 }
 
-// defaultKNN returns the paper's Table-4 default configuration per method.
-func defaultKNN(m offline.Method) (n int, cfg eval.KNNConfig) {
-	if m == offline.ReferenceBased {
-		return 3, eval.KNNConfig{K: 3, ThetaDelta: 0.2, ThetaI: 0.92}
-	}
-	return 2, eval.KNNConfig{K: 3, ThetaDelta: 0.1, ThetaI: 0.7}
-}
-
 // gridFor picks the sweep resolution.
 func (r *Runner) gridFor(m offline.Method) eval.GridSpec {
 	if r.Quick {
@@ -68,7 +60,7 @@ func (r *Runner) Table4() error {
 			fmt.Fprintf(r.Out, "  no usable configuration found\n")
 			continue
 		}
-		pn, pcfg := defaultKNN(m)
+		pn, pcfg := eval.DefaultKNN(m)
 		fmt.Fprintf(r.Out, "  chosen default: n=%d k=%d θ_δ=%.2f θ_I=%.2f -> %s\n",
 			best.N, best.K, best.ThetaDelta, best.ThetaI, best.Metrics)
 		fmt.Fprintf(r.Out, "  paper default:  n=%d k=%d θ_δ=%.2f θ_I=%.2f (accuracy %.3f, coverage %.3f on REACT-IDA)\n",
@@ -103,7 +95,7 @@ func (r *Runner) Table5() error {
 	}
 	configs := r.Configs()
 	for _, m := range offline.Methods {
-		n, cfg := defaultKNN(m)
+		n, cfg := eval.DefaultKNN(m)
 		var rnd, bsm, svmM, knnM []eval.Metrics
 		for ci, I := range configs {
 			es := eval.BuildEvalSetCached(r.Analysis, I, m, n, r.cache)
@@ -166,7 +158,7 @@ func (r *Runner) Fig4() error {
 func (r *Runner) Fig5() error {
 	r.section("Figure 5 — hyper-parameter effects")
 	for _, m := range offline.Methods {
-		defN, defCfg := defaultKNN(m)
+		defN, defCfg := eval.DefaultKNN(m)
 		fmt.Fprintf(r.Out, "\n--- %s (defaults: n=%d k=%d θ_δ=%.2f θ_I=%.2f) ---\n",
 			m, defN, defCfg.K, defCfg.ThetaDelta, defCfg.ThetaI)
 

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -136,50 +135,6 @@ func TestIsInjected(t *testing.T) {
 	}
 	if IsInjected(nil) {
 		t.Error("IsInjected(nil) = true")
-	}
-}
-
-func TestRetryRerollsInjectedFaults(t *testing.T) {
-	withConfig(t, Config{Prob: 0.5, Seed: 11, Kinds: KindError})
-	policy := RetryPolicy{Attempts: 8}
-	succeeded := 0
-	for i := 0; i < 200; i++ {
-		base := fmt.Sprint("item", i)
-		err := policy.Do(context.Background(), func(attempt int) error {
-			return Inject(SiteRefExecute, Key(base, attempt), KindError)
-		})
-		if err == nil {
-			succeeded++
-		}
-	}
-	// p=0.5 over 8 attempts leaves ~0.4% exhaustion; 200 items should
-	// overwhelmingly succeed.
-	if succeeded < 190 {
-		t.Fatalf("only %d/200 items survived retry at p=0.5, attempts=8", succeeded)
-	}
-}
-
-func TestRetryDoesNotRetryRealErrors(t *testing.T) {
-	real := errors.New("disk on fire")
-	calls := 0
-	err := RetryPolicy{Attempts: 5}.Do(context.Background(), func(int) error {
-		calls++
-		return real
-	})
-	if !errors.Is(err, real) || calls != 1 {
-		t.Fatalf("got err=%v calls=%d, want the real error after exactly 1 call", err, calls)
-	}
-}
-
-func TestRetryHonorsContext(t *testing.T) {
-	withConfig(t, Config{Prob: 1, Seed: 1, Kinds: KindError})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := RetryPolicy{Attempts: 5}.Do(ctx, func(attempt int) error {
-		return Inject(SiteRefExecute, Key("x", attempt), KindError)
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

@@ -43,21 +43,29 @@ func TestGuardRetriesInjectedFaults(t *testing.T) {
 }
 
 // TestGuardReturnsLastErrorWhenEveryTryFails: with every probe firing,
-// fn never runs and the error of the last of DefaultRetry.Attempts tries
-// returns.
+// fn never runs and the error of the last of guardTries tries returns;
+// faults.retries counts each re-try and faults.retry_exhausted the
+// exhaustion.
 func TestGuardReturnsLastErrorWhenEveryTryFails(t *testing.T) {
 	withConfig(t, Config{Prob: 1, Seed: 1, Kinds: KindError})
+	retries, exhausted := mRetries.Load(), mRetryExhausted.Load()
 	runs := 0
 	err := Guard(context.Background(), guardSite, "x", func() error { runs++; return nil })
 	var f *Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("err = %v, want an injected *Fault", err)
 	}
-	if want := Key("x", DefaultRetry.Attempts-1); f.Key != want || f.Site != guardSite {
+	if want := Key("x", guardTries-1); f.Key != want || f.Site != guardSite {
 		t.Errorf("last fault at %s key %q, want %s key %q", f.Site, f.Key, guardSite, want)
 	}
 	if runs != 0 {
 		t.Errorf("fn ran %d times behind failing probes", runs)
+	}
+	if got := mRetries.Load() - retries; got != guardTries-1 {
+		t.Errorf("faults.retries moved by %d, want %d", got, guardTries-1)
+	}
+	if got := mRetryExhausted.Load() - exhausted; got != 1 {
+		t.Errorf("faults.retry_exhausted moved by %d, want 1", got)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
 	"time"
 
 	"repro/internal/distance"
@@ -297,9 +296,8 @@ func (c *Classifier) predict(ctx context.Context, query *session.Context, w int)
 	if !faults.Enabled() {
 		scanOnce()
 	} else {
-		base := query.SessionID + "@" + strconv.Itoa(query.T) + "/" + strconv.Itoa(query.N)
 		// An exhausted probe leaves cands empty; its error has no other use.
-		_ = faults.Guard(nil, faults.SiteKNNScan, base, func() error {
+		_ = faults.Guard(nil, faults.SiteKNNScan, session.Key(query.SessionID, query.T, query.N), func() error {
 			scanOnce()
 			return nil
 		})

@@ -99,7 +99,7 @@ func TestNormalizerSurvivesDegenerateMeasure(t *testing.T) {
 		}
 	}
 	msrs := a.Measures
-	norm, err := FitNormalizerWorkers(msrs, a.Nodes, 1)
+	norm, err := FitNormalizer(nil, msrs, a.Nodes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

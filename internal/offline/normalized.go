@@ -54,23 +54,14 @@ type Normalizer struct {
 // FitNormalizer runs the preprocessing over the raw scores of all recorded
 // actions. Each measure's score series is shifted positive, Box-Cox
 // transformed with an MLE-estimated λ, and its transformed mean/std stored.
-func FitNormalizer(msrs []measures.Measure, nodes []*NodeScores) (*Normalizer, error) {
-	return FitNormalizerWorkers(msrs, nodes, 0)
-}
-
-// FitNormalizerWorkers is FitNormalizer with an explicit fan-out width:
-// the per-measure Box-Cox MLE fits are independent, so they spread across
-// the worker pool (1 forces the sequential path). Fitted parameters are a
-// pure function of each measure's own series, so results are bit-identical
-// at every width.
-func FitNormalizerWorkers(msrs []measures.Measure, nodes []*NodeScores, workers int) (*Normalizer, error) {
-	return FitNormalizerCtx(nil, msrs, nodes, workers)
-}
-
-// FitNormalizerCtx is FitNormalizerWorkers with cancellation: a canceled
-// ctx stops the fan-out between measure fits and returns a typed
-// pipeline error for the "offline.normalize" stage.
-func FitNormalizerCtx(ctx context.Context, msrs []measures.Measure, nodes []*NodeScores, workers int) (*Normalizer, error) {
+//
+// The per-measure Box-Cox MLE fits are independent, so they spread across
+// workers (1 forces the sequential path). Fitted parameters are a pure
+// function of each measure's own series, so results are bit-identical at
+// every width. A canceled ctx (nil never cancels) stops the fan-out
+// between measure fits and returns a typed pipeline error for the
+// "offline.normalize" stage.
+func FitNormalizer(ctx context.Context, msrs []measures.Measure, nodes []*NodeScores, workers int) (*Normalizer, error) {
 	t0 := time.Now()
 	n := &Normalizer{Params: make(map[string]MeasureNorm, len(msrs))}
 	fits := make([]MeasureNorm, len(msrs))

@@ -87,12 +87,12 @@ func TestFitNormalizerWorkersEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	msrs := measures.BuiltinMeasures()
-	want, err := FitNormalizerWorkers(msrs, a.Nodes, 1)
+	want, err := FitNormalizer(nil, msrs, a.Nodes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 3, 8} {
-		got, err := FitNormalizerWorkers(msrs, a.Nodes, workers)
+		got, err := FitNormalizer(nil, msrs, a.Nodes, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,15 @@ var (
 // R(q) from the pool of its own type (Section 4.1: "we considered all
 // actions in the databases from the same type").
 type refPool struct {
-	byType map[engine.ActionType][]*engine.Action
+	byType map[engine.ActionType][]refAction
+}
+
+// refAction is a pooled action with its String form, formatted once when
+// the pool is built: the pool orders and excludes by it, and the
+// execution cache and the fault probe key on it.
+type refAction struct {
+	act *engine.Action
+	str string
 }
 
 // buildRefPools collects the distinct actions of each dataset.
@@ -54,7 +62,7 @@ func buildRefPools(repo *session.Repository) map[string]*refPool {
 	for _, s := range repo.Sessions() {
 		p := pools[s.Dataset]
 		if p == nil {
-			p = &refPool{byType: make(map[engine.ActionType][]*engine.Action)}
+			p = &refPool{byType: make(map[engine.ActionType][]refAction)}
 			pools[s.Dataset] = p
 			seen[s.Dataset] = make(map[string]bool)
 		}
@@ -64,14 +72,14 @@ func buildRefPools(repo *session.Repository) map[string]*refPool {
 				continue
 			}
 			seen[s.Dataset][key] = true
-			p.byType[n.Action.Type] = append(p.byType[n.Action.Type], n.Action.Clone())
+			p.byType[n.Action.Type] = append(p.byType[n.Action.Type], refAction{act: n.Action.Clone(), str: key})
 		}
 	}
 	// Deterministic order within each type.
 	for _, p := range pools {
 		for t := range p.byType {
 			as := p.byType[t]
-			sort.Slice(as, func(i, j int) bool { return as[i].String() < as[j].String() })
+			sort.Slice(as, func(i, j int) bool { return as[i].str < as[j].str })
 		}
 	}
 	return pools
@@ -80,19 +88,19 @@ func buildRefPools(repo *session.Repository) map[string]*refPool {
 // referenceSet returns R(q) for one examined action: same-type recorded
 // actions, excluding q itself, deterministically subsampled to limit when
 // limit > 0.
-func (p *refPool) referenceSet(q *engine.Action, limit int, rng *stats.RNG) []*engine.Action {
+func (p *refPool) referenceSet(q *engine.Action, limit int, rng *stats.RNG) []refAction {
 	all := p.byType[q.Type]
-	out := make([]*engine.Action, 0, len(all))
+	out := make([]refAction, 0, len(all))
 	qs := q.String()
 	for _, a := range all {
-		if a.String() != qs {
+		if a.str != qs {
 			out = append(out, a)
 		}
 	}
 	if limit > 0 && len(out) > limit {
 		idx := rng.Perm(len(out))[:limit]
 		sort.Ints(idx)
-		sampled := make([]*engine.Action, limit)
+		sampled := make([]refAction, limit)
 		for i, j := range idx {
 			sampled[i] = out[j]
 		}
@@ -187,7 +195,7 @@ func applyReferenceBased(ctx context.Context, a *Analysis, opts Options) error {
 	type nodeWork struct {
 		ns   *NodeScores
 		idx  int // position in a.Nodes — the index every checkpoint stage shares
-		refs []*engine.Action
+		refs []refAction
 	}
 	work := make([]nodeWork, 0, len(a.Nodes))
 	for i, ns := range a.Nodes {
@@ -282,7 +290,7 @@ func applyReferenceBased(ctx context.Context, a *Analysis, opts Options) error {
 }
 
 // rankReferenceSet runs Algorithm 1 for one recorded action.
-func rankReferenceSet(ctx context.Context, a *Analysis, ns *NodeScores, refs []*engine.Action, minRefs int, budget time.Duration, cache *execCache, tm *refTimings) {
+func rankReferenceSet(ctx context.Context, a *Analysis, ns *NodeScores, refs []refAction, minRefs int, budget time.Duration, cache *execCache, tm *refTimings) {
 	parent := ns.Node.Parent.Display
 	root := ns.Session.Root().Display
 
@@ -294,7 +302,7 @@ func rankReferenceSet(ctx context.Context, a *Analysis, ns *NodeScores, refs []*
 	refScores := make([]map[string]float64, 0, len(refs))
 	abnormal := 0
 	for _, ra := range refs {
-		scores, bad := cache.get(execCacheKey{parent: parent, action: ra.String()}, func() (map[string]float64, bool) {
+		scores, bad := cache.get(execCacheKey{parent: parent, action: ra.str}, func() (map[string]float64, bool) {
 			return executeAndScore(ctx, a, ns.Session.Dataset, parent, root, ra, budget, tm)
 		})
 		if scores != nil {
@@ -384,20 +392,20 @@ func rankReferenceSet(ctx context.Context, a *Analysis, ns *NodeScores, refs []*
 // paper omits from reference sets, and (nil, true) for abnormal losses:
 // injected faults that survive the retry policy, panics recovered inside
 // the execution, and executions that overran the per-action budget.
-func executeAndScore(ctx context.Context, a *Analysis, dataset string, parent, root *engine.Display, ra *engine.Action, budget time.Duration, tm *refTimings) (map[string]float64, bool) {
+func executeAndScore(ctx context.Context, a *Analysis, dataset string, parent, root *engine.Display, ra refAction, budget time.Duration, tm *refTimings) (map[string]float64, bool) {
 	// The probe key is content — dataset, parent cardinality, action
 	// text — never pointers or call order, so the same executions fault
 	// at every worker count and the chaos equivalence tests hold.
 	var base string
 	if faults.Enabled() {
-		base = dataset + "|" + strconv.Itoa(parent.NumRows()) + "|" + ra.String()
+		base = dataset + "|" + strconv.Itoa(parent.NumRows()) + "|" + ra.str
 	}
 	var scores map[string]float64
 	var overBudget bool
 	err := faults.Guard(ctx, faults.SiteRefExecute, base, func() error {
 		mRefExecs.Inc()
 		t0 := time.Now()
-		d, execErr := engine.Execute(parent, ra)
+		d, execErr := engine.Execute(parent, ra.act)
 		elapsed := time.Since(t0)
 		tm.execNS.Add(int64(elapsed))
 		if budget > 0 && elapsed > budget {
@@ -412,7 +420,7 @@ func executeAndScore(ctx context.Context, a *Analysis, dataset string, parent, r
 			return nil
 		}
 		t1 := time.Now()
-		mctx := &measures.Context{Action: ra, Display: d, Parent: parent, Root: root}
+		mctx := &measures.Context{Action: ra.act, Display: d, Parent: parent, Root: root}
 		scores = make(map[string]float64, len(a.Measures))
 		for _, m := range a.Measures {
 			scores[m.Name()] = measures.ObservedScore(m, mctx)

@@ -320,7 +320,7 @@ func AnalyzeContext(ctx context.Context, repo *session.Repository, opts Options)
 	// Normalized comparison (Algorithm 2).
 	spNorm := stNormalize.Start()
 	if !restoreNormStage(ck, a) {
-		norm, err := FitNormalizerCtx(ctx, msrs, a.Nodes, opts.Workers)
+		norm, err := FitNormalizer(ctx, msrs, a.Nodes, opts.Workers)
 		if err != nil {
 			spNorm.End()
 			return nil, err

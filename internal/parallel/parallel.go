@@ -3,7 +3,7 @@
 // a bounded worker pool sized by runtime.NumCPU with deterministic,
 // index-addressed fan-out/fan-in.
 //
-// Determinism contract: ForEach runs fn(i) exactly once for every index in
+// Determinism contract: ForEachN runs fn(i) exactly once for every index in
 // [0, n), and callers write results into position i of a pre-sized slice.
 // Scheduling order varies between runs, but because every item's output
 // slot is fixed by its index — never by completion order — the assembled
@@ -25,7 +25,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Telemetry handles: batches counts ForEach invocations that actually
+// Telemetry handles: batches counts ForEachN invocations that actually
 // fanned out, tasks counts the items they processed, and inline counts
 // invocations served by the sequential fallback. The workers gauge holds
 // the size of the most recent fan-out so pool utilization (tasks per
@@ -47,27 +47,22 @@ func Workers(n int) int {
 	return n
 }
 
-// ForEach runs fn(i) for every i in [0, n) across at most `workers`
+// ForEachN runs fn(i) for every i in [0, n) across at most `workers`
 // goroutines (resolved via Workers) and returns after all calls finish.
 // Items are dispatched through a shared atomic cursor, so uneven per-item
 // costs balance across workers; determinism comes from the index-addressed
 // output convention, not from scheduling order.
 //
 // A non-nil ctx cancels the fan-out between items: workers stop claiming
-// new indices once ctx is done and ForEach returns ctx.Err(). Items
+// new indices once ctx is done and ForEachN returns ctx.Err(). Items
 // already started still run to completion, so index i either ran fully or
 // not at all — never halfway. A panic in fn is re-raised on the calling
 // goroutine after the remaining workers drain.
-func ForEach(ctx context.Context, n, workers int, fn func(i int)) error {
-	_, err := ForEachN(ctx, n, workers, fn)
-	return err
-}
-
-// ForEachN is ForEach with partial-progress reporting: it additionally
-// returns the number of items that ran to completion, which is n on
-// success and the count of finished items when the fan-out stopped early
-// on cancellation. Callers surfacing typed pipeline errors feed this into
-// the error's Done field.
+//
+// done is the number of items that ran to completion: n on success, the
+// count of finished items when the fan-out stopped early on
+// cancellation. Callers surfacing typed pipeline errors feed it into the
+// error's Done field.
 func ForEachN(ctx context.Context, n, workers int, fn func(i int)) (done int, err error) {
 	if n <= 0 {
 		return 0, nil

@@ -28,7 +28,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 100} {
 		const n = 1000
 		counts := make([]atomic.Int32, n)
-		if err := ForEach(context.Background(), n, workers, func(i int) {
+		if _, err := ForEachN(context.Background(), n, workers, func(i int) {
 			counts[i].Add(1)
 		}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -46,12 +46,12 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 func TestForEachIndexAddressedDeterminism(t *testing.T) {
 	const n = 513
 	want := make([]int, n)
-	if err := ForEach(nil, n, 1, func(i int) { want[i] = i*i + 7 }); err != nil {
+	if _, err := ForEachN(nil, n, 1, func(i int) { want[i] = i*i + 7 }); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16} {
 		got := make([]int, n)
-		if err := ForEach(nil, n, workers, func(i int) { got[i] = i*i + 7 }); err != nil {
+		if _, err := ForEachN(nil, n, workers, func(i int) { got[i] = i*i + 7 }); err != nil {
 			t.Fatal(err)
 		}
 		for i := range got {
@@ -63,10 +63,10 @@ func TestForEachIndexAddressedDeterminism(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(context.Background(), 0, 4, func(int) { t.Error("called") }); err != nil {
+	if _, err := ForEachN(context.Background(), 0, 4, func(int) { t.Error("called") }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ForEach(context.Background(), -5, 4, func(int) { t.Error("called") }); err != nil {
+	if _, err := ForEachN(context.Background(), -5, 4, func(int) { t.Error("called") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -75,7 +75,7 @@ func TestForEachCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
-		err := ForEach(ctx, 100000, workers, func(i int) {
+		_, err := ForEachN(ctx, 100000, workers, func(i int) {
 			if ran.Add(1) == 10 {
 				cancel()
 			}
@@ -98,7 +98,7 @@ func TestForEachPanicPropagates(t *testing.T) {
 					t.Errorf("workers=%d: recovered %v, want boom", workers, r)
 				}
 			}()
-			_ = ForEach(nil, 100, workers, func(i int) {
+			_, _ = ForEachN(nil, 100, workers, func(i int) {
 				if i == 13 {
 					panic("boom")
 				}
@@ -140,7 +140,7 @@ func TestForEachStress(t *testing.T) {
 	const n = 2000
 	out := make([]int64, n)
 	for r := 0; r < rounds; r++ {
-		if err := ForEach(context.Background(), n, 8, func(i int) {
+		if _, err := ForEachN(context.Background(), n, 8, func(i int) {
 			out[i]++
 		}); err != nil {
 			t.Fatal(err)

@@ -38,6 +38,8 @@ import (
 	"os"
 	"sort"
 	"strconv"
+
+	"repro/internal/session"
 )
 
 // Node is one serve instance in the ring.
@@ -215,11 +217,11 @@ func (r *Ring) ReplicaGroup(shard int) []Node {
 	return r.groups[shard]
 }
 
-// SampleKey is the canonical placement key of a training context: the
-// same "<session>@<t>/<n>" identity the fault injector and the serving
-// layer key on, so every subsystem names a context the same way.
+// SampleKey is the canonical placement key of a training context: its
+// session.Key identity, the one the fault injector and the serving layer
+// key on.
 func SampleKey(sessionID string, t, n int) string {
-	return sessionID + "@" + strconv.Itoa(t) + "/" + strconv.Itoa(n)
+	return session.Key(sessionID, t, n)
 }
 
 // ShardOf maps a placement key to its owning shard: a pure hash mod

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -17,9 +16,18 @@ import (
 	"repro/internal/pipeline"
 )
 
-// maxBodyBytes caps a predict or candidates request body, and the
-// candidates response a router reads back from a replica.
-const maxBodyBytes = 32 << 20
+// The envelope's fixed limits, the same for every Server and Router.
+const (
+	// maxBodyBytes caps a predict or candidates request body, and the
+	// candidates response a router reads back from a replica.
+	maxBodyBytes = 32 << 20
+	// shutdownGrace bounds the graceful drain; a draining instance
+	// advertises it as its Retry-After.
+	shutdownGrace = 10 * time.Second
+	// traceRingSize caps the completed-request traces kept for
+	// GET /v1/admin/trace.
+	traceRingSize = 128
+)
 
 // envelope is the request lifecycle Server and Router share: the
 // tracing middleware and its mux, the in-flight limiter and service-time
@@ -33,28 +41,24 @@ type envelope struct {
 	// est tracks the service time of admitted requests — the estimate a
 	// stamped X-Deadline-Ms budget is checked against.
 	est latEstimator
-	// trace is the shared tracing/access-log middleware (see
-	// middleware.go); it also backs GET /v1/admin/trace.
+	// trace is the shared tracing middleware (see middleware.go); it
+	// also backs GET /v1/admin/trace.
 	trace *tracePipe
 	mux   *http.ServeMux
-	// grace bounds the drain; retryAfter scales the shed hint.
-	grace, retryAfter time.Duration
 
 	readyMu sync.Mutex
 	ready   bool
 }
 
-// newEnvelope builds the shared lifecycle from options that already
-// carry their defaults.
-func newEnvelope(name string, o Options) *envelope {
+// newEnvelope builds the shared lifecycle around a resolved in-flight
+// bound.
+func newEnvelope(name string, maxInFlight int) *envelope {
 	e := &envelope{
-		name:       name,
-		lim:        newLimiter(o.MaxInFlight),
-		trace:      newTracePipe(o.TraceRing, o.AccessLog),
-		mux:        http.NewServeMux(),
-		grace:      o.ShutdownGrace,
-		retryAfter: o.RetryAfter,
-		ready:      true,
+		name:  name,
+		lim:   newLimiter(maxInFlight),
+		trace: &tracePipe{traces: obs.NewTraceRing(traceRingSize)},
+		mux:   http.NewServeMux(),
+		ready: true,
 	}
 	e.mux.HandleFunc("/healthz", handleHealthz)
 	e.mux.HandleFunc("/metrics", handleMetrics)
@@ -93,20 +97,15 @@ func (e *envelope) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeText(w, http.StatusOK, "ready\n")
 }
 
-// retryAfterSeconds computes the Retry-After hint for a shed or degraded
-// request. While draining it is the full shutdown grace — the instance
-// is going away and a retry should land elsewhere after the drain. Under
-// saturation it scales the RetryAfter interval by the in-flight
-// occupancy (rounded up, never below 1s): a server shedding at 100%
-// occupancy advertises the full interval, one that merely blipped
-// advertises less.
+// retryAfterSeconds is the Retry-After hint of a shed or degraded
+// response: 1s while serving, and the shutdown grace while draining —
+// the instance is going away and a retry should land elsewhere after the
+// drain.
 func (e *envelope) retryAfterSeconds() int {
 	if !e.isReady() {
-		return int(math.Max(1, math.Ceil(e.grace.Seconds())))
+		return int(shutdownGrace / time.Second)
 	}
-	occ, capacity := e.lim.occupancy()
-	secs := math.Ceil(e.retryAfter.Seconds() * float64(occ) / float64(capacity))
-	return int(math.Max(1, secs))
+	return 1
 }
 
 // admit is the prologue of every admission-controlled endpoint (predict,
@@ -225,7 +224,7 @@ func (e *envelope) serve(ctx context.Context, ln net.Listener) error {
 	case <-ctx.Done():
 	}
 	e.SetReady(false)
-	shCtx, cancel := context.WithTimeout(context.Background(), e.grace)
+	shCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	if err := srv.Shutdown(shCtx); err != nil {
 		return fmt.Errorf("serve: shutdown: %w", err)

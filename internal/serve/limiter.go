@@ -1,8 +1,9 @@
 package serve
 
 // Admission control (DESIGN.md §13) is a fixed in-flight bound: a
-// request that finds every slot taken is shed at once with 503 and an
-// occupancy-scaled Retry-After instead of queueing behind the others.
+// request that finds every slot taken is shed at once with 503 and a
+// Retry-After of 1s (10s while draining) instead of queueing behind the
+// others.
 //
 // Priority admission is structural rather than a queue discipline:
 // only the prediction/candidates paths acquire limiter slots, so
@@ -33,6 +34,3 @@ func (l limiter) release() {
 	default:
 	}
 }
-
-// occupancy reports (in-flight, capacity) for Retry-After scaling.
-func (l limiter) occupancy() (int, int) { return len(l), cap(l) }

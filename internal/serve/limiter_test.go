@@ -13,7 +13,7 @@ func TestLimiterFixedIsOldSemaphore(t *testing.T) {
 	l.release()
 	l.release()
 	l.release() // an unmatched release must not underflow or block
-	if in, cap := l.occupancy(); in != 0 || cap != 2 {
+	if in, cap := len(l), cap(l); in != 0 || cap != 2 {
 		t.Fatalf("occupancy = (%d, %d), want (0, 2)", in, cap)
 	}
 	if !l.tryAcquire() {

@@ -1,13 +1,10 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -15,21 +12,12 @@ import (
 // tracePipe is the request-tracing envelope shared by the standalone
 // Server and the ring Router: it assigns (or propagates) the X-Request-ID
 // correlation header, threads a per-request obs.Trace through the
-// context, and on completion pushes /v1/* traces into a ring buffer
-// (GET /v1/admin/trace) and the access log. Health probes and /metrics
+// context, and on completion pushes /v1/* traces into a ring buffer, the
+// one trace sink (GET /v1/admin/trace). Health probes and /metrics
 // scrapes are traced for the header but kept out of the ring so a prober
 // cannot evict the prediction traces an operator came to read.
 type tracePipe struct {
 	traces *obs.TraceRing
-	// accessLog receives one JSON line (a TraceRecord) per completed
-	// /v1/* request; accessMu serializes writers so concurrent requests
-	// never interleave JSON fragments.
-	accessLog io.Writer
-	accessMu  sync.Mutex
-}
-
-func newTracePipe(ringSize int, accessLog io.Writer) *tracePipe {
-	return &tracePipe{traces: obs.NewTraceRing(ringSize), accessLog: accessLog}
 }
 
 // wrap is the root middleware around a mux. Every response — including
@@ -52,7 +40,6 @@ func (t *tracePipe) wrap(mux *http.ServeMux) http.Handler {
 		tr.Finish(status)
 		if strings.HasPrefix(r.URL.Path, "/v1/") && r.URL.Path != "/v1/admin/trace" {
 			t.traces.Push(tr)
-			t.logAccess(tr)
 		}
 	})
 }
@@ -75,21 +62,6 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 		w.status = http.StatusOK
 	}
 	return w.ResponseWriter.Write(b)
-}
-
-// logAccess appends one JSON line for a completed request.
-func (t *tracePipe) logAccess(tr *obs.Trace) {
-	if t.accessLog == nil {
-		return
-	}
-	line, err := json.Marshal(tr.Record())
-	if err != nil {
-		return
-	}
-	line = append(line, '\n')
-	t.accessMu.Lock()
-	_, _ = t.accessLog.Write(line)
-	t.accessMu.Unlock()
 }
 
 // handleTraceLog returns the most recent completed request traces,

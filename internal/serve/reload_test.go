@@ -167,51 +167,42 @@ func TestReloadMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestRetryAfterScalesWithOccupancy pins the formula: proportional to
-// in-flight occupancy while serving, the full shutdown grace while
-// draining, never below one second.
+// TestRetryAfterScalesWithOccupancy pins the hint: 1s at every
+// in-flight occupancy while serving, the 10s shutdown grace while
+// draining.
 func TestRetryAfterScalesWithOccupancy(t *testing.T) {
-	s := tinyServer(t, Options{MaxInFlight: 4, RetryAfter: 8 * time.Second, ShutdownGrace: 7 * time.Second})
-	fill := func(n int) {
-		for occ, _ := s.lim.occupancy(); occ > 0; occ, _ = s.lim.occupancy() {
-			s.lim.release()
-		}
-		for i := 0; i < n; i++ {
+	s := tinyServer(t, Options{MaxInFlight: 4})
+	for occ := 0; occ <= 4; occ++ {
+		if occ > 0 {
 			s.lim.tryAcquire()
 		}
-	}
-	for _, tc := range []struct {
-		occ, want int
-	}{
-		{0, 1}, // empty: minimum hint
-		{1, 2}, // 8s * 1/4
-		{2, 4}, // 8s * 2/4
-		{4, 8}, // fully saturated: the whole interval
-	} {
-		fill(tc.occ)
-		if got := s.retryAfterSeconds(); got != tc.want {
-			t.Fatalf("occupancy %d/4: Retry-After = %d, want %d", tc.occ, got, tc.want)
+		if got := s.retryAfterSeconds(); got != 1 {
+			t.Fatalf("occupancy %d/4: Retry-After = %d, want 1", occ, got)
 		}
 	}
-	fill(0)
 	s.SetReady(false)
-	if got := s.retryAfterSeconds(); got != 7 {
-		t.Fatalf("draining Retry-After = %d, want ShutdownGrace's 7", got)
+	if got := s.retryAfterSeconds(); got != 10 {
+		t.Fatalf("draining Retry-After = %d, want the shutdown grace's 10", got)
 	}
 }
 
-// TestSaturationRetryAfterHeader drives the formula end to end: a fully
-// saturated server advertises its configured interval on the shed 503.
+// TestSaturationRetryAfterHeader drives the hint end to end: a saturated
+// server advertises 1s on the shed 503, and 10s once it is draining.
 func TestSaturationRetryAfterHeader(t *testing.T) {
-	s := tinyServer(t, Options{MaxInFlight: 1, RetryAfter: 8 * time.Second})
+	s := tinyServer(t, Options{MaxInFlight: 1})
 	s.lim.tryAcquire()
 	defer s.lim.release()
-	rec := post(t, s.Handler(), "/v1/predict", wireBody(t, false, trainCtx("q", 1)))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("saturated predict: %d, want 503", rec.Code)
-	}
-	if ra := rec.Header().Get("Retry-After"); ra != "8" {
-		t.Fatalf("Retry-After = %q, want %q", ra, "8")
+	for _, want := range []string{"1", "10"} {
+		if want == "10" {
+			s.SetReady(false)
+		}
+		rec := post(t, s.Handler(), "/v1/predict", wireBody(t, false, trainCtx("q", 1)))
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("saturated predict: %d, want 503", rec.Code)
+		}
+		if ra := rec.Header().Get("Retry-After"); ra != want {
+			t.Fatalf("Retry-After = %q, want %q", ra, want)
+		}
 	}
 }
 
@@ -231,7 +222,7 @@ func (g *gatedMetric) Name() string { return "gated" }
 
 // TestDrainCompletesInFlight is the drain-under-load contract: requests
 // already executing when Run's context is canceled complete with 200
-// inside ShutdownGrace, readiness flips immediately, a reload attempted
+// inside the shutdown grace, readiness flips immediately, a reload attempted
 // mid-drain is rejected, and Run returns nil.
 func TestDrainCompletesInFlight(t *testing.T) {
 	gate := make(chan struct{})
@@ -239,8 +230,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	sample := &offline.Sample{Context: trainCtx("train", 1), Labels: []string{"variance"}}
 	clf := knn.New([]*offline.Sample{sample}, metric, knn.Config{K: 1, ThetaDelta: 0.25, Workers: 1})
 	s := New(clf, ModelInfo{Method: "normalized", N: 2, TrainingSize: 1}, Options{
-		MaxInFlight:   4,
-		ShutdownGrace: 5 * time.Second,
+		MaxInFlight: 4,
 		Reloader: func() (*knn.Classifier, ModelInfo, error) {
 			return labeledClassifier("schutz"), ModelInfo{N: 2}, nil
 		},
@@ -274,7 +264,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	// gate inside the classifier).
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		occ, _ := s.lim.occupancy()
+		occ := len(s.lim)
 		if occ >= inFlight {
 			break
 		}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/ring"
+	"repro/internal/session"
 )
 
 // Router is the fan-out tier of the replicated sharded serving layer
@@ -79,7 +80,8 @@ var (
 )
 
 // The router's fixed intervals and timeouts. Its drain grace, shed
-// hint, body cap and trace ring are the Options defaults.
+// hint, body cap and trace ring are the envelope's, the same as a
+// Server's.
 const (
 	// probeInterval spaces active health-probe rounds.
 	probeInterval = 500 * time.Millisecond
@@ -126,7 +128,7 @@ func NewRouter(r *ring.Ring, opts RouterOptions) *Router {
 	base := Options{MaxInFlight: opts.MaxInFlight, MaxBatch: opts.MaxBatch}.withDefaults()
 	opts.MaxBatch = base.MaxBatch
 	rt := &Router{
-		envelope: newEnvelope("router", base),
+		envelope: newEnvelope("router", base.MaxInFlight),
 		ring:     r,
 		opts:     opts,
 		httpc:    &http.Client{Transport: opts.Transport},
@@ -249,7 +251,6 @@ func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch 
 
 	// Scatter: every shard in parallel; within a shard, replicas in the
 	// checker's preference order, then last-ditch ejected ones.
-	base := fmt.Sprintf("%s@%d/%d#%d", ctxs[0].SessionID, ctxs[0].T, ctxs[0].N, len(ctxs))
 	limit := rt.opts.Cfg.ScanLimit()
 	shards := rt.ring.Shards()
 	lists := make([][][]knn.Candidate, shards)
@@ -259,7 +260,7 @@ func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch 
 		wg.Add(1)
 		go func(sh int) {
 			defer wg.Done()
-			res, err := rt.shardCandidates(rctx, sh, base, candidatesBody(sh, limit, raw), len(raw), tr)
+			res, err := rt.shardCandidates(rctx, sh, ctxs[0], candidatesBody(sh, limit, raw), len(raw), tr)
 			if err != nil {
 				if obs.On() {
 					mShardUnavailable.Inc()
@@ -343,7 +344,7 @@ type shardOutcome struct {
 // included, takes a plan slot, so one shard call makes at most 2R
 // candidates calls (R = replicas per shard; DESIGN.md §11), and every
 // call sends the same body: the shard's request for its queries.
-func (rt *Router) shardCandidates(ctx context.Context, shard int, base string, body []byte, queries int, tr *obs.Trace) ([][]knn.Candidate, error) {
+func (rt *Router) shardCandidates(ctx context.Context, shard int, first *session.Context, body []byte, queries int, tr *obs.Trace) ([][]knn.Candidate, error) {
 	order := rt.checker.Order(shard)
 	tried := make(map[string]bool, len(order))
 	for _, n := range order {
@@ -390,7 +391,7 @@ func (rt *Router) shardCandidates(ctx context.Context, shard int, base string, b
 		n := plan[i]
 		go func() {
 			t0 := time.Now()
-			res, err := rt.callCandidates(actx, n, shard, base, i, body, queries, tr)
+			res, err := rt.callCandidates(actx, n, shard, first, i, body, queries, tr)
 			elapsed := time.Since(t0)
 			if err != nil && flag.Load() {
 				// Cancelled loser of a won race: feed the gray detector
@@ -524,19 +525,21 @@ func candidatesBody(shard int, limit float64, raw []json.RawMessage) []byte {
 }
 
 // callCandidates performs one replica candidates call behind the
-// ring.route fault probe. The probe key is (query content, batch size,
-// shard, replica) with the failover position as the attempt re-roll —
-// deterministic across runs, independent across replicas, so an armed
-// site exercises failover without any replica pair failing together
-// systematically.
-func (rt *Router) callCandidates(ctx context.Context, n ring.Node, shard int, base string, attempt int, body []byte, queries int, tr *obs.Trace) (res *candidatesResponse, err error) {
+// ring.route fault probe. The probe key is (first query's identity,
+// batch size, shard, replica) with the failover position as the attempt
+// re-roll — deterministic across runs, independent across replicas, so
+// an armed site exercises failover without any replica pair failing
+// together systematically. The key is formatted only while the injector
+// is armed.
+func (rt *Router) callCandidates(ctx context.Context, n ring.Node, shard int, first *session.Context, attempt int, body []byte, queries int, tr *obs.Trace) (res *candidatesResponse, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, pipeline.Recovered(faults.SiteRingRoute, r)
 		}
 	}()
 	if faults.Enabled() {
-		key := faults.Key(fmt.Sprintf("%s/s%d@%s", base, shard, n.Name), attempt)
+		base := requestKey(first.SessionID, first.T, first.N, queries)
+		key := faults.Key(base+"/s"+strconv.Itoa(shard)+"@"+n.Name, attempt)
 		if ferr := faults.Inject(faults.SiteRingRoute, key, faults.KindAll); ferr != nil {
 			tr.FaultSite(faults.SiteRingRoute)
 			return nil, ferr

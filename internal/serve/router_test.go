@@ -295,6 +295,32 @@ func TestRouterDegradesToPriorWhenShardLost(t *testing.T) {
 	}
 }
 
+// TestRouterRetryAfterHeader: the router's degraded and shed 503s
+// advertise Retry-After 1 while it serves, and 10 once it is draining.
+func TestRouterRetryAfterHeader(t *testing.T) {
+	whole := knn.New(ringTrainingSet(30), distance.NewMemoizedTreeEdit(nil), knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1})
+	tr := startRing(t, 3, 1, 3, whole, ModelInfo{N: 6}, RouterOptions{MaxInFlight: 1})
+	tr.killOwner(t, 0) // no prior: a lost shard answers 503
+	body := wireBody(t, false, chainCtx("q", 1, 2))
+	check := func(what, want string) {
+		t.Helper()
+		rec := post(t, tr.rt.Handler(), "/v1/predict", body)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s: %d, want 503", what, rec.Code)
+		}
+		if ra := rec.Header().Get("Retry-After"); ra != want {
+			t.Fatalf("%s: Retry-After = %q, want %q", what, ra, want)
+		}
+	}
+	check("degraded", "1")
+	tr.rt.lim.tryAcquire()
+	check("saturated", "1")
+	tr.rt.SetReady(false)
+	check("saturated while draining", "10")
+	tr.rt.lim.release()
+	check("degraded while draining", "10")
+}
+
 // TestRouterReadyzReflectsRing: /readyz must go 503 as soon as any shard
 // has zero Healthy replicas, and recover when the prober readmits them.
 func TestRouterReadyzReflectsRing(t *testing.T) {

@@ -11,12 +11,10 @@
 // more requests are in flight than the configured bound, new prediction
 // requests are rejected immediately with 503 + Retry-After instead of
 // queueing without bound; health endpoints never shed, so orchestrators
-// keep seeing the process as alive-but-saturated. The Retry-After value
-// is computed from the current occupancy, not hardcoded, so a barely
-// saturated server invites a quick retry while a drowning one pushes
-// clients further out. During shutdown the readiness probe flips to 503
-// first, so load balancers drain the instance while in-flight requests
-// complete.
+// keep seeing the process as alive-but-saturated. Retry-After is 1s
+// while serving and the 10s shutdown grace while draining. During
+// shutdown the readiness probe flips to 503 first, so load balancers
+// drain the instance while in-flight requests complete.
 //
 // Model reload (DESIGN.md §9) is load-validate-swap: the Reloader builds
 // a candidate classifier off to the side, a self-test probes it against
@@ -138,23 +136,9 @@ type Options struct {
 	// MaxBatch caps the contexts accepted by one batch request
 	// (413 beyond it). <1 means 1024.
 	MaxBatch int
-	// ShutdownGrace bounds the graceful drain on Run cancellation. <=0
-	// means 10s.
-	ShutdownGrace time.Duration
-	// RetryAfter scales the Retry-After hint on shed requests: a fully
-	// saturated server advertises this long, lighter saturation
-	// proportionally less (never below 1s). <=0 means 1s.
-	RetryAfter time.Duration
 	// Reloader, when set, enables hot model reload via Server.Reload
 	// (wired to SIGHUP and POST /v1/admin/reload by cmd/idarepro).
 	Reloader Reloader
-	// TraceRing caps the completed-request traces kept for
-	// GET /v1/admin/trace. <1 means 128.
-	TraceRing int
-	// AccessLog, when set, receives one JSON line (a TraceRecord) per
-	// completed /v1/* request. Writes are serialized by the server; wrap
-	// with atomicio.NewLineWriter for crash-consistent files.
-	AccessLog io.Writer
 	// Ring, with NodeName, makes this server a ring replica: it builds
 	// per-shard classifiers for the shards the ring places on NodeName
 	// and serves their candidate sets on POST /v1/knn/candidates.
@@ -171,12 +155,6 @@ func (o Options) withDefaults() Options {
 	o.MaxInFlight = parallel.Workers(o.MaxInFlight)
 	if o.MaxBatch < 1 {
 		o.MaxBatch = 1024
-	}
-	if o.ShutdownGrace <= 0 {
-		o.ShutdownGrace = 10 * time.Second
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	return o
 }
@@ -226,7 +204,7 @@ type Server struct {
 // server never mutates it.
 func New(clf *knn.Classifier, info ModelInfo, opts Options) *Server {
 	opts = opts.withDefaults()
-	s := &Server{envelope: newEnvelope("server", opts), opts: opts}
+	s := &Server{envelope: newEnvelope("server", opts.MaxInFlight), opts: opts}
 	if s.opts.NodeName != "" {
 		// Pre-register this node's gray-failure chaos site so its
 		// injection counter exports a stable series from startup.
@@ -351,7 +329,7 @@ func (s *Server) Run(ctx context.Context, addr string) error {
 
 // RunListener serves on ln (tests use :0) until ctx is canceled, then
 // drains: readiness flips to 503, the listener closes, and in-flight
-// requests get ShutdownGrace to complete. A clean drain returns nil.
+// requests get the shutdown grace to complete. A clean drain returns nil.
 func (s *Server) RunListener(ctx context.Context, ln net.Listener) error { return s.serve(ctx, ln) }
 
 // predictResponse is one prediction result on the wire. OK=false is an
@@ -454,8 +432,7 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 	// context's identity plus the batch size — call order and goroutine
 	// identity never factor in.
 	if faults.Enabled() {
-		key := fmt.Sprintf("%s@%d/%d#%d", ctxs[0].SessionID, ctxs[0].T, ctxs[0].N, len(ctxs))
-		if err := faults.Probe(faults.SiteServePredict, key); err != nil {
+		if err := faults.Probe(faults.SiteServePredict, requestKey(ctxs[0].SessionID, ctxs[0].T, ctxs[0].N, len(ctxs))); err != nil {
 			if obs.On() {
 				mErrors.Inc()
 			}
@@ -484,6 +461,13 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 		out[i] = predictResponse{Measure: p.Label, OK: p.Covered, Fallback: p.Fallback}
 	}
 	writePredictions(w, r.Context(), out, batch)
+}
+
+// requestKey is a request's fault-probe key: its first context's
+// identity plus the batch size, the key internal/client's probe uses
+// too.
+func requestKey(sessionID string, t, n, size int) string {
+	return session.Key(sessionID, t, n) + "#" + strconv.Itoa(size)
 }
 
 // decodeWireRequest is the single/batch request decode shared by the

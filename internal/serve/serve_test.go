@@ -201,7 +201,7 @@ func TestModelEndpoint(t *testing.T) {
 // TestRunListenerGracefulShutdown: canceling the context drains and
 // returns nil — the SIGINT path must exit 0.
 func TestRunListenerGracefulShutdown(t *testing.T) {
-	s := tinyServer(t, Options{ShutdownGrace: 2 * time.Second})
+	s := tinyServer(t, Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

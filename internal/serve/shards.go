@@ -164,8 +164,8 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	// site name serve.slow.<node>.
 	if faults.Enabled() && s.opts.NodeName != "" {
 		site := faults.SiteServeSlow + "." + s.opts.NodeName
-		key := fmt.Sprintf("%s@%d/%d#%d", req.Contexts[0].SessionID, req.Contexts[0].T, req.Contexts[0].N, len(req.Contexts))
-		_ = faults.Inject(site, key, faults.KindLatency)
+		first := req.Contexts[0]
+		_ = faults.Inject(site, requestKey(first.SessionID, first.T, first.N, len(req.Contexts)), faults.KindLatency)
 	}
 
 	ctxs, err := decodeAll(req.Contexts, am.info.N)

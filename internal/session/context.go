@@ -3,6 +3,7 @@ package session
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/engine"
@@ -34,6 +35,13 @@ type Context struct {
 	Root *CtxNode
 	// Size is the number of covered elements (nodes + edges).
 	Size int
+}
+
+// Key is a context's identity, "<session>@<t>/<n>". Ring placement
+// (ring.SampleKey) and every fault probe keyed on a context hash these
+// bytes, so every subsystem names a context the same way.
+func Key(sessionID string, t, n int) string {
+	return sessionID + "@" + strconv.Itoa(t) + "/" + strconv.Itoa(n)
 }
 
 // Extract computes the n-context of state S_t.
