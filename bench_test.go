@@ -332,7 +332,7 @@ func BenchmarkOfflinePairwiseDistances(b *testing.B) {
 		b.Run(w.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = eval.PairwiseDistancesWorkers(samples, distance.NewMemoizedTreeEdit(nil), w.workers)
+				_, _ = eval.PairwiseDistances(nil, samples, distance.NewMemoizedTreeEdit(nil), w.workers)
 			}
 		})
 	}

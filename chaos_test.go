@@ -58,16 +58,6 @@ func armFaults(t *testing.T, cfg faults.Config) {
 	faults.Enable(cfg)
 }
 
-// countersOn records telemetry counters for the duration of the test,
-// then restores the mode it found, so later tests see the mode they would
-// have seen without this one.
-func countersOn(t *testing.T) {
-	t.Helper()
-	prev := obs.Default.Mode()
-	obs.SetMode(obs.ModeCounters)
-	t.Cleanup(func() { obs.SetMode(prev) })
-}
-
 // chaosAll is the acceptance configuration: every site, every kind,
 // p=0.05, with a tiny latency cap so sleep faults stay cheap.
 func chaosAll() faults.Config {
@@ -81,7 +71,6 @@ func chaosAll() faults.Config {
 
 func TestChaosFullPipelineNoPanics(t *testing.T) {
 	fw := chaosFramework(t)
-	countersOn(t)
 	armFaults(t, chaosAll())
 
 	// Offline analysis: raw scoring, Box-Cox fits and reference execution

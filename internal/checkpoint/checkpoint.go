@@ -163,9 +163,7 @@ func (m *Manager) Stage(name string) (payload json.RawMessage, p Progress, ok bo
 	if !ok {
 		return nil, Progress{}, false
 	}
-	if obs.On() {
-		mResumedHits.Inc()
-	}
+	mResumedHits.Inc()
 	return rec.Payload, rec.Progress, true
 }
 
@@ -234,9 +232,7 @@ func (m *Manager) flushLocked() error {
 		return err
 	}
 	m.dirty = false
-	if obs.On() {
-		mWrites.Inc()
-	}
+	mWrites.Inc()
 	return nil
 }
 

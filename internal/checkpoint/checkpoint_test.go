@@ -151,11 +151,8 @@ func TestMissingFileResumesFresh(t *testing.T) {
 // exhausted checkpoint.write fault must not surface as an error — the
 // progress stays dirty and the next (unfaulted) Sync lands it.
 func TestInjectedWriteFailureDegrades(t *testing.T) {
-	// Restore the telemetry mode and the injector this test found, so an
-	// environment-armed run keeps its faults in later tests.
-	prevMode := obs.Default.Mode()
-	obs.SetMode(obs.ModeCounters)
-	t.Cleanup(func() { obs.SetMode(prevMode) })
+	// Restore the injector this test found, so an environment-armed run
+	// keeps its faults in later tests.
 	if prev, armed := faults.Active(); armed {
 		t.Cleanup(func() { faults.Enable(prev) })
 	} else {

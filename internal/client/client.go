@@ -235,9 +235,7 @@ func (c *Client) degraded(err error, n int) ([]Prediction, bool) {
 	if prior == "" {
 		return nil, false
 	}
-	if obs.On() {
-		mDegraded.Add(uint64(n))
-	}
+	mDegraded.Add(uint64(n))
 	preds := make([]Prediction, n)
 	for i := range preds {
 		preds[i] = Prediction{Measure: prior, OK: true, Fallback: true, Degraded: true}
@@ -256,14 +254,12 @@ func (c *Client) degraded(err error, n int) ([]Prediction, bool) {
 // the prior label immediately instead of sleeping through a hopeless
 // backoff.
 func (c *Client) do(ctx context.Context, method, path, key string, body []byte, out any) (err error) {
-	if obs.On() {
-		mRequests.Inc()
-		defer func() {
-			if err != nil {
-				mFailures.Inc()
-			}
-		}()
-	}
+	mRequests.Inc()
+	defer func() {
+		if err != nil {
+			mFailures.Inc()
+		}
+	}()
 	// One correlation ID per LOGICAL request: every retry of it carries
 	// the same X-Request-ID, so the server's trace ring shows the
 	// attempts as one story instead of unrelated requests.
@@ -285,7 +281,7 @@ func (c *Client) do(ctx context.Context, method, path, key string, body []byte, 
 		// The fault-site key re-rolls per attempt so a chaos run injects
 		// independently across retries.
 		err = c.attempt(ctx, method, path, faults.Key(key, try), rid, body, out)
-		if c.br.record(err == nil || permanent(err), c.now()) && obs.On() {
+		if c.br.record(err == nil || permanent(err), c.now()) {
 			mBreakerOpen.Inc()
 		}
 		if err == nil || !transient(err) {

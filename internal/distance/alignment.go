@@ -33,9 +33,7 @@ func (AlignmentMetric) Name() string { return "sequence-alignment" }
 
 // Distance implements Metric: 1 - normalizedAlignmentScore, in [0, 1].
 func (m AlignmentMetric) Distance(a, b *session.Context) float64 {
-	if obs.On() {
-		mAlignCalls.Inc()
-	}
+	mAlignCalls.Inc()
 	sa, sb := actionSequence(a), actionSequence(b)
 	switch {
 	case len(sa) == 0 && len(sb) == 0:

@@ -154,9 +154,7 @@ func jaccardCounts(inter, union int) float64 {
 // total-variation distance between the value histograms of shared columns,
 // and (d) aggregation-shape agreement.
 func DisplayDistance(a, b *engine.Display) float64 {
-	if obs.On() {
-		mDisplayDistCalls.Inc()
-	}
+	mDisplayDistCalls.Inc()
 	return displayDistance(a, b)
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/netlog"
-	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
 
@@ -341,7 +340,7 @@ func TestEvaluatorExactStageAllocatesNothing(t *testing.T) {
 	if ev.bounded != 0 || ev.displays != 0 {
 		t.Fatal("Flush left tallies behind")
 	}
-	if mBoundedCalls.Load() == calls && obs.On() {
+	if mBoundedCalls.Load() == calls {
 		t.Fatal("Flush added nothing to distance.treeedit.bounded_calls")
 	}
 }

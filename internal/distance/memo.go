@@ -57,9 +57,7 @@ func (c *Memo) DisplayDistance(a, b *engine.Display) float64 {
 	v, ok := c.m[key]
 	c.mu.RUnlock()
 	if ok {
-		if obs.On() {
-			mMemoHits.Inc()
-		}
+		mMemoHits.Inc()
 		return v
 	}
 	mMemoMisses.Inc()

@@ -67,12 +67,10 @@ func (m TreeEdit) NewEvaluator(q *session.Context) *Evaluator {
 // counter once rather than once per candidate. The kNN scan flushes once
 // per range it scans.
 func (e *Evaluator) Flush() {
-	if obs.On() {
-		addNonZero(mBoundedCalls, e.bounded)
-		addNonZero(mTreeEditCalls, e.bounded)
-		addNonZero(mEarlyAbandon, e.abandoned)
-		addNonZero(mDisplayDistCalls, e.displays)
-	}
+	addNonZero(mBoundedCalls, e.bounded)
+	addNonZero(mTreeEditCalls, e.bounded)
+	addNonZero(mEarlyAbandon, e.abandoned)
+	addNonZero(mDisplayDistCalls, e.displays)
 	e.bounded, e.abandoned, e.displays = 0, 0, 0
 }
 

@@ -41,12 +41,10 @@ func (TreeEdit) Name() string { return "tree-edit" }
 
 // Distance implements Metric.
 func (m TreeEdit) Distance(a, b *session.Context) float64 {
-	if obs.On() {
-		mTreeEditCalls.Inc()
-		if obs.Timing() {
-			t0 := time.Now()
-			defer mTreeEditNS.ObserveSince(t0)
-		}
+	mTreeEditCalls.Inc()
+	if obs.Timing() {
+		t0 := time.Now()
+		defer mTreeEditNS.ObserveSince(t0)
 	}
 	e := m.NewEvaluator(a)
 	d, _ := e.within(m.Prepare(b), math.Inf(1))
@@ -141,9 +139,7 @@ func (LastActionMetric) Name() string { return "last-action" }
 
 // Distance implements Metric.
 func (LastActionMetric) Distance(a, b *session.Context) float64 {
-	if obs.On() {
-		mLastActCalls.Inc()
-	}
+	mLastActCalls.Inc()
 	na, nb := newestNode(a), newestNode(b)
 	switch {
 	case na == nil && nb == nil:

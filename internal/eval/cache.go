@@ -58,11 +58,11 @@ func NewDistanceCache() *DistanceCache {
 func (c *DistanceCache) distancesFor(ctx context.Context, n int, method offline.Method, samples []*offline.Sample) ([][]float64, [][]int32, error) {
 	if c == nil {
 		metric := distance.NewMemoizedTreeEdit(nil)
-		d, err := PairwiseDistancesCtx(ctx, samples, metric, 1)
+		d, err := PairwiseDistances(ctx, samples, metric, 1)
 		if err != nil {
 			return nil, nil, err
 		}
-		nb, err := sortNeighborsCtx(ctx, d, 1)
+		nb, err := sortNeighbors(ctx, d, 1)
 		return d, nb, err
 	}
 	key := cacheKey{n: n, method: method}
@@ -83,11 +83,11 @@ func (c *DistanceCache) distancesFor(ctx context.Context, n int, method offline.
 			return entry.dist, entry.neighbors, nil
 		}
 	}
-	d, err := PairwiseDistancesCtx(ctx, samples, c.Metric, c.Workers)
+	d, err := PairwiseDistances(ctx, samples, c.Metric, c.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	nb, err := sortNeighborsCtx(ctx, d, c.Workers)
+	nb, err := sortNeighbors(ctx, d, c.Workers)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -106,7 +106,7 @@ func (c *Confusion) String() string {
 // EvaluateKNNDetailed runs the same LOOCV as EvaluateKNN but additionally
 // returns the raw outcomes and the confusion matrix.
 func (e *EvalSet) EvaluateKNNDetailed(cfg KNNConfig) (Metrics, []Outcome, *Confusion) {
-	outcomes := e.knnOutcomes(cfg)
+	outcomes, _ := e.knnOutcomes(nil, cfg) // a nil ctx never cancels
 	classes := e.I.Names()
 	return Compute(outcomes, classes), outcomes, NewConfusion(outcomes, classes)
 }

@@ -74,8 +74,10 @@ func BuildEvalSet(a *offline.Analysis, I measures.Set, method offline.Method, n 
 		metric = distance.NewMemoizedTreeEdit(nil)
 	}
 	es := buildSamplesOnly(a, I, method, n)
-	es.Dist = PairwiseDistances(es.Samples, metric)
-	es.neighbors = sortNeighbors(es.Dist)
+	// The metric is caller-supplied and need not be safe for concurrent
+	// use, so the fill stays sequential; a nil ctx never cancels.
+	es.Dist, _ = PairwiseDistances(nil, es.Samples, metric, 1)
+	es.neighbors, _ = sortNeighbors(nil, es.Dist, 1)
 	return es
 }
 
@@ -97,31 +99,19 @@ func buildSamplesOnly(a *offline.Analysis, I measures.Set, method offline.Method
 }
 
 // PairwiseDistances computes the symmetric distance matrix of the samples'
-// contexts. It stays sequential because the metric is caller-supplied and
-// need not be safe for concurrent use; the DistanceCache path, which owns
-// its (concurrency-safe) metric, fans the fill out via
-// PairwiseDistancesWorkers.
-func PairwiseDistances(samples []*offline.Sample, metric distance.Metric) [][]float64 {
-	return PairwiseDistancesWorkers(samples, metric, 1)
-}
-
-// PairwiseDistancesWorkers is PairwiseDistances with an explicit fan-out
-// width (<1 means one worker per CPU, 1 forces the sequential path). Each
-// worker owns one upper-triangle row i, writing d[i][j] and its mirror
-// d[j][i] — distinct elements per (i, j) pair, so rows never contend. With
-// workers != 1 the metric must be safe for concurrent use (the tree edit
-// metric and its memoized wrapper both are).
-func PairwiseDistancesWorkers(samples []*offline.Sample, metric distance.Metric, workers int) [][]float64 {
-	d, _ := PairwiseDistancesCtx(nil, samples, metric, workers)
-	return d
-}
-
-// PairwiseDistancesCtx is PairwiseDistancesWorkers with cancellation (a
-// canceled ctx aborts between rows and returns the typed "eval.pairwise"
-// stage error) and per-pair fault isolation: a distance computation that
-// keeps faulting after retries — or panics — degrades to +Inf, i.e. "too
-// far to ever be neighbors", instead of poisoning the matrix.
-func PairwiseDistancesCtx(ctx context.Context, samples []*offline.Sample, metric distance.Metric, workers int) ([][]float64, error) {
+// contexts across workers goroutines (<1 means one worker per CPU, 1
+// forces the sequential path). Each worker owns one upper-triangle row i,
+// writing d[i][j] and its mirror d[j][i] — distinct elements per (i, j)
+// pair, so rows never contend. With workers != 1 the metric must be safe
+// for concurrent use (the tree edit metric and its memoized wrapper both
+// are).
+//
+// A canceled ctx (nil never cancels) aborts between rows and returns the
+// typed "eval.pairwise" stage error. Faults are isolated per pair: a
+// distance computation that keeps faulting after retries — or panics —
+// degrades to +Inf, i.e. "too far to ever be neighbors", instead of
+// poisoning the matrix.
+func PairwiseDistances(ctx context.Context, samples []*offline.Sample, metric distance.Metric, workers int) ([][]float64, error) {
 	n := len(samples)
 	d := make([][]float64, n)
 	for i := range d {
@@ -170,21 +160,12 @@ func guardedDistance(metric distance.Metric, a, b *session.Context, key string) 
 	return v
 }
 
-func sortNeighbors(d [][]float64) [][]int32 {
-	return sortNeighborsWorkers(d, 1)
-}
-
-// sortNeighborsWorkers sorts each sample's neighbor list by distance; rows
-// are independent, so they spread across the pool. The per-row stable sort
+// sortNeighbors sorts each sample's neighbor list by distance; rows are
+// independent, so they spread across the pool. The per-row stable sort
 // keeps index order among equal distances, making every row — and hence
-// every downstream LOOCV outcome — identical at any width.
-func sortNeighborsWorkers(d [][]float64, workers int) [][]int32 {
-	out, _ := sortNeighborsCtx(nil, d, workers)
-	return out
-}
-
-// sortNeighborsCtx is sortNeighborsWorkers with cancellation.
-func sortNeighborsCtx(ctx context.Context, d [][]float64, workers int) ([][]int32, error) {
+// every downstream LOOCV outcome — identical at any width. A canceled ctx
+// (nil never cancels) stops between rows.
+func sortNeighbors(ctx context.Context, d [][]float64, workers int) ([][]int32, error) {
 	n := len(d)
 	out := make([][]int32, n)
 	done, err := parallel.ForEachN(ctx, n, workers, func(i int) {
@@ -224,19 +205,8 @@ func DefaultKNN(m offline.Method) (n int, cfg KNNConfig) {
 // EvaluateKNN runs Leave-One-Out cross validation of the I-kNN model: each
 // θ_I-eligible sample is predicted from all other eligible samples.
 func (e *EvalSet) EvaluateKNN(cfg KNNConfig) Metrics {
-	m, _ := e.EvaluateKNNCtx(nil, cfg)
-	return m
-}
-
-// EvaluateKNNCtx is EvaluateKNN with cancellation: a canceled ctx stops
-// the LOOCV loop between samples and returns the typed "eval.loocv"
-// stage error with how many outcomes completed.
-func (e *EvalSet) EvaluateKNNCtx(ctx context.Context, cfg KNNConfig) (Metrics, error) {
-	outcomes, err := e.knnOutcomesCtx(ctx, cfg)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return Compute(outcomes, e.I.Names()), nil
+	outcomes, _ := e.knnOutcomes(nil, cfg) // a nil ctx never cancels
+	return Compute(outcomes, e.I.Names())
 }
 
 // minParallelLOOCV is the smallest eligible-sample count worth fanning the
@@ -247,13 +217,10 @@ const minParallelLOOCV = 128
 // knnOutcomes produces the per-sample LOOCV outcomes behind EvaluateKNN.
 // The eligible indices are collected sequentially (fixing outcome order),
 // then each outcome — a pure read of the precomputed distance matrix and
-// neighbor lists — is filled into its own slot by the pool.
-func (e *EvalSet) knnOutcomes(cfg KNNConfig) []Outcome {
-	out, _ := e.knnOutcomesCtx(nil, cfg)
-	return out
-}
-
-func (e *EvalSet) knnOutcomesCtx(ctx context.Context, cfg KNNConfig) ([]Outcome, error) {
+// neighbor lists — is filled into its own slot by the pool. A canceled
+// ctx (nil never cancels) stops the loop between samples and returns the
+// typed "eval.loocv" stage error with how many outcomes completed.
+func (e *EvalSet) knnOutcomes(ctx context.Context, cfg KNNConfig) ([]Outcome, error) {
 	eligible := e.eligibleMask(cfg.ThetaI)
 	idxs := make([]int, 0, len(e.Samples))
 	for i := range e.Samples {

@@ -19,14 +19,15 @@ func TestPairwiseDistancesWorkersEquivalence(t *testing.T) {
 	if len(samples) < 10 {
 		t.Fatalf("fixture too small: %d samples", len(samples))
 	}
-	want := PairwiseDistances(samples, distance.NewMemoizedTreeEdit(nil))
+	want, _ := PairwiseDistances(nil, samples, distance.NewMemoizedTreeEdit(nil), 1)
+	wantNB, _ := sortNeighbors(nil, want, 1)
 	for _, workers := range []int{0, 2, 7} {
-		got := PairwiseDistancesWorkers(samples, distance.NewMemoizedTreeEdit(nil), workers)
+		got, _ := PairwiseDistances(nil, samples, distance.NewMemoizedTreeEdit(nil), workers)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: matrix diverged", workers)
 		}
-		nb := sortNeighborsWorkers(got, workers)
-		if !reflect.DeepEqual(nb, sortNeighbors(want)) {
+		nb, _ := sortNeighbors(nil, got, workers)
+		if !reflect.DeepEqual(nb, wantNB) {
 			t.Fatalf("workers=%d: neighbor lists diverged", workers)
 		}
 	}
@@ -47,7 +48,7 @@ func TestEvaluateKNNWorkersEquivalence(t *testing.T) {
 		base.Workers = 1
 		for _, cfg := range configs {
 			want := base.EvaluateKNN(cfg)
-			wantOut := base.knnOutcomes(cfg)
+			wantOut, _ := base.knnOutcomes(nil, cfg)
 			for _, workers := range []int{0, 3, 16} {
 				es := *base
 				es.Workers = workers
@@ -55,7 +56,7 @@ func TestEvaluateKNNWorkersEquivalence(t *testing.T) {
 					t.Fatalf("%v workers=%d cfg=%+v:\n got %+v\nwant %+v", method, workers, cfg, got, want)
 				}
 				// Outcome ORDER must match too, not just the aggregates.
-				if got := es.knnOutcomes(cfg); !reflect.DeepEqual(got, wantOut) {
+				if got, _ := es.knnOutcomes(nil, cfg); !reflect.DeepEqual(got, wantOut) {
 					t.Fatalf("%v workers=%d cfg=%+v: outcome order diverged", method, workers, cfg)
 				}
 			}

@@ -312,15 +312,13 @@ func (c *Classifier) predict(ctx context.Context, query *session.Context, w int)
 			p.Neighbors[i] = Neighbor{Sample: c.samples[cd.Index], Dist: cd.Dist}
 		}
 	}
-	if obs.On() {
-		switch {
-		case p.Fallback:
-			c.mFallback.Inc()
-		case p.Covered:
-			c.mCovered.Inc()
-		default:
-			c.mAbstain.Inc()
-		}
+	switch {
+	case p.Fallback:
+		c.mFallback.Inc()
+	case p.Covered:
+		c.mCovered.Inc()
+	default:
+		c.mAbstain.Inc()
 	}
 	return p, evals, nil
 }
@@ -333,10 +331,8 @@ func (c *Classifier) predict(ctx context.Context, query *session.Context, w int)
 // worker count. A canceled ctx stops the chunked scan between chunks with
 // the "knn.predict" stage error; the sequential scan does not check it.
 func (c *Classifier) scan(ctx context.Context, query *session.Context, limit float64, w int) ([]Candidate, error) {
-	if obs.On() {
-		mScans.Inc()
-		mDistEvals.Add(uint64(len(c.samples)))
-	}
+	mScans.Inc()
+	mDistEvals.Add(uint64(len(c.samples)))
 	if w <= 1 || len(c.samples) < minParallelScan {
 		return c.scanRange(query, 0, len(c.samples), limit), nil
 	}

@@ -44,9 +44,6 @@ func statsFor(name string) *measureStats {
 // — recorded actions and reference alternatives alike — is visible in the
 // telemetry snapshot.
 func ObservedScore(m Measure, ctx *Context) float64 {
-	if !obs.On() {
-		return m.Score(ctx)
-	}
 	st := statsFor(m.Name())
 	st.evals.Inc()
 	if !obs.Timing() {

@@ -5,22 +5,6 @@ import (
 	"time"
 )
 
-// BenchmarkDisabledProbe measures the canonical guarded instrumentation
-// site against a disabled collector: a single atomic mode load. This is
-// the "<5ns per event when disabled" guarantee.
-func BenchmarkDisabledProbe(b *testing.B) {
-	c := New()
-	c.SetMode(ModeOff)
-	ctr := c.Counter("bench")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if c.On() {
-			ctr.Inc()
-		}
-	}
-}
-
 // BenchmarkDisabledTimingProbe is the disabled fine-latency probe: the
 // clock reads are skipped entirely, leaving one atomic load.
 func BenchmarkDisabledTimingProbe(b *testing.B) {
@@ -29,14 +13,14 @@ func BenchmarkDisabledTimingProbe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c.TimingOn() {
+		if Timing() {
 			t0 := time.Now()
 			h.ObserveSince(t0)
 		}
 	}
 }
 
-// BenchmarkEnabledCounter measures a live counter increment (guard +
+// BenchmarkEnabledCounter measures a live counter increment (one
 // atomic add); must report 0 B/op.
 func BenchmarkEnabledCounter(b *testing.B) {
 	c := New()
@@ -44,9 +28,7 @@ func BenchmarkEnabledCounter(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c.On() {
-			ctr.Inc()
-		}
+		ctr.Inc()
 	}
 	if ctr.Load() == 0 {
 		b.Fatal("counter not recorded")
@@ -57,7 +39,6 @@ func BenchmarkEnabledCounter(b *testing.B) {
 // (three atomic adds); must report 0 B/op.
 func BenchmarkEnabledHistogram(b *testing.B) {
 	c := New()
-	c.SetMode(ModeTiming)
 	h := c.Histogram("bench")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -74,9 +55,7 @@ func BenchmarkEnabledCounterParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if c.On() {
-				ctr.Inc()
-			}
+			ctr.Inc()
 		}
 	})
 }

@@ -6,23 +6,17 @@
 //
 // Design constraints (and the benchmarks in bench_test.go that hold them):
 //
-//   - A disabled collector costs a single atomic load per probe: every
-//     instrumentation site is guarded by obs.On() / obs.Timing(), which
-//     compile down to one atomic.Uint32 load.
-//   - An enabled counter increment is one atomic add and allocates zero
-//     bytes; histogram observation is three atomic adds, zero bytes.
+//   - A counter increment is one atomic add and allocates zero bytes;
+//     histogram observation is three atomic adds, zero bytes.
 //   - Everything is nil-safe: methods on a nil *Collector, *Counter,
 //     *Gauge or *Histogram are no-ops, so instrumented code never needs a
 //     nil check.
 //
-// Recording granularity is tiered, because the hot paths (tree-edit inner
-// loops, kNN scans) cannot afford clock reads by default:
-//
-//   - ModeOff: nothing is recorded; probes are one atomic load.
-//   - ModeCounters (the default): counters, gauges and coarse stage spans
-//     record; fine-grained latency histograms stay off (no clock reads on
-//     hot paths).
-//   - ModeTiming: everything records, including per-event latency.
+// Counters, gauges and stage histograms always record. The one setting is
+// process-wide and decides whether hot paths (tree-edit inner loops, kNN
+// scans, per-measure scoring) read clocks: by default (ModeCounters) they
+// do not, and a site guarded by Timing() costs one atomic load; under
+// ModeTiming they also time each event into a latency histogram.
 //
 // The Collector is exported three ways: Snapshot() (a JSON-serializable
 // struct, re-exported on the repro facade as repro.Telemetry()), expvar
@@ -39,24 +33,19 @@ import (
 	"time"
 )
 
-// Mode selects how much the collector records.
+// Mode is the process-wide timing switch.
 type Mode uint32
 
 const (
-	// ModeOff records nothing; every probe is a single atomic load.
-	ModeOff Mode = iota
-	// ModeCounters records counters, gauges and stage spans but skips
-	// fine-grained latency histograms (no clock reads on hot paths).
-	ModeCounters
-	// ModeTiming records everything including per-event latencies.
+	// ModeCounters (the default) keeps clock reads off hot paths.
+	ModeCounters Mode = iota
+	// ModeTiming additionally records per-event latencies on hot paths.
 	ModeTiming
 )
 
 // String names the mode for snapshots.
 func (m Mode) String() string {
 	switch m {
-	case ModeOff:
-		return "off"
 	case ModeCounters:
 		return "counters"
 	case ModeTiming:
@@ -164,62 +153,32 @@ func (h *Histogram) Count() uint64 {
 // name) are intended to be hoisted into package variables or struct fields
 // so the hot path never touches the registry map.
 type Collector struct {
-	mode atomic.Uint32
-
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
-// New returns a collector in ModeCounters.
+// New returns an empty collector.
 func New() *Collector {
-	c := &Collector{
+	return &Collector{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
-	c.mode.Store(uint32(ModeCounters))
-	return c
 }
 
 // Default is the process-wide collector all subsystems record into.
 var Default = New()
 
-// SetMode switches the recording tier.
-func (c *Collector) SetMode(m Mode) {
-	if c != nil {
-		c.mode.Store(uint32(m))
-	}
-}
+// mode holds the process-wide Mode; its zero value is ModeCounters.
+var mode atomic.Uint32
 
-// Mode returns the current recording tier.
-func (c *Collector) Mode() Mode {
-	if c == nil {
-		return ModeOff
-	}
-	return Mode(c.mode.Load())
-}
+// Timing reports whether hot paths record fine-grained latencies.
+func Timing() bool { return mode.Load() >= uint32(ModeTiming) }
 
-// On reports whether counters/gauges/spans record. This is the probe
-// guard: when false, the probe's entire cost was this one atomic load.
-func (c *Collector) On() bool {
-	return c != nil && c.mode.Load() >= uint32(ModeCounters)
-}
-
-// TimingOn reports whether fine-grained latency histograms record.
-func (c *Collector) TimingOn() bool {
-	return c != nil && c.mode.Load() >= uint32(ModeTiming)
-}
-
-// On reports whether the default collector records counters.
-func On() bool { return Default.mode.Load() >= uint32(ModeCounters) }
-
-// Timing reports whether the default collector records fine latencies.
-func Timing() bool { return Default.mode.Load() >= uint32(ModeTiming) }
-
-// SetMode switches the default collector's recording tier.
-func SetMode(m Mode) { Default.SetMode(m) }
+// SetMode switches the process-wide timing mode.
+func SetMode(m Mode) { mode.Store(uint32(m)) }
 
 // Counter returns the named counter, creating it on first use.
 func (c *Collector) Counter(name string) *Counter {

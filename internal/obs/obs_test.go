@@ -43,16 +43,12 @@ func TestNilSafety(t *testing.T) {
 	h.ObserveSince(time.Now())
 	st.Start().End()
 	Span{}.End()
-	c.SetMode(ModeTiming)
-	if c.On() || c.TimingOn() {
-		t.Fatal("nil collector reports enabled")
-	}
 	c.Counter("x").Inc()
 	c.Gauge("x").Set(1)
 	c.Histogram("x").Observe(0)
 	c.Reset()
 	s := c.Snapshot()
-	if s.Mode != "off" || len(s.Counters) != 0 {
+	if len(s.Counters) != 0 {
 		t.Fatalf("nil snapshot = %+v", s)
 	}
 }
@@ -97,19 +93,23 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 }
 
 func TestModeGating(t *testing.T) {
-	c := New()
-	if !c.On() || c.TimingOn() {
-		t.Fatalf("default mode = %v", c.Mode())
+	prev := Mode(mode.Load())
+	t.Cleanup(func() { SetMode(prev) })
+	SetMode(ModeCounters)
+	if Timing() {
+		t.Fatal("ModeCounters times hot paths")
 	}
-	c.SetMode(ModeOff)
-	if c.On() || c.TimingOn() {
-		t.Fatal("ModeOff still on")
+	if got := New().Snapshot().Mode; got != "counters" {
+		t.Fatalf("snapshot mode = %q, want counters", got)
 	}
-	c.SetMode(ModeTiming)
-	if !c.On() || !c.TimingOn() {
-		t.Fatal("ModeTiming not fully on")
+	SetMode(ModeTiming)
+	if !Timing() {
+		t.Fatal("ModeTiming does not time hot paths")
 	}
-	for _, m := range []Mode{ModeOff, ModeCounters, ModeTiming, Mode(99)} {
+	if got := New().Snapshot().Mode; got != "timing" {
+		t.Fatalf("snapshot mode = %q, want timing", got)
+	}
+	for _, m := range []Mode{ModeCounters, ModeTiming, Mode(99)} {
 		if m.String() == "" {
 			t.Fatal("empty mode name")
 		}
@@ -125,7 +125,6 @@ func TestConcurrentExactTotals(t *testing.T) {
 		perG       = 10000
 	)
 	c := New()
-	c.SetMode(ModeTiming)
 	ctr := c.Counter("hammer")
 	g := c.Gauge("hammer")
 	h := c.Histogram("hammer")
@@ -171,7 +170,6 @@ func TestConcurrentExactTotals(t *testing.T) {
 // every snapshot marshals to JSON.
 func TestSnapshotWhileWriting(t *testing.T) {
 	c := New()
-	c.SetMode(ModeTiming)
 	var wg sync.WaitGroup
 	var done atomic.Bool
 	for i := 0; i < 8; i++ {
@@ -232,7 +230,6 @@ snapshots:
 
 func TestResetZeroesMetrics(t *testing.T) {
 	c := New()
-	c.SetMode(ModeTiming)
 	ctr := c.Counter("x")
 	ctr.Add(10)
 	c.Gauge("g").Set(5)
@@ -251,7 +248,6 @@ func TestResetZeroesMetrics(t *testing.T) {
 
 func TestZeroAllocRecording(t *testing.T) {
 	c := New()
-	c.SetMode(ModeTiming)
 	ctr := c.Counter("alloc")
 	h := c.Histogram("alloc")
 	if n := testing.AllocsPerRun(1000, func() { ctr.Inc() }); n != 0 {
@@ -276,17 +272,13 @@ func TestStageSpanRecords(t *testing.T) {
 	if hs.SumNS < uint64(time.Millisecond) {
 		t.Fatalf("stage span too short: %dns", hs.SumNS)
 	}
-	// Off mode: trace region still no-ops fine, histogram untouched.
-	c.SetMode(ModeOff)
-	st.Start().End()
-	if got := c.Snapshot().Histograms["stage.phase"].Count; got != 1 {
-		t.Fatalf("off-mode span recorded: count=%d", got)
-	}
 }
 
 func TestTableFormatting(t *testing.T) {
+	prev := Mode(mode.Load())
+	t.Cleanup(func() { SetMode(prev) })
+	SetMode(ModeTiming)
 	c := New()
-	c.SetMode(ModeTiming)
 	c.Counter("knn.scans").Add(42)
 	c.Gauge("memo.size").Set(7)
 	c.Histogram("stage.offline").Observe(3 * time.Millisecond)

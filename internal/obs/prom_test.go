@@ -107,7 +107,6 @@ func TestValidatePrometheusCatchesAbuse(t *testing.T) {
 // monotone under the race detector.
 func TestSnapshotUnderContention(t *testing.T) {
 	c := New()
-	c.SetMode(ModeTiming)
 	const (
 		writers = 8
 		perG    = 5000
@@ -190,7 +189,6 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	for name, draw := range dists {
 		t.Run(name, func(t *testing.T) {
 			c := New()
-			c.SetMode(ModeTiming)
 			h := c.Histogram("h")
 			const n = 200_000
 			vals := make([]uint64, n)

@@ -12,8 +12,8 @@ import (
 // collector. It is what repro.Telemetry() returns and what the expvar
 // endpoint publishes.
 type Snapshot struct {
-	// Mode is the recording tier at snapshot time ("off", "counters",
-	// "timing").
+	// Mode is the process-wide timing mode at snapshot time ("counters"
+	// or "timing").
 	Mode string `json:"mode"`
 	// Counters maps metric name -> total.
 	Counters map[string]uint64 `json:"counters,omitempty"`
@@ -96,9 +96,8 @@ func bucketQuantile(buckets []HistogramBucket, total uint64, q float64) uint64 {
 
 // Snapshot copies every metric. Safe to call while recorders are running.
 func (c *Collector) Snapshot() Snapshot {
-	s := Snapshot{Mode: c.Mode().String()}
+	s := Snapshot{Mode: Mode(mode.Load()).String()}
 	if c == nil {
-		s.Mode = ModeOff.String()
 		return s
 	}
 	c.mu.RLock()

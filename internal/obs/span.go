@@ -8,18 +8,17 @@ import (
 
 // Stage is a named pipeline phase ("gen", "offline", "train", "predict",
 // …). Starting a stage records a runtime/trace region (visible in
-// `go tool trace`) and, when the collector is on, times the phase into the
-// "stage.<name>" histogram. Stage handles are meant to be created once
-// (package variable) and started per phase execution.
+// `go tool trace`) and times the phase into the "stage.<name>" histogram.
+// Stage handles are meant to be created once (package variable) and
+// started per phase execution.
 type Stage struct {
 	name string
-	c    *Collector
 	h    *Histogram
 }
 
 // NewStage returns a stage handle on the collector.
 func (c *Collector) NewStage(name string) *Stage {
-	return &Stage{name: name, c: c, h: c.Histogram("stage." + name)}
+	return &Stage{name: name, h: c.Histogram("stage." + name)}
 }
 
 // S returns a stage handle on the default collector.
@@ -30,28 +29,20 @@ type Span struct {
 	h      *Histogram
 	region *trace.Region
 	t0     time.Time
-	timed  bool
 	// tr, when non-nil, receives the stage timing as a request-trace
 	// stage on End (see StartCtx).
 	tr   *Trace
 	name string
 }
 
-// Start begins a span. The trace region is emitted unconditionally (it is
-// a no-op unless a runtime trace is being captured); the histogram is
-// recorded only when the collector is on. Stages are coarse — a handful
-// per pipeline run — so the clock reads are not a hot-path concern.
+// Start begins a span. The trace region is a no-op unless a runtime trace
+// is being captured. Stages are coarse — a handful per pipeline run — so
+// the clock reads are not a hot-path concern.
 func (st *Stage) Start() Span {
 	if st == nil {
 		return Span{}
 	}
-	sp := Span{region: trace.StartRegion(context.Background(), st.name)}
-	if st.c.On() {
-		sp.h = st.h
-		sp.t0 = time.Now()
-		sp.timed = true
-	}
-	return sp
+	return Span{h: st.h, region: trace.StartRegion(context.Background(), st.name), t0: time.Now()}
 }
 
 // StartCtx is Start plus request-trace attachment: when ctx carries a
@@ -65,11 +56,6 @@ func (st *Stage) StartCtx(ctx context.Context) Span {
 	if tr := TraceFrom(ctx); tr != nil && st != nil {
 		sp.tr = tr
 		sp.name = st.name
-		if !sp.timed {
-			// The collector may be off; the request trace still wants the
-			// timing (it is pay-per-request, not pay-per-probe).
-			sp.t0 = time.Now()
-		}
 	}
 	return sp
 }
@@ -77,13 +63,13 @@ func (st *Stage) StartCtx(ctx context.Context) Span {
 // End closes the span, ending the trace region and recording the elapsed
 // time. Safe on a zero Span.
 func (sp Span) End() {
-	if sp.region != nil {
-		sp.region.End()
+	if sp.h == nil {
+		return
 	}
-	if sp.timed {
-		sp.h.ObserveSince(sp.t0)
-	}
+	sp.region.End()
+	d := time.Since(sp.t0)
+	sp.h.Observe(d)
 	if sp.tr != nil {
-		sp.tr.AddStage(sp.name, time.Since(sp.t0))
+		sp.tr.AddStage(sp.name, d)
 	}
 }

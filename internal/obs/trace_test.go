@@ -110,23 +110,6 @@ func TestStartCtxAttachesSpanToTrace(t *testing.T) {
 	}
 }
 
-func TestStartCtxRecordsWhenCollectorOff(t *testing.T) {
-	c := New()
-	c.SetMode(ModeOff)
-	st := c.NewStage("phase")
-	tr := NewTrace("id", "op")
-	sp := st.StartCtx(WithTrace(context.Background(), tr))
-	time.Sleep(time.Millisecond)
-	sp.End()
-	rec := tr.Record()
-	if len(rec.Stages) != 1 || rec.Stages[0].NS == 0 {
-		t.Fatalf("tracing is pay-per-request and must record with the collector off; got %+v", rec.Stages)
-	}
-	if st.h.Count() != 0 {
-		t.Fatal("the stage histogram must stay silent with the collector off")
-	}
-}
-
 func TestTraceRingEvictsOldestNewestFirst(t *testing.T) {
 	ring := NewTraceRing(4)
 	for i := 0; i < 7; i++ {

@@ -94,9 +94,6 @@ func TestResumeFromPartialCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prevMode := obs.Default.Mode()
-	obs.SetMode(obs.ModeCounters)
-	t.Cleanup(func() { obs.SetMode(prevMode) })
 	skippedBefore := obs.C("checkpoint.ref_nodes_skipped").Load()
 
 	ropts := opts

@@ -76,10 +76,8 @@ func FitNormalizer(ctx context.Context, msrs []measures.Measure, nodes []*NodeSc
 		}
 		tFit := time.Now()
 		fits[i], errs[i] = fitOneGuarded(ctx, m.Name(), series)
-		if obs.On() {
-			mNormFits.Inc()
-			obs.H("offline.normalize.fit[" + m.Name() + "]").ObserveSince(tFit)
-		}
+		mNormFits.Inc()
+		obs.H("offline.normalize.fit[" + m.Name() + "]").ObserveSince(tFit)
 	})
 	if ferr != nil {
 		return nil, pipeline.Wrap("offline.normalize", done, len(msrs), ferr)

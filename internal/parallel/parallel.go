@@ -72,10 +72,8 @@ func ForEachN(ctx context.Context, n, workers int, fn func(i int)) (done int, er
 		w = n
 	}
 	if w == 1 {
-		if obs.On() {
-			mInline.Inc()
-			mTasks.Add(uint64(n))
-		}
+		mInline.Inc()
+		mTasks.Add(uint64(n))
 		for i := 0; i < n; i++ {
 			if ctx != nil && ctx.Err() != nil {
 				return i, ctx.Err()
@@ -84,11 +82,9 @@ func ForEachN(ctx context.Context, n, workers int, fn func(i int)) (done int, er
 		}
 		return n, nil
 	}
-	if obs.On() {
-		mBatches.Inc()
-		mTasks.Add(uint64(n))
-		gWorkers.Set(int64(w))
-	}
+	mBatches.Inc()
+	mTasks.Add(uint64(n))
+	gWorkers.Set(int64(w))
 
 	var (
 		cursor    atomic.Int64

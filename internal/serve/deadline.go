@@ -88,9 +88,7 @@ func admitDeadline(w http.ResponseWriter, r *http.Request, est *latEstimator, tr
 		return r.Context(), func() {}, true
 	}
 	if e := est.estimate(); budget <= 0 || (e > 0 && budget < e) {
-		if obs.On() {
-			mDeadlineRejected.Inc()
-		}
+		mDeadlineRejected.Inc()
 		tr.Rung("serve.budget_exhausted")
 		writeJSON(w, http.StatusGatewayTimeout, errorResponse{
 			Error: "deadline budget " + budget.String() + " below estimated service time " + est.estimate().String(),
@@ -104,9 +102,7 @@ func admitDeadline(w http.ResponseWriter, r *http.Request, est *latEstimator, tr
 // deadlineExceeded writes the mid-flight budget exhaustion response: the
 // request was admitted but its budget ran out before the work finished.
 func deadlineExceeded(w http.ResponseWriter, tr *obs.Trace) {
-	if obs.On() {
-		mDeadlineExceeded.Inc()
-	}
+	mDeadlineExceeded.Inc()
 	tr.Rung("serve.deadline_exceeded")
 	writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "deadline budget exhausted mid-request"})
 }

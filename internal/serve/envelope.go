@@ -119,14 +119,10 @@ func (e *envelope) retryAfterSeconds() int {
 // below with a 500 naming site (the server stays up), feeds the service
 // time into the estimate, and releases the slot.
 func (e *envelope) admit(w http.ResponseWriter, r *http.Request, site string) (ctx context.Context, done func(), ok bool) {
-	if obs.On() {
-		mRequests.Inc()
-	}
+	mRequests.Inc()
 	tr := obs.TraceFrom(r.Context())
 	if !e.lim.tryAcquire() {
-		if obs.On() {
-			mRejected.Inc()
-		}
+		mRejected.Inc()
 		tr.Rung("serve.shed")
 		w.Header().Set("Retry-After", strconv.Itoa(e.retryAfterSeconds()))
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: e.name + " saturated; retry"})
@@ -141,9 +137,7 @@ func (e *envelope) admit(w http.ResponseWriter, r *http.Request, site string) (c
 	return ctx, func() {
 		// recover works here because the caller defers this func itself.
 		if rec := recover(); rec != nil {
-			if obs.On() {
-				mErrors.Inc()
-			}
+			mErrors.Inc()
 			tr.Rung("serve.panic_500")
 			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: pipeline.Recovered(site, rec).Error()})
 		}
@@ -160,24 +154,20 @@ func timePredict(ctx context.Context) func() {
 	sp := stServe.StartCtx(ctx)
 	return func() {
 		sp.End()
-		if obs.On() {
-			hLatency.ObserveSince(t0)
-		}
+		hLatency.ObserveSince(t0)
 	}
 }
 
 // writePredictions counts the answers and encodes them: the bare object
 // for /v1/predict, {"predictions": [...]} for the batch endpoint.
 func writePredictions(w http.ResponseWriter, ctx context.Context, out []predictResponse, batch bool) {
-	if obs.On() {
-		for _, p := range out {
-			mPredictions.Inc()
-			switch {
-			case p.Fallback:
-				mFallback.Inc()
-			case !p.OK:
-				mAbstain.Inc()
-			}
+	for _, p := range out {
+		mPredictions.Inc()
+		switch {
+		case p.Fallback:
+			mFallback.Inc()
+		case !p.OK:
+			mAbstain.Inc()
 		}
 	}
 	sp := stEncode.StartCtx(ctx)

@@ -90,9 +90,7 @@ func (p *hedgePacer) tryHedge() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if float64(p.hedges+1) > p.fraction*float64(p.calls) {
-		if obs.On() {
-			mHedgeCapped.Inc()
-		}
+		mHedgeCapped.Inc()
 		return false
 	}
 	p.hedges++

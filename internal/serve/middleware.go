@@ -92,8 +92,6 @@ func (t *tracePipe) handleTraceLog(w http.ResponseWriter, r *http.Request) {
 // httpClientError answers a request whose fault is the caller's,
 // counting it as a serve error.
 func httpClientError(w http.ResponseWriter, code int, err error) {
-	if obs.On() {
-		mErrors.Inc()
-	}
+	mErrors.Inc()
 	writeJSON(w, code, errorResponse{Error: err.Error()})
 }

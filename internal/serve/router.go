@@ -262,9 +262,7 @@ func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch 
 			defer wg.Done()
 			res, err := rt.shardCandidates(rctx, sh, ctxs[0], candidatesBody(sh, limit, raw), len(raw), tr)
 			if err != nil {
-				if obs.On() {
-					mShardUnavailable.Inc()
-				}
+				mShardUnavailable.Inc()
 				tr.Rung("ring.shard_unavailable")
 				failed.Add(1)
 				return
@@ -288,9 +286,7 @@ func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch 
 		// impossible. Answer the model's prior for every query rather
 		// than failing the request; 503 only when there is no prior.
 		if rt.opts.Info.Prior == "" {
-			if obs.On() {
-				mErrors.Inc()
-			}
+			mErrors.Inc()
 			w.Header().Set("Retry-After", strconv.Itoa(rt.retryAfterSeconds()))
 			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "shard unavailable and model has no prior label"})
 			return
@@ -398,9 +394,7 @@ func (rt *Router) shardCandidates(ctx context.Context, shard int, first *session
 				// (the elapsed time is a lower bound on how slow the node
 				// really was), count the cancel, exit. Not a failure.
 				rt.checker.ReportLatency(n.Name, elapsed)
-				if obs.On() {
-					mHedgeCancelled.Inc()
-				}
+				mHedgeCancelled.Inc()
 				return
 			}
 			outc <- shardOutcome{idx: i, n: n, res: res, err: err, elapsed: elapsed}
@@ -425,9 +419,7 @@ func (rt *Router) shardCandidates(ctx context.Context, shard int, first *session
 		case <-hedgeC:
 			hedgeC = nil
 			if next < len(plan) && rt.hedge.tryHedge() {
-				if obs.On() {
-					mHedgeFired.Inc()
-				}
+				mHedgeFired.Inc()
 				tr.Rung("ring.hedge")
 				hedgeIdx = next
 				launch(next)
@@ -444,9 +436,7 @@ func (rt *Router) shardCandidates(ctx context.Context, shard int, first *session
 					return nil, ctx.Err()
 				}
 				if next < len(plan) {
-					if obs.On() {
-						mRouteFailover.Inc()
-					}
+					mRouteFailover.Inc()
 					tr.Rung("ring.failover")
 					launch(next)
 					next++
@@ -462,9 +452,7 @@ func (rt *Router) shardCandidates(ctx context.Context, shard int, first *session
 				rt.hedge.observeWin(shard, o.elapsed)
 			}
 			if o.idx == hedgeIdx {
-				if obs.On() {
-					mHedgeWon.Inc()
-				}
+				mHedgeWon.Inc()
 				tr.Rung("ring.hedge_won")
 			}
 			for j, cancel := range cancels {
@@ -478,9 +466,7 @@ func (rt *Router) shardCandidates(ctx context.Context, shard int, first *session
 				// The answer still merges — same topology, possibly older
 				// labels — but the staleness is surfaced and the repair loop
 				// will converge the node.
-				if obs.On() {
-					mStaleReplica.Inc()
-				}
+				mStaleReplica.Inc()
 				tr.Rung("ring.stale")
 				hop = fmt.Sprintf("shard%d→%s stale", shard, o.n.Name)
 			}
@@ -648,21 +634,15 @@ func (rt *Router) RepairOnce(ctx context.Context) int {
 		if err != nil || st.Checksum == "" || st.Checksum == rt.opts.Info.Checksum {
 			continue
 		}
-		if obs.On() {
-			mStaleReplica.Inc()
-		}
+		mStaleReplica.Inc()
 		if rt.opts.ModelPath == "" {
 			continue
 		}
 		if err := rt.pushSnapshot(ctx, n, sweep); err != nil {
-			if obs.On() {
-				mRepairFailed.Inc()
-			}
+			mRepairFailed.Inc()
 			continue
 		}
-		if obs.On() {
-			mRepairs.Inc()
-		}
+		mRepairs.Inc()
 		repaired++
 	}
 	return repaired

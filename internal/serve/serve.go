@@ -211,9 +211,7 @@ func New(clf *knn.Classifier, info ModelInfo, opts Options) *Server {
 		faults.RegisterSite(faults.SiteServeSlow + "." + s.opts.NodeName)
 	}
 	s.cur.Store(s.buildActive(clf, info, 1))
-	if obs.On() {
-		gGeneration.Set(1)
-	}
+	gGeneration.Set(1)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/v1/model", s.handleModel)
 	s.mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) { s.servePrediction(w, r, false) })
@@ -269,17 +267,13 @@ func (s *Server) Reload() (ModelStatus, error) {
 		err = selfTest(clf)
 	}
 	if err != nil {
-		if obs.On() {
-			mReloadFailed.Inc()
-		}
+		mReloadFailed.Inc()
 		return ModelStatus{}, fmt.Errorf("serve: reload (generation %d kept): %w", prev.gen, err)
 	}
 	next := s.buildActive(clf, info, gen)
 	s.cur.Store(next)
-	if obs.On() {
-		mReloads.Inc()
-		gGeneration.Set(int64(gen))
-	}
+	mReloads.Inc()
+	gGeneration.Set(int64(gen))
 	return next.status(), nil
 }
 
@@ -351,10 +345,8 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 
 // handleMetrics exposes every obs counter, gauge, and latency histogram
 // in Prometheus text format, led by an idarepro_build_info series naming
-// the binary. Scrapes work even with telemetry off (counters then read
-// zero) so a scrape config never 404s depending on server flags. Shared
-// verbatim by the standalone Server and the ring Router (obs state is
-// process-wide).
+// the binary. Shared verbatim by the standalone Server and the ring
+// Router (obs state is process-wide).
 func handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if !allowMethod(w, r, http.MethodGet) {
 		return
@@ -433,9 +425,7 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 	// identity never factor in.
 	if faults.Enabled() {
 		if err := faults.Probe(faults.SiteServePredict, requestKey(ctxs[0].SessionID, ctxs[0].T, ctxs[0].N, len(ctxs))); err != nil {
-			if obs.On() {
-				mErrors.Inc()
-			}
+			mErrors.Inc()
 			tr.FaultSite(faults.SiteServePredict)
 			tr.Rung("serve.degraded_503")
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
@@ -450,9 +440,7 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 			deadlineExceeded(w, tr)
 			return
 		}
-		if obs.On() {
-			mErrors.Inc()
-		}
+		mErrors.Inc()
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 		return
 	}

@@ -114,9 +114,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotImplemented, errorResponse{Error: "not a ring replica"})
 		return
 	}
-	if obs.On() {
-		mCandidates.Inc()
-	}
+	mCandidates.Inc()
 	rctx, done, ok := s.admit(w, r, "serve.candidates")
 	if !ok {
 		return
@@ -245,9 +243,7 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 	default:
-		if obs.On() {
-			mSnapshotPush.Inc()
-		}
+		mSnapshotPush.Inc()
 		writeJSON(w, http.StatusOK, st)
 	}
 }

@@ -1,6 +1,8 @@
 package session
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -12,7 +14,7 @@ import (
 //
 // Run the full fuzzer with:
 //
-//	go test -fuzz=FuzzReadLog -fuzztime=10s ./internal/session
+//	go test -fuzz='^FuzzReadLog$' -fuzztime=10s ./internal/session
 func FuzzReadLog(f *testing.F) {
 	seeds := []string{
 		`{"version":1,"sessions":[]}`,
@@ -49,6 +51,49 @@ func FuzzReadLog(f *testing.F) {
 					t.Fatalf("action type changed across round trip: %v -> %v", a.Type, again.Type)
 				}
 			}
+		}
+	})
+}
+
+// FuzzReadLogLenient feeds arbitrary bytes to the lenient log reader. No
+// input may panic it, and on a log that ReadLog accepts and whose every
+// record passes the lenient reader's checks (each action decodes, each
+// parent is in range) it must return what ReadLog returns and quarantine
+// nothing.
+//
+// Run the full fuzzer with:
+//
+//	go test -fuzz=FuzzReadLogLenient -fuzztime=10s ./internal/session
+func FuzzReadLogLenient(f *testing.F) {
+	rec := `{"id":"s1","analyst":"a1","dataset":"pkts","successful":true,"steps":[{"parent":0,"action":{"type":"group","group_by":"proto","agg":"count"}}]}`
+	bad := `{"id":"s2","steps":[{"parent":0,"action":{"type":"nonsense"}}]}`
+	seeds := []string{
+		`{"version":1,"sessions":[` + rec + `]}`,
+		`{"version":1,"Sessions":[` + rec + `]}`,
+		`{"version":1,"SESSIONS":[` + rec + `]}`,
+		`{"version":1,"ſessions":[` + rec + `]}`,
+		`{"version":1,"sessions":[` + rec + `],"sessions":[` + rec + `]}`,
+		`{"version":1,"sessions":[` + rec + `],"sessions":null}`,
+		`{"version":1,"sessions":[` + rec + `,` + bad + `]}`,
+		`{"version":1,"sessions":[` + rec + `,{"id": oops}]}`,
+		`{"version":1,"sessions":[` + rec,
+		`null`,
+		`[]`,
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lf, quar, err := ReadLogLenient(bytes.NewReader(data))
+		strict, serr := ReadLog(bytes.NewReader(data))
+		if serr != nil || !validLog(strict) {
+			return
+		}
+		if err != nil || len(quar) != 0 {
+			t.Fatalf("log ReadLog accepts: lenient err=%v, quarantined %v", err, quar)
+		}
+		if !reflect.DeepEqual(lf, strict) {
+			t.Fatalf("lenient read %+v, ReadLog read %+v", lf, strict)
 		}
 	})
 }

@@ -1,10 +1,12 @@
 package session
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/obs"
 )
@@ -46,22 +48,30 @@ func (q Quarantined) String() string {
 // session records instead of failing the file: malformed JSON elements
 // (salvaged by a brace-and-string-aware scan), records that do not
 // decode strictly, records whose actions or parent references are
-// invalid, and a truncated tail all become Quarantined entries. An
-// input that is not a JSON object at all still errors — there is
-// nothing to salvage.
+// invalid, and a truncated tail all become Quarantined entries. A log
+// that ReadLog accepts and whose every record is valid reads exactly as
+// ReadLog reads it. An input that is not a JSON object at all still
+// errors — there is nothing to salvage.
 func ReadLogLenient(r io.Reader) (*LogFile, []Quarantined, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, nil, fmt.Errorf("session: read log: %w", err)
 	}
+	// The strict decode is the reference for a healthy log, including
+	// how encoding/json folds key case and decodes a repeated key over
+	// the earlier value; the scan below salvages the rest.
+	if lf, err := ReadLog(bytes.NewReader(data)); err == nil && validLog(lf) {
+		return lf, nil, nil
+	}
 	lf := &LogFile{}
 	var quar []Quarantined
 	defer func() {
-		if obs.On() && len(quar) > 0 {
+		if len(quar) > 0 {
 			mQuarantined.Add(uint64(len(quar)))
 		}
 	}()
 
+	ln := &lineIndex{data: data, line: 1}
 	i := skipWS(data, 0)
 	if i >= len(data) || data[i] != '{' {
 		return nil, nil, fmt.Errorf("session: read log: input is not a JSON object")
@@ -71,7 +81,7 @@ func ReadLogLenient(r io.Reader) (*LogFile, []Quarantined, error) {
 	for {
 		i = skipWS(data, i)
 		if i >= len(data) {
-			quar = append(quar, Quarantined{Index: -1, Line: lineAt(data, len(data)), Reason: "truncated log envelope"})
+			quar = append(quar, Quarantined{Index: -1, Line: ln.at(len(data)), Reason: "truncated log envelope"})
 			return lf, quar, nil
 		}
 		if data[i] == '}' {
@@ -79,32 +89,41 @@ func ReadLogLenient(r io.Reader) (*LogFile, []Quarantined, error) {
 		}
 		if needComma {
 			if data[i] != ',' {
-				return nil, nil, fmt.Errorf("session: read log: malformed envelope at line %d", lineAt(data, i))
+				return nil, nil, fmt.Errorf("session: read log: malformed envelope at line %d", ln.at(i))
 			}
-			i = skipWS(data, i+1)
+			if i = skipWS(data, i+1); i >= len(data) {
+				quar = append(quar, Quarantined{Index: -1, Line: ln.at(i), Reason: "truncated log envelope"})
+				return lf, quar, nil
+			}
 		}
 		needComma = true
 		if data[i] != '"' {
-			return nil, nil, fmt.Errorf("session: read log: malformed envelope at line %d", lineAt(data, i))
+			return nil, nil, fmt.Errorf("session: read log: malformed envelope at line %d", ln.at(i))
 		}
 		rawKey, end, err := scanValue(data, i)
 		if err != nil {
-			quar = append(quar, Quarantined{Index: -1, Line: lineAt(data, i), Reason: "truncated log envelope"})
+			quar = append(quar, Quarantined{Index: -1, Line: ln.at(i), Reason: "truncated log envelope"})
 			return lf, quar, nil
 		}
 		var key string
 		if json.Unmarshal(rawKey, &key) != nil {
-			return nil, nil, fmt.Errorf("session: read log: malformed envelope key at line %d", lineAt(data, i))
+			return nil, nil, fmt.Errorf("session: read log: malformed envelope key at line %d", ln.at(i))
 		}
 		i = skipWS(data, end)
 		if i >= len(data) || data[i] != ':' {
-			quar = append(quar, Quarantined{Index: -1, Line: lineAt(data, i), Reason: "truncated log envelope"})
+			quar = append(quar, Quarantined{Index: -1, Line: ln.at(i), Reason: "truncated log envelope"})
 			return lf, quar, nil
 		}
 		i = skipWS(data, i+1)
-		if key == "sessions" && i < len(data) && data[i] == '[' {
+		// encoding/json matches keys without regard to case, and a
+		// later value of a key replaces the earlier one.
+		sessions := strings.EqualFold(key, "sessions")
+		if sessions {
+			lf.Session = nil
+		}
+		if sessions && i < len(data) && data[i] == '[' {
 			var done bool
-			i, done = lenientSessions(data, i, lf, &quar)
+			i, done = lenientSessions(data, i, ln, lf, &quar)
 			if done {
 				return lf, quar, nil
 			}
@@ -112,10 +131,10 @@ func ReadLogLenient(r io.Reader) (*LogFile, []Quarantined, error) {
 		}
 		raw, end, err := scanValue(data, i)
 		if err != nil {
-			quar = append(quar, Quarantined{Index: -1, Line: lineAt(data, i), Reason: "truncated log envelope"})
+			quar = append(quar, Quarantined{Index: -1, Line: ln.at(i), Reason: "truncated log envelope"})
 			return lf, quar, nil
 		}
-		if key == "version" {
+		if strings.EqualFold(key, "version") {
 			// Advisory: an unreadable version stays 0.
 			_ = json.Unmarshal(raw, &lf.Version)
 		}
@@ -127,14 +146,14 @@ func ReadLogLenient(r io.Reader) (*LogFile, []Quarantined, error) {
 // data[i], quarantining broken elements. It returns the offset after
 // the closing ']' and done=true when the input ended inside the array
 // (the truncated tail already quarantined).
-func lenientSessions(data []byte, i int, lf *LogFile, quar *[]Quarantined) (int, bool) {
+func lenientSessions(data []byte, i int, ln *lineIndex, lf *LogFile, quar *[]Quarantined) (int, bool) {
 	i++ // consume '['
 	idx := 0
 	first := true
 	for {
 		i = skipWS(data, i)
 		if i >= len(data) {
-			*quar = append(*quar, Quarantined{Index: idx, Line: lineAt(data, len(data)), Reason: "truncated sessions array"})
+			*quar = append(*quar, Quarantined{Index: idx, Line: ln.at(len(data)), Reason: "truncated sessions array"})
 			return i, true
 		}
 		if data[i] == ']' {
@@ -142,7 +161,7 @@ func lenientSessions(data []byte, i int, lf *LogFile, quar *[]Quarantined) (int,
 		}
 		if !first {
 			if data[i] != ',' {
-				*quar = append(*quar, Quarantined{Index: idx, Line: lineAt(data, i), Reason: "malformed sessions array: expected ',' or ']'"})
+				*quar = append(*quar, Quarantined{Index: idx, Line: ln.at(i), Reason: "malformed sessions array: expected ',' or ']'"})
 				return i, true
 			}
 			i = skipWS(data, i+1)
@@ -154,12 +173,12 @@ func lenientSessions(data []byte, i int, lf *LogFile, quar *[]Quarantined) (int,
 		start := i
 		raw, end, err := scanValue(data, i)
 		if err != nil {
-			*quar = append(*quar, Quarantined{Index: idx, Line: lineAt(data, start), Reason: "truncated session record"})
+			*quar = append(*quar, Quarantined{Index: idx, Line: ln.at(start), Reason: "truncated session record"})
 			return end, true
 		}
 		ls, reason := decodeSessionStrict(raw)
 		if reason != "" {
-			*quar = append(*quar, Quarantined{Session: probeID(raw), Index: idx, Line: lineAt(data, start), Reason: reason})
+			*quar = append(*quar, Quarantined{Session: probeID(raw), Index: idx, Line: ln.at(start), Reason: reason})
 		} else {
 			lf.Session = append(lf.Session, ls)
 		}
@@ -178,15 +197,34 @@ func decodeSessionStrict(raw []byte) (LogSession, string) {
 	if err := json.Unmarshal(raw, &ls); err != nil {
 		return LogSession{}, "decode: " + err.Error()
 	}
-	for j, step := range ls.Steps {
-		if _, err := DecodeAction(step.Action); err != nil {
-			return LogSession{}, fmt.Sprintf("step %d: %v", j+1, err)
-		}
-		if step.Parent < 0 || step.Parent > j {
-			return LogSession{}, fmt.Sprintf("step %d: parent step %d out of range", j+1, step.Parent)
-		}
+	if reason := checkSession(ls); reason != "" {
+		return LogSession{}, reason
 	}
 	return ls, ""
+}
+
+// checkSession is decodeSessionStrict's validation of a decoded record:
+// "" when it replays without structural errors, else the reason.
+func checkSession(ls LogSession) string {
+	for j, step := range ls.Steps {
+		if _, err := DecodeAction(step.Action); err != nil {
+			return fmt.Sprintf("step %d: %v", j+1, err)
+		}
+		if step.Parent < 0 || step.Parent > j {
+			return fmt.Sprintf("step %d: parent step %d out of range", j+1, step.Parent)
+		}
+	}
+	return ""
+}
+
+// validLog reports whether every record of lf passes checkSession.
+func validLog(lf *LogFile) bool {
+	for _, ls := range lf.Session {
+		if checkSession(ls) != "" {
+			return false
+		}
+	}
+	return true
 }
 
 // probeID best-effort-extracts the record's id for the quarantine
@@ -229,7 +267,7 @@ func (r *Repository) LoadLogFileLenient(lf *LogFile) []Quarantined {
 		}
 		r.Add(s)
 	}
-	if obs.On() && len(quar) > 0 {
+	if len(quar) > 0 {
 		mQuarantined.Add(uint64(len(quar)))
 	}
 	return quar
@@ -248,18 +286,22 @@ func skipWS(data []byte, i int) int {
 	return i
 }
 
-// lineAt reports the 1-based line number of offset i.
-func lineAt(data []byte, i int) int {
-	if i > len(data) {
-		i = len(data)
+// lineIndex maps offsets to 1-based line numbers. The scan asks for
+// offsets in non-decreasing order, so each call counts only the newlines
+// since the previous one and a whole log costs one pass.
+type lineIndex struct {
+	data []byte
+	off  int // offset of the last query
+	line int // line holding off
+}
+
+func (l *lineIndex) at(i int) int {
+	if i > len(l.data) {
+		i = len(l.data)
 	}
-	line := 1
-	for _, b := range data[:i] {
-		if b == '\n' {
-			line++
-		}
-	}
-	return line
+	l.line += bytes.Count(l.data[l.off:i], []byte{'\n'})
+	l.off = i
+	return l.line
 }
 
 // scanValue scans one JSON value starting at data[i] (no leading

@@ -70,9 +70,6 @@ func TestLenientQuarantinesInvalidAction(t *testing.T) {
 	log := corruptMiddleSession(t, func(ls *LogSession) {
 		ls.Steps[0].Action.Type = "warp-drive"
 	})
-	prevMode := obs.Default.Mode()
-	obs.SetMode(obs.ModeCounters)
-	t.Cleanup(func() { obs.SetMode(prevMode) })
 	before := obs.C("session.quarantined").Load()
 
 	lf, quar, err := ReadLogLenient(strings.NewReader(log))
@@ -176,6 +173,29 @@ func TestLenientTruncatedTail(t *testing.T) {
 	}
 	if len(quar) != 1 || !strings.Contains(quar[0].Reason, "truncated") {
 		t.Fatalf("quarantine = %v, want one truncated-record entry", quar)
+	}
+}
+
+// TestLenientSalvageReadsKeysAsReadLog covers the salvage scan of a log
+// with invalid records: the sessions key matches without regard to case,
+// a later sessions value replaces the earlier one, and each quarantined
+// record reports the line it starts on.
+func TestLenientSalvageReadsKeysAsReadLog(t *testing.T) {
+	good := func(id string) string {
+		return `{"id":"` + id + `","steps":[{"parent":0,"action":{"type":"group","group_by":"proto","agg":"count"}}]}`
+	}
+	bad := `{"id":"bad","steps":[{"parent":0,"action":{"type":"nonsense"}}]}`
+	log := "{\"version\":1,\n\"sessions\":[" + good("old") + "],\n\"SESSIONS\":[\n" +
+		good("a") + ",\n" + bad + ",\n" + good("b") + ",\n" + bad + "]}"
+	lf, quar, err := ReadLogLenient(strings.NewReader(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lf.Version != 1 || len(lf.Session) != 2 || lf.Session[0].ID != "a" || lf.Session[1].ID != "b" {
+		t.Fatalf("read version %d, sessions %+v; want version 1, sessions a and b", lf.Version, lf.Session)
+	}
+	if len(quar) != 2 || quar[0].Index != 1 || quar[0].Line != 5 || quar[1].Index != 3 || quar[1].Line != 7 {
+		t.Fatalf("quarantine = %v, want indices 1 and 3 on lines 5 and 7", quar)
 	}
 }
 

@@ -231,12 +231,10 @@ func Generate(cfg Config) (*session.Repository, error) {
 			return nil, err
 		}
 		repo.Add(s)
-		if obs.On() {
-			mGenSessions.Inc()
-			mGenActions.Add(uint64(s.Steps()))
-			if obs.Timing() {
-				hGenSessionLength.ObserveSince(tSession)
-			}
+		mGenSessions.Inc()
+		mGenActions.Add(uint64(s.Steps()))
+		if obs.Timing() {
+			hGenSessionLength.ObserveSince(tSession)
 		}
 	}
 	return repo, nil

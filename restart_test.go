@@ -243,7 +243,6 @@ func TestReloadKeepsServerWorkers(t *testing.T) {
 		}
 		return rec
 	}
-	countersOn(t)
 	for i, reload := range []struct {
 		endpoint string
 		body     []byte

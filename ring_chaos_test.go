@@ -106,7 +106,6 @@ func TestChaosRingFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	countersOn(t)
 	abandonBefore := obs.C("distance.treeedit.early_abandon").Load()
 	armFaults(t, faults.Config{
 		Prob:       0.05,

@@ -97,7 +97,6 @@ func TestTailLatencyArmor(t *testing.T) {
 		t.Fatalf("unexpected node name %q", victim)
 	}
 
-	countersOn(t)
 	wonBefore := obs.C("ring.hedge.won").Load()
 	armFaults(t, faults.Config{
 		Prob:  1,

@@ -13,16 +13,13 @@ import (
 // train → predict). Table() renders it as an aligned plain-text table.
 type TelemetrySnapshot = obs.Snapshot
 
-// TelemetryLevel selects how much the pipeline records.
+// TelemetryLevel selects whether hot paths read clocks. Counters, gauges
+// and pipeline-stage timings record at every level.
 type TelemetryLevel = obs.Mode
 
 const (
-	// TelemetryOff records nothing; every instrumentation probe costs a
-	// single atomic load.
-	TelemetryOff = obs.ModeOff
-	// TelemetryCounters (the default) records counters, gauges and coarse
-	// pipeline-stage timings, but skips per-event latency histograms so
-	// hot paths take no clock reads.
+	// TelemetryCounters (the default) skips per-event latency histograms
+	// so hot paths take no clock reads.
 	TelemetryCounters = obs.ModeCounters
 	// TelemetryTiming additionally records fine-grained latencies
 	// (per-measure scoring, per-tree-edit-call).
@@ -33,8 +30,8 @@ const (
 // at any time, including concurrently with a running analysis.
 func Telemetry() TelemetrySnapshot { return obs.Default.Snapshot() }
 
-// SetTelemetryLevel switches the recording tier (see the TelemetryLevel
-// constants).
+// SetTelemetryLevel switches the process-wide level (see the
+// TelemetryLevel constants).
 func SetTelemetryLevel(l TelemetryLevel) { obs.SetMode(l) }
 
 // ResetTelemetry zeroes every metric (level and metric handles are kept),

@@ -3,19 +3,14 @@ package repro
 import (
 	"encoding/json"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // TestTelemetryAfterFullPipeline checks that the pipeline's counters
 // move. The shared fixture may have been generated and analyzed by an
 // earlier test, so its counters are checked as totals; training and
 // prediction are this test's own work, so theirs are checked as deltas
-// across it, under the counters tier whatever an earlier test left set.
+// across it.
 func TestTelemetryAfterFullPipeline(t *testing.T) {
-	prev := obs.Default.Mode()
-	SetTelemetryLevel(TelemetryCounters)
-	t.Cleanup(func() { SetTelemetryLevel(prev) })
 	fw := testFramework(t) // gen + offline (shared across the package)
 	before := Telemetry()
 
@@ -90,8 +85,8 @@ func TestTelemetryLevelRoundTrip(t *testing.T) {
 	if got := Telemetry().Mode; got != "timing" {
 		t.Fatalf("mode = %q, want timing", got)
 	}
-	SetTelemetryLevel(TelemetryOff)
-	if got := Telemetry().Mode; got != "off" {
-		t.Fatalf("mode = %q, want off", got)
+	SetTelemetryLevel(TelemetryCounters)
+	if got := Telemetry().Mode; got != "counters" {
+		t.Fatalf("mode = %q, want counters", got)
 	}
 }
