@@ -337,7 +337,7 @@ func (c *Client) attempt(ctx context.Context, method, path, key, rid string, bod
 			err = recoveredErr(r)
 		}
 	}()
-	if err := faults.Inject(faults.SiteClientRequest, key, faults.KindAll); err != nil {
+	if err := faults.Inject(ctx, faults.SiteClientRequest, key, faults.KindAll); err != nil {
 		return err
 	}
 	if ctx == nil {

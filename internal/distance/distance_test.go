@@ -303,10 +303,12 @@ func TestDisplayDistanceBitDeterministic(t *testing.T) {
 func TestDisplayDistanceReflexiveWithDuplicateColumns(t *testing.T) {
 	mk := func(freqs ...map[string]float64) *engine.Display {
 		cols := make([]engine.ColumnProfile, len(freqs))
+		tops := make([][]engine.KeyWeight, len(freqs))
 		for i := range freqs {
 			cols[i] = engine.ColumnProfile{Name: "count"}
+			tops[i] = pairsOf(freqs[i])
 		}
-		return engine.NewSummaryDisplay(1, true, "count", "count", engine.NewProfile(1, cols, freqs))
+		return engine.NewSummaryDisplay(1, true, "count", "count", engine.NewProfile(1, cols, tops))
 	}
 	a := mk(map[string]float64{"37": 1}, map[string]float64{"1": 1})
 	b := mk(map[string]float64{"37": 1}, map[string]float64{"1": 1})

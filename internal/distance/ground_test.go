@@ -120,9 +120,18 @@ func histMap(h engine.Hist) map[string]float64 {
 	return m
 }
 
+// pairsOf lists a map's entries as key/weight pairs, in map order.
+func pairsOf(m map[string]float64) []engine.KeyWeight {
+	var out []engine.KeyWeight
+	for k, v := range m {
+		out = append(out, engine.KeyWeight{Key: k, Weight: v})
+	}
+	return out
+}
+
 // histOf prepares a map as a one-column summary profile does.
 func histOf(m map[string]float64) engine.Hist {
-	p := engine.NewProfile(1, []engine.ColumnProfile{{Name: "c"}}, []map[string]float64{m})
+	p := engine.NewProfile(1, []engine.ColumnProfile{{Name: "c"}}, [][]engine.KeyWeight{pairsOf(m)})
 	return p.TopFreq(0)
 }
 

@@ -185,14 +185,22 @@ type preparedColumn struct {
 // Column returns the named column profile, or nil.
 func (p *Profile) Column(name string) *ColumnProfile { return p.byName[name] }
 
+// KeyWeight is one key of a column histogram and its weight.
+type KeyWeight struct {
+	Key    string
+	Weight float64
+}
+
 // NewProfile assembles a summary profile (the decode path of
 // snapshot/wire displays) from column summaries and each column's
-// truncated histogram, tops[i] for column i (nil or empty for none). The
-// cols slice is retained and its order preserved — the distance ground
-// metric iterates columns in declaration order, so order is part of a
-// display's identity. The histograms are sorted into Profile.TopFreq's
-// form here and not retained.
-func NewProfile(rows int, cols []ColumnProfile, tops []map[string]float64) *Profile {
+// truncated histogram, tops[i] for column i as key/weight pairs in any
+// order (nil or empty for none). The cols slice is retained and its
+// order preserved — the distance ground metric iterates columns in
+// declaration order, so order is part of a display's identity. The
+// pairs are copied into Profile.TopFreq's form, one key and one weight
+// array for the whole profile with each column's keys ascending, and
+// tops is not retained.
+func NewProfile(rows int, cols []ColumnProfile, tops [][]KeyWeight) *Profile {
 	p := &Profile{Rows: rows, Columns: cols, byName: make(map[string]*ColumnProfile, len(cols))}
 	for i := range p.Columns {
 		p.byName[p.Columns[i].Name] = &p.Columns[i]
@@ -240,30 +248,24 @@ func (p *Profile) prepared() *prepared {
 // sortedTops returns the n histograms tops as key-sorted Hists sharing
 // one key and one weight array, each sorted through a stack scratch of
 // key-weight pairs.
-func sortedTops(n int, tops []map[string]float64) []Hist {
+func sortedTops(n int, tops [][]KeyWeight) []Hist {
 	total := 0
 	for _, top := range tops {
 		total += len(top)
 	}
 	keys, weights := make([]string, total), make([]float64, total)
 	out := make([]Hist, n)
-	type entry struct {
-		k string
-		v float64
-	}
-	var scratch [TopFreqLimit + 1]entry
+	var scratch [TopFreqLimit + 1]KeyWeight
 	for i := range out {
 		pairs := scratch[:0]
 		if i < len(tops) {
-			for k, v := range tops[i] {
-				pairs = append(pairs, entry{k, v})
-			}
+			pairs = append(pairs, tops[i]...)
 		}
-		slices.SortFunc(pairs, func(a, b entry) int { return strings.Compare(a.k, b.k) })
+		slices.SortFunc(pairs, func(a, b KeyWeight) int { return strings.Compare(a.Key, b.Key) })
 		top := Hist{Keys: keys[:len(pairs):len(pairs)], Weights: weights[:len(pairs):len(pairs)]}
 		keys, weights = keys[len(pairs):], weights[len(pairs):]
 		for j, e := range pairs {
-			top.Keys[j], top.Weights[j] = e.k, e.v
+			top.Keys[j], top.Weights[j] = e.Key, e.Weight
 		}
 		out[i] = top
 	}

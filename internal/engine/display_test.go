@@ -323,7 +323,7 @@ func TestPreparedProfileForm(t *testing.T) {
 	}
 	built := NewRootDisplay(b.MustBuild()).GetProfile()
 	cols := make([]ColumnProfile, len(built.Columns))
-	tops := make([]map[string]float64, len(built.Columns))
+	tops := make([][]KeyWeight, len(built.Columns))
 	for i, c := range built.Columns {
 		want := truncateFreq(freqMap(c.Freq()), TopFreqLimit)
 		top := built.TopFreq(i)
@@ -333,7 +333,10 @@ func TestPreparedProfileForm(t *testing.T) {
 		if !slices.IsSorted(top.Keys) || len(slices.Compact(slices.Clone(top.Keys))) != len(top.Keys) {
 			t.Fatalf("column %d: keys %q not strictly ascending", i, top.Keys)
 		}
-		cols[i], tops[i] = ColumnProfile{Name: c.Name}, want
+		cols[i] = ColumnProfile{Name: c.Name}
+		for k, v := range want {
+			tops[i] = append(tops[i], KeyWeight{k, v})
+		}
 	}
 	summary := NewProfile(built.Rows, cols, tops)
 	for _, p := range []*Profile{built, summary} {

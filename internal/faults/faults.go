@@ -19,6 +19,7 @@
 package faults
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -352,8 +353,10 @@ func Key(base string, attempt int) string {
 // flavors this site tolerates (sites without per-item panic recovery must
 // not advertise KindPanic). It returns a *Fault error for KindError,
 // sleeps and returns nil for KindLatency, and panics with a *Fault for
-// KindPanic. Disabled, unarmed, or not-fired probes return nil.
-func Inject(site, key string, allowed Kind) error {
+// KindPanic. The sleep ends early when ctx is done, so a caller that
+// gives up stops waiting on it; a nil ctx never is. Disabled, unarmed,
+// or not-fired probes return nil.
+func Inject(ctx context.Context, site, key string, allowed Kind) error {
 	inj := active.Load()
 	if inj == nil {
 		return nil
@@ -386,10 +389,7 @@ func Inject(site, key string, allowed Kind) error {
 	switch k {
 	case KindLatency:
 		mInjectedSleep.Inc()
-		d := time.Duration(fraction(h2) * float64(inj.maxLatency))
-		if d > 0 {
-			time.Sleep(d)
-		}
+		sleep(ctx, time.Duration(fraction(h2)*float64(inj.maxLatency)))
 		return nil
 	case KindPanic:
 		mInjectedPanic.Inc()
@@ -397,6 +397,23 @@ func Inject(site, key string, allowed Kind) error {
 	default:
 		mInjectedError.Inc()
 		return &Fault{Site: site, Key: key, Kind: KindError}
+	}
+}
+
+// sleep waits d, or until ctx is done; a nil ctx never is.
+func sleep(ctx context.Context, d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	if ctx == nil {
+		time.Sleep(d)
+		return
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
 	}
 }
 

@@ -31,7 +31,7 @@ func TestDisabledProbeIsNil(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 1000; i++ {
-		if err := Inject(SiteKNNScan, fmt.Sprint(i), KindAll); err != nil {
+		if err := Inject(nil, SiteKNNScan, fmt.Sprint(i), KindAll); err != nil {
 			t.Fatalf("disabled injector fired: %v", err)
 		}
 	}
@@ -44,12 +44,12 @@ func TestDeterministicDecisions(t *testing.T) {
 	first := make(map[string]bool)
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprint(i)
-		first[key] = Inject(SiteRefExecute, key, KindError) != nil
+		first[key] = Inject(nil, SiteRefExecute, key, KindError) != nil
 	}
 	// Replay in reverse order: identical outcomes.
 	for i := 499; i >= 0; i-- {
 		key := fmt.Sprint(i)
-		got := Inject(SiteRefExecute, key, KindError) != nil
+		got := Inject(nil, SiteRefExecute, key, KindError) != nil
 		if got != first[key] {
 			t.Fatalf("decision for key %q changed across calls: %v then %v", key, first[key], got)
 		}
@@ -61,7 +61,7 @@ func TestInjectionRateRoughlyMatchesProb(t *testing.T) {
 	fired := 0
 	const n = 5000
 	for i := 0; i < n; i++ {
-		if Inject(SiteEvalLOOCV, fmt.Sprint(i), KindError) != nil {
+		if Inject(nil, SiteEvalLOOCV, fmt.Sprint(i), KindError) != nil {
 			fired++
 		}
 	}
@@ -76,7 +76,7 @@ func TestSeedChangesDecisions(t *testing.T) {
 		withConfig(t, Config{Prob: 0.3, Seed: seed, Kinds: KindError})
 		out := make([]bool, 200)
 		for i := range out {
-			out[i] = Inject(SiteKNNScan, fmt.Sprint(i), KindError) != nil
+			out[i] = Inject(nil, SiteKNNScan, fmt.Sprint(i), KindError) != nil
 		}
 		return out
 	}
@@ -94,10 +94,10 @@ func TestSeedChangesDecisions(t *testing.T) {
 
 func TestSiteFiltering(t *testing.T) {
 	withConfig(t, Config{Prob: 1, Seed: 3, Kinds: KindError, Sites: []string{"offline"}})
-	if Inject(SiteOfflineRawScore, "k", KindError) == nil {
+	if Inject(nil, SiteOfflineRawScore, "k", KindError) == nil {
 		t.Error("armed site did not fire at p=1")
 	}
-	if err := Inject(SiteKNNScan, "k", KindError); err != nil {
+	if err := Inject(nil, SiteKNNScan, "k", KindError); err != nil {
 		t.Errorf("unarmed site fired: %v", err)
 	}
 }
@@ -106,7 +106,7 @@ func TestAllowedKindsIntersection(t *testing.T) {
 	withConfig(t, Config{Prob: 1, Seed: 3, Kinds: KindPanic})
 	// Probe tolerates only errors; config injects only panics — nothing
 	// can fire.
-	if err := Inject(SiteKNNScan, "k", KindError); err != nil {
+	if err := Inject(nil, SiteKNNScan, "k", KindError); err != nil {
 		t.Errorf("disjoint kinds fired: %v", err)
 	}
 	// Probe tolerates panics: must panic with *Fault.
@@ -119,7 +119,7 @@ func TestAllowedKindsIntersection(t *testing.T) {
 			t.Fatalf("panic value = %#v, want *Fault{Kind: KindPanic}", r)
 		}
 	}()
-	_ = Inject(SiteKNNScan, "k", KindPanic)
+	_ = Inject(nil, SiteKNNScan, "k", KindPanic)
 }
 
 func TestIsInjected(t *testing.T) {
@@ -188,7 +188,7 @@ func TestEnableFromEnv(t *testing.T) {
 func TestLatencyKindSleepsAndSucceeds(t *testing.T) {
 	withConfig(t, Config{Prob: 1, Seed: 5, Kinds: KindLatency, MaxLatency: 100 * time.Microsecond})
 	for i := 0; i < 50; i++ {
-		if err := Inject(SiteKNNScan, fmt.Sprint(i), KindAll); err != nil {
+		if err := Inject(nil, SiteKNNScan, fmt.Sprint(i), KindAll); err != nil {
 			t.Fatalf("latency-only config returned error: %v", err)
 		}
 	}

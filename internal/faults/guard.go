@@ -33,7 +33,7 @@ func Guard(ctx context.Context, site, base string, fn func() error) error {
 		if try > 0 {
 			mRetries.Inc()
 		}
-		if err = guardTry(site, Key(base, try), fn); !IsInjected(err) {
+		if err = guardTry(ctx, site, Key(base, try), fn); !IsInjected(err) {
 			return err
 		}
 	}
@@ -43,13 +43,13 @@ func Guard(ctx context.Context, site, base string, fn func() error) error {
 
 // guardTry is one of Guard's tries: the probe, then fn, with panics
 // recovered into an error tagged with site.
-func guardTry(site, key string, fn func() error) (err error) {
+func guardTry(ctx context.Context, site, key string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = pipeline.Recovered(site, r)
 		}
 	}()
-	if err := Inject(site, key, KindAll); err != nil {
+	if err := Inject(ctx, site, key, KindAll); err != nil {
 		return err
 	}
 	return fn()
@@ -58,12 +58,13 @@ func guardTry(site, key string, fn func() error) (err error) {
 // Probe is a single-try probe for sites that degrade at once instead of
 // retrying: an injected error returns as is, an injected panic as a
 // pipeline.Recovered error tagged with site, so a probe on a request path
-// or a background loop never takes the process down.
-func Probe(site, key string) (err error) {
+// or a background loop never takes the process down. An injected sleep
+// ends with ctx, as in Inject.
+func Probe(ctx context.Context, site, key string) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = pipeline.Recovered(site, r)
 		}
 	}()
-	return Inject(site, key, KindAll)
+	return Inject(ctx, site, key, KindAll)
 }

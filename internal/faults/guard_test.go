@@ -118,17 +118,17 @@ func TestGuardCanceledContext(t *testing.T) {
 // as a *pipeline.Error tagged with the site, and a disarmed probe is nil.
 func TestProbe(t *testing.T) {
 	withConfig(t, Config{})
-	if err := Probe(guardSite, "x"); err != nil {
+	if err := Probe(nil, guardSite, "x"); err != nil {
 		t.Fatalf("disarmed probe: %v", err)
 	}
 	withConfig(t, Config{Prob: 1, Seed: 1, Kinds: KindError})
 	var f *Fault
-	if err := Probe(guardSite, "x"); !errors.As(err, &f) || f.Key != "x" {
+	if err := Probe(nil, guardSite, "x"); !errors.As(err, &f) || f.Key != "x" {
 		t.Fatalf("injected error: err = %v, want a *Fault keyed x", err)
 	}
 	withConfig(t, Config{Prob: 1, Seed: 1, Kinds: KindPanic})
 	var pe *pipeline.Error
-	if err := Probe(guardSite, "x"); !errors.As(err, &pe) || pe.Stage != guardSite || !IsInjected(err) {
+	if err := Probe(nil, guardSite, "x"); !errors.As(err, &pe) || pe.Stage != guardSite || !IsInjected(err) {
 		t.Fatalf("injected panic: err = %v, want an injected *pipeline.Error at %s", err, guardSite)
 	}
 }

@@ -56,6 +56,27 @@ func FuzzCandidates(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	// The one-pass reader's ground: canonical contexts written indented,
+	// without HTML escapes and with keys reordered, which it reads, and
+	// one body per class it leaves to encoding/json.
+	for _, c := range canonicalContextForms(f) {
+		f.Add([]byte(`{"shard":0,"max_dist":0.3,"contexts":[` + c + `]}`))
+	}
+	for _, c := range []string{
+		`{"Session_id":"q","root":{"step":1}}`,
+		`{"session_id":"q","extra":1,"root":{"step":1}}`,
+		`{"t":-1,"t":1,"root":{"step":1}}`,
+		`{"root":{"step":1,"action":null}}`,
+		`{"t":1.5,"root":{"step":1}}`,
+		`{"session_id":"\ud800","root":{"step":1}}`,
+		"{\"session_id\":\"q\xff\",\"root\":{\"step\":1}}",
+		`{"root":{"step":1,"ref":1}}`,
+		`{"root":{"step":0,"display":{"rows":3,"columns":[{"name":"c","top_freq":{"a":0.5,"b":0.25,"a":0.25}}]}}}`,
+	} {
+		f.Add([]byte(`{"shard":0,"contexts":[` + c + `]}`))
+	}
+	f.Add([]byte(`{"shard":0,"contexts":[` + ctx + `]}x`))
+	f.Add([]byte(`{"shard":1,"shard":0,"contexts":[` + ctx + `]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := post(t, h, "/v1/knn/candidates", string(body))
 		if rec.Code >= 500 {

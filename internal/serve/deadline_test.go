@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/distance"
+	"repro/internal/faults"
 	"repro/internal/knn"
 	"repro/internal/snapshot"
 )
@@ -186,5 +187,49 @@ func TestStampDeadline(t *testing.T) {
 	ms, err := strconv.ParseInt(got, 10, 64)
 	if err != nil || ms <= 0 || ms > 200 {
 		t.Fatalf("stamped %q, want ~200ms remaining", got)
+	}
+}
+
+// TestInjectedLatencyEndsWithCaller: a replica armed with serve.slow
+// (every call, up to 30 s of injected latency) stops waiting when its
+// caller gives up. A candidates call whose client abandons it after
+// 50 ms returns long before the injected delay, and its in-flight slot
+// is free again.
+func TestInjectedLatencyEndsWithCaller(t *testing.T) {
+	if prev, armed := faults.Active(); armed {
+		t.Cleanup(func() { faults.Enable(prev) })
+	} else {
+		t.Cleanup(faults.Disable)
+	}
+	samples := ringTrainingSet(20)
+	clf := knn.New(samples, distance.TreeEdit{}, knn.Config{K: 1, ThetaDelta: 0.3, Workers: 1})
+	tr := startRing(t, 1, 1, 1, clf, ModelInfo{N: 6, Checksum: "cafe"}, RouterOptions{})
+	rep := tr.replicas[0]
+	returned := make(chan struct{})
+	tr.swaps[0].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rep.Handler().ServeHTTP(w, r)
+		close(returned)
+	}))
+	faults.Enable(faults.Config{Prob: 1, Seed: 1, Kinds: faults.KindLatency,
+		Sites: []string{faults.SiteServeSlow + "." + tr.nodes[0].Name}, MaxLatency: 30 * time.Second})
+
+	body := `{"shard":0,"contexts":[` + mustJSON(t, snapshot.EncodeContext(chainCtx("q", 1, 2), nil)) + `]}`
+	client := &http.Client{Timeout: 50 * time.Millisecond}
+	t0 := time.Now()
+	resp, err := client.Post(tr.ts[0].URL+"/v1/knn/candidates", "application/json", strings.NewReader(body))
+	if err == nil {
+		resp.Body.Close()
+		t.Fatalf("the slow replica answered %s within the client's 50 ms", resp.Status)
+	}
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler still sleeps 5 s after its caller gave up")
+	}
+	if waited := time.Since(t0); waited > 2*time.Second {
+		t.Errorf("the handler returned %v after the call began, want soon after the client's 50 ms", waited)
+	}
+	if n := len(rep.lim); n != 0 {
+		t.Errorf("%d in-flight slots held after the handler returned, want 0", n)
 	}
 }

@@ -488,7 +488,7 @@ func (rt *Router) shardCandidates(ctx context.Context, shard int, first *session
 // passes the gate, so the replica must scan under the same bits — and is
 // left out when the limit is +∞, which JSON cannot write and an absent
 // max_dist means.
-func candidatesBody(shard int, limit float64, raw []json.RawMessage) []byte {
+func candidatesBody(shard int, limit float64, raw [][]byte) []byte {
 	size := 64
 	for _, rc := range raw {
 		size += len(rc) + 1
@@ -526,7 +526,7 @@ func (rt *Router) callCandidates(ctx context.Context, n ring.Node, shard int, fi
 	if faults.Enabled() {
 		base := requestKey(first.SessionID, first.T, first.N, queries)
 		key := faults.Key(base+"/s"+strconv.Itoa(shard)+"@"+n.Name, attempt)
-		if ferr := faults.Inject(faults.SiteRingRoute, key, faults.KindAll); ferr != nil {
+		if ferr := faults.Inject(ctx, faults.SiteRingRoute, key, faults.KindAll); ferr != nil {
 			tr.FaultSite(faults.SiteRingRoute)
 			return nil, ferr
 		}
@@ -587,7 +587,7 @@ func firstLine(b []byte) string {
 func (rt *Router) probeReplica(ctx context.Context, n ring.Node) error {
 	if faults.Enabled() {
 		key := n.Name + "/round:" + strconv.FormatUint(rt.healthRound.Load(), 10)
-		if err := faults.Probe(faults.SiteRingHealth, key); err != nil {
+		if err := faults.Probe(ctx, faults.SiteRingHealth, key); err != nil {
 			return err
 		}
 	}
@@ -682,7 +682,7 @@ func (rt *Router) fetchModel(ctx context.Context, n ring.Node) (ModelStatus, err
 func (rt *Router) pushSnapshot(ctx context.Context, n ring.Node, sweep uint64) error {
 	if faults.Enabled() {
 		key := n.Name + "/sweep:" + strconv.FormatUint(sweep, 10)
-		if err := faults.Probe(faults.SiteRingRepair, key); err != nil {
+		if err := faults.Probe(ctx, faults.SiteRingRepair, key); err != nil {
 			return err
 		}
 	}

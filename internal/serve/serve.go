@@ -26,10 +26,8 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -46,7 +44,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/ring"
 	"repro/internal/session"
-	"repro/internal/snapshot"
 )
 
 // Request telemetry: the covered/abstain/fallback split mirrors the
@@ -67,6 +64,9 @@ var (
 	stServe       = obs.S("serve.predict")
 	stDecode      = obs.S("serve.decode")
 	stEncode      = obs.S("serve.encode")
+	// mDecodeFallback counts the request bodies the one-pass reader
+	// declined and encoding/json decoded (decode.go).
+	mDecodeFallback = obs.C("serve.decode_fallback")
 )
 
 // ModelInfo describes the loaded model on /v1/model. N, the model's
@@ -286,7 +286,7 @@ func (s *Server) loadGuarded(gen uint64) (clf *knn.Classifier, info ModelInfo, e
 			clf, info, err = nil, ModelInfo{}, pipeline.Recovered(faults.SiteServeReload, r)
 		}
 	}()
-	if err := faults.Inject(faults.SiteServeReload, "gen:"+strconv.FormatUint(gen, 10), faults.KindAll); err != nil {
+	if err := faults.Inject(nil, faults.SiteServeReload, "gen:"+strconv.FormatUint(gen, 10), faults.KindAll); err != nil {
 		return nil, ModelInfo{}, err
 	}
 	return s.opts.Reloader()
@@ -424,7 +424,7 @@ func (s *Server) servePrediction(w http.ResponseWriter, r *http.Request, batch b
 	// context's identity plus the batch size — call order and goroutine
 	// identity never factor in.
 	if faults.Enabled() {
-		if err := faults.Probe(faults.SiteServePredict, requestKey(ctxs[0].SessionID, ctxs[0].T, ctxs[0].N, len(ctxs))); err != nil {
+		if err := faults.Probe(rctx, faults.SiteServePredict, requestKey(ctxs[0].SessionID, ctxs[0].T, ctxs[0].N, len(ctxs))); err != nil {
 			mErrors.Inc()
 			tr.FaultSite(faults.SiteServePredict)
 			tr.Rung("serve.degraded_503")
@@ -465,78 +465,31 @@ func requestKey(sessionID string, t, n, size int) string {
 // or one with more than maxNodes nodes, with the same 400: forwarded,
 // every replica would refuse it, and the router would count each refusal
 // as a replica failure.
-func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBatch, maxNodes int) ([]json.RawMessage, []*session.Context, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBatch, maxNodes int) ([][]byte, []*session.Context, bool) {
+	body, err := readBody(w, r)
 	if err != nil {
-		httpClientError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("read body: %w", err))
+		httpClientError(w, http.StatusRequestEntityTooLarge, err)
 		return nil, nil, false
 	}
-	var raw []json.RawMessage
-	if batch {
-		var req struct {
-			Contexts []json.RawMessage `json:"contexts"`
-		}
-		if err := json.Unmarshal(body, &req); err != nil {
-			httpClientError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-			return nil, nil, false
-		}
-		raw = req.Contexts
-	} else {
-		var req struct {
-			Context json.RawMessage `json:"context"`
-		}
-		if err := json.Unmarshal(body, &req); err != nil {
-			httpClientError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-			return nil, nil, false
-		}
-		if req.Context != nil {
-			raw = []json.RawMessage{req.Context}
-		}
-	}
-	wire := make([]*snapshot.WireContext, len(raw))
-	for i, rc := range raw {
-		if err := json.Unmarshal(rc, &wire[i]); err != nil {
-			httpClientError(w, http.StatusBadRequest, fmt.Errorf("decode request: context %d: %w", i, err))
+	req, ok := readPredict(body, batch, maxBatch, maxNodes)
+	if !ok {
+		mDecodeFallback.Inc()
+		if req, err = unmarshalPredict(body, batch); err != nil {
+			httpClientError(w, http.StatusBadRequest, err)
 			return nil, nil, false
 		}
 	}
-	if !batch && (len(wire) == 0 || wire[0] == nil) {
+	if !batch && req.len() == 0 {
 		httpClientError(w, http.StatusBadRequest, errors.New(`missing "context"`))
 		return nil, nil, false
 	}
-	if len(wire) == 0 {
-		httpClientError(w, http.StatusBadRequest, errors.New("no contexts in request"))
+	if !req.checkBatch(w, maxBatch) {
 		return nil, nil, false
 	}
-	if len(wire) > maxBatch {
-		httpClientError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d exceeds the %d-context cap", len(wire), maxBatch))
-		return nil, nil, false
-	}
-	ctxs, err := decodeAll(wire, maxNodes)
+	ctxs, err := req.contexts(maxNodes)
 	if err != nil {
 		httpClientError(w, http.StatusBadRequest, err)
 		return nil, nil, false
 	}
-	return raw, ctxs, true
-}
-
-// decodeAll checks every request context against the node cap, then
-// decodes them, so a request with an oversized context is refused before
-// any of its displays is decoded.
-func decodeAll(wire []*snapshot.WireContext, maxNodes int) ([]*session.Context, error) {
-	for i, wc := range wire {
-		if err := snapshot.CheckContext(wc, maxNodes); err != nil {
-			return nil, fmt.Errorf("context %d: %w", i, err)
-		}
-	}
-	out := make([]*session.Context, len(wire))
-	for i, wc := range wire {
-		c, err := snapshot.DecodeContext(wc, nil)
-		if err != nil {
-			return nil, fmt.Errorf("context %d: %w", i, err)
-		}
-		out[i] = c
-	}
-	return out, nil
+	return req.raw, ctxs, true
 }

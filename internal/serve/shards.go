@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -77,7 +76,7 @@ func buildShards(clf *knn.Classifier, r *ring.Ring, node string) map[int]*shardM
 // one shard it serves. Batching contexts keeps the router's fan-out at
 // one request per (shard, batch), not per (query, shard). The router
 // writes this body itself (candidatesBody); the struct is the replica's
-// decode.
+// encoding/json decode (unmarshalCandidates).
 type candidatesRequest struct {
 	Shard int `json:"shard"`
 	// MaxDist is the router's scan limit (knn.Config.ScanLimit): the
@@ -122,55 +121,53 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	defer done()
 	tr := obs.TraceFrom(r.Context())
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
-		httpClientError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("read body: %w", err))
+		httpClientError(w, http.StatusRequestEntityTooLarge, err)
 		return
 	}
-	var req candidatesRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpClientError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	sm, ok := am.shards[req.Shard]
+	req, ok := readCandidates(body, s.opts.MaxBatch, am.info.N)
 	if !ok {
-		httpClientError(w, http.StatusNotFound, fmt.Errorf("shard %d is not served by this replica", req.Shard))
+		mDecodeFallback.Inc()
+		if req, err = unmarshalCandidates(body); err != nil {
+			httpClientError(w, http.StatusBadRequest, err)
+			return
+		}
+	}
+	sm, ok := am.shards[req.shard]
+	if !ok {
+		httpClientError(w, http.StatusNotFound, fmt.Errorf("shard %d is not served by this replica", req.shard))
 		return
 	}
-	if len(req.Contexts) == 0 {
-		httpClientError(w, http.StatusBadRequest, errors.New("no contexts in request"))
-		return
-	}
-	if len(req.Contexts) > s.opts.MaxBatch {
-		httpClientError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d exceeds the %d-context cap", len(req.Contexts), s.opts.MaxBatch))
+	if !req.checkBatch(w, s.opts.MaxBatch) {
 		return
 	}
 	limit := math.Inf(1)
-	if req.MaxDist != nil {
-		if *req.MaxDist < 0 {
-			httpClientError(w, http.StatusBadRequest, fmt.Errorf("max_dist %g is negative", *req.MaxDist))
+	if req.maxDist != nil {
+		if *req.maxDist < 0 {
+			httpClientError(w, http.StatusBadRequest, fmt.Errorf("max_dist %g is negative", *req.maxDist))
 			return
 		}
-		limit = *req.MaxDist
+		limit = *req.maxDist
 	}
-
-	// serve.slow is the gray-failure chaos site: a latency-only fault,
-	// injected while the in-flight slot is held (a slow request occupies
-	// real capacity), keyed per node so one replica can be skewed — even
-	// when a whole test ring shares one in-process injector — via the
-	// site name serve.slow.<node>.
-	if faults.Enabled() && s.opts.NodeName != "" {
-		site := faults.SiteServeSlow + "." + s.opts.NodeName
-		first := req.Contexts[0]
-		_ = faults.Inject(site, requestKey(first.SessionID, first.T, first.N, len(req.Contexts)), faults.KindLatency)
-	}
-
-	ctxs, err := decodeAll(req.Contexts, am.info.N)
+	ctxs, err := req.contexts(am.info.N)
 	if err != nil {
 		httpClientError(w, http.StatusBadRequest, err)
 		return
 	}
+
+	// serve.slow is the gray-failure chaos site: a latency-only fault,
+	// injected while the in-flight slot is held (a slow request occupies
+	// real capacity) and ended early when the caller gives up, keyed per
+	// node so one replica can be skewed — even when a whole test ring
+	// shares one in-process injector — via the site name
+	// serve.slow.<node>.
+	if faults.Enabled() && s.opts.NodeName != "" {
+		site := faults.SiteServeSlow + "." + s.opts.NodeName
+		first := ctxs[0]
+		_ = faults.Inject(rctx, site, requestKey(first.SessionID, first.T, first.N, len(ctxs)), faults.KindLatency)
+	}
+
 	results := make([][]knn.Candidate, len(ctxs))
 	for i, q := range ctxs {
 		// Honor budget exhaustion between per-query scans: a cancelled
@@ -187,7 +184,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 		results[i] = cds
 	}
 	writeJSON(w, http.StatusOK, candidatesResponse{
-		Shard:      req.Shard,
+		Shard:      req.shard,
 		Generation: am.gen,
 		Checksum:   am.info.Checksum,
 		Results:    results,

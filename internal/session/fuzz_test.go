@@ -27,6 +27,7 @@ func FuzzReadLog(f *testing.F) {
 		`[]`,
 		`{"sessions":[{"steps":[{"action":{"type":"filter","predicates":[{"kind":"float","value":"not-a-number"}]}}]}]}`,
 	}
+	seeds = append(seeds, trailingLogs()...)
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
@@ -80,6 +81,7 @@ func FuzzReadLogLenient(f *testing.F) {
 		`null`,
 		`[]`,
 	}
+	seeds = append(seeds, trailingLogs()...)
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}

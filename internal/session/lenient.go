@@ -48,7 +48,8 @@ func (q Quarantined) String() string {
 // session records instead of failing the file: malformed JSON elements
 // (salvaged by a brace-and-string-aware scan), records that do not
 // decode strictly, records whose actions or parent references are
-// invalid, and a truncated tail all become Quarantined entries. A log
+// invalid, a truncated tail, and bytes after the envelope (Index -1) all
+// become Quarantined entries. A log
 // that ReadLog accepts and whose every record is valid reads exactly as
 // ReadLog reads it. An input that is not a JSON object at all still
 // errors — there is nothing to salvage.
@@ -85,6 +86,9 @@ func ReadLogLenient(r io.Reader) (*LogFile, []Quarantined, error) {
 			return lf, quar, nil
 		}
 		if data[i] == '}' {
+			if j := skipWS(data, i+1); j < len(data) {
+				quar = append(quar, Quarantined{Index: -1, Line: ln.at(j), Reason: trailingData})
+			}
 			return lf, quar, nil
 		}
 		if needComma {

@@ -179,15 +179,24 @@ func WriteLog(w io.Writer, sessions []*Session) error {
 }
 
 // ReadLog parses a JSON log. Sessions are returned in log order, not yet
-// replayed (datasets may live elsewhere); see Repository.Load.
+// replayed (datasets may live elsewhere); see Repository.Load. Only
+// whitespace may follow the envelope: a second envelope or stray bytes
+// fail the read instead of being dropped.
 func ReadLog(r io.Reader) (*LogFile, error) {
 	var lf LogFile
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&lf); err != nil {
 		return nil, fmt.Errorf("session: read log: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("session: read log: %s", trailingData)
+	}
 	return &lf, nil
 }
+
+// trailingData is the reason both log readers give for bytes after the
+// envelope.
+const trailingData = "trailing data after the log envelope"
 
 // SaveLog writes sessions to a file path. The write is atomic (temp file +
 // fsync + rename, see internal/atomicio): a crash or write error mid-save

@@ -3,6 +3,8 @@ package session
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -183,5 +185,43 @@ func TestRepositoryLoadLogFile(t *testing.T) {
 	repo2 := NewRepository()
 	if err := repo2.LoadLogFile(lf); err == nil {
 		t.Error("unknown dataset must fail")
+	}
+}
+
+// trailingLogs are logs with bytes after the envelope: stray garbage, a
+// null followed by a letter, and two concatenated envelopes.
+func trailingLogs() []string {
+	env := `{"version":1,"sessions":[{"id":"s1","steps":[{"parent":0,"action":{"type":"group","group_by":"proto","agg":"count"}}]}]}`
+	return []string{env + "garbage", "nullx", env + "\n" + env}
+}
+
+// TestReadLogRefusesTrailingData: ReadLog fails a log with bytes after
+// its envelope, and ReadLogLenient reads the envelope and quarantines
+// those bytes as one entry naming the line they start on. A null is not
+// an envelope to salvage. WriteLog's trailing newline still reads.
+func TestReadLogRefusesTrailingData(t *testing.T) {
+	wantLine := []int{1, 0, 2}
+	for i, in := range trailingLogs() {
+		if lf, err := ReadLog(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadLog(%q) = %+v, want an error", in, lf)
+		}
+		lf, quar, err := ReadLogLenient(strings.NewReader(in))
+		if wantLine[i] == 0 {
+			if err == nil {
+				t.Errorf("ReadLogLenient(%q) = %+v, %v; want an error", in, lf, quar)
+			}
+			continue
+		}
+		want := []Quarantined{{Index: -1, Line: wantLine[i], Reason: "trailing data after the log envelope"}}
+		if err != nil || len(lf.Session) != 1 || !reflect.DeepEqual(quar, want) {
+			t.Errorf("ReadLogLenient(%q) = %d sessions, %+v, %v; want 1 session and %+v", in, len(lf.Session), quar, err, want)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteLog(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadLog(bytes.NewReader(append(buf.Bytes(), " \t\r\n"...))); err != nil {
+		t.Errorf("a written log with trailing whitespace: %v", err)
 	}
 }

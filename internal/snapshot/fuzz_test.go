@@ -99,12 +99,16 @@ func TestReadCorruptionClasses(t *testing.T) {
 	}
 }
 
-// FuzzDecodeWireContext drives the context decode behind /v1/predict,
-// /v1/predict/batch and /v1/knn/candidates (JSON, then DecodeContext) with
-// hostile bodies. Every accepted context must be one the scan can measure
-// without panicking: its tree-edit distance to itself and to a fixed
-// context lies in [0, 1], and an encode/decode round trip leaves the
-// distance to the fixed context bit-identical.
+// FuzzDecodeWireContext drives the two context decodes behind
+// /v1/predict, /v1/predict/batch and /v1/knn/candidates with hostile
+// bodies: the one-pass Reader and its reference, JSON then CheckContext
+// then DecodeContext. Whatever the reader accepts, the reference accepts
+// too and decodes to the same context, compared as canonical JSON, which
+// pins ids, steps, actions, histogram keys and weight bits. Every context
+// the reference accepts must be one the scan can measure without
+// panicking: its tree-edit distance to itself and to a fixed context
+// lies in [0, 1], and an encode/decode round trip leaves the distance to
+// the fixed context bit-identical.
 func FuzzDecodeWireContext(f *testing.F) {
 	good, err := json.Marshal(EncodeContext(miniContext("q", 3, miniDisplay(40, 2), miniDisplay(9, 3)), nil))
 	if err != nil {
@@ -118,9 +122,27 @@ func FuzzDecodeWireContext(f *testing.F) {
 		`{"root":{"action":{"type":"nope"}}}`, `{"root":{"ref":2}}`, `{}`, `null`, string(oversized)} {
 		f.Add([]byte(seed))
 	}
+	for _, seed := range declineSeeds(f) {
+		f.Add([]byte(seed))
+	}
+	for _, c := range readerContexts() {
+		for _, form := range canonicalForms(f, c) {
+			f.Add(form)
+		}
+	}
 	fixed := miniContext("fixed", 2, miniDisplay(50, 0), miniDisplay(7, 1))
 	m := distance.TreeEdit{}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if c, ok := readOne(data, readCap); ok {
+			ref, err := reference(data, readCap)
+			if err != nil {
+				t.Fatalf("the reader accepted what the reference refuses (%v): %q", err, data)
+			}
+			if !sameContext(t, c, ref) {
+				t.Fatalf("the reader and the reference disagree on %q:\nreader    %s %v\nreference %s %v",
+					data, encoded(t, c), histograms(c), encoded(t, ref), histograms(ref))
+			}
+		}
 		var wc *WireContext
 		if json.Unmarshal(data, &wc) != nil {
 			return
