@@ -209,13 +209,24 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 
 	mode := "http"
 	targets := bases
-	hc := &http.Client{Timeout: o.RequestTimeout}
+	var transport http.RoundTripper
 	if o.Handler != nil {
 		mode = "in-process"
 		bases = []string{"http://in-process"}
 		targets = nil
-		hc = &http.Client{Transport: handlerTransport{h: o.Handler}, Timeout: o.RequestTimeout}
+		transport = handlerTransport{h: o.Handler}
+	} else {
+		// Keep a connection for every request that can be in flight to
+		// one target. With http.DefaultTransport's two per host, a run
+		// with more in flight dials per request and times the dial as
+		// the server's latency.
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConnsPerHost = o.Concurrency
+		t.MaxIdleConns = o.Concurrency * len(bases)
+		defer t.CloseIdleConnections()
+		transport = t
 	}
+	hc := &http.Client{Transport: transport, Timeout: o.RequestTimeout}
 
 	// Overloaded runs may queue arrivals past the window's end; the
 	// grace bounds total wall time, after which remaining scheduled

@@ -3,6 +3,7 @@ package loadtest
 import (
 	"context"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -351,5 +352,44 @@ func TestDeadlineStampAndTransportTimeout(t *testing.T) {
 	}
 	if !fired {
 		t.Fatalf("timeout-rate SLO did not fire: %v", res.Violations)
+	}
+}
+
+// TestRunReusesConnections: a live run keeps a connection per request
+// in flight, so the number of connections the server accepts does not
+// grow with the requests it answers. A dial started while every
+// connection was busy can finish after one freed, so a run may hold a
+// few more than Concurrency; the bound allows twice as many. A client
+// keeping net/http's default of two idle connections per host dialed
+// over a hundred times for this run's thousand requests.
+func TestRunReusesConnections(t *testing.T) {
+	const concurrency = 8
+	var dialed atomic.Int64
+	ts := httptest.NewUnstartedServer(okHandler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	res, err := Run(context.Background(), Options{
+		BaseURL:     ts.URL,
+		Bodies:      body(),
+		QPS:         2000,
+		Concurrency: concurrency,
+		Duration:    500 * time.Millisecond,
+		SLO:         SLO{MaxErrorRate: 0, MaxShedRate: 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OK != res.Requests || res.Requests == 0 {
+		t.Fatalf("want all-OK traffic, got %+v", res)
+	}
+	t.Logf("%d connections for %d requests", dialed.Load(), res.Requests)
+	if n := dialed.Load(); n > 2*concurrency {
+		t.Errorf("the server accepted %d connections for %d requests from a run of %d in flight", n, res.Requests, concurrency)
 	}
 }

@@ -87,6 +87,19 @@ func (q *request) contexts(maxNodes int) ([]*session.Context, error) {
 	return decodeAll(q.wire, maxNodes)
 }
 
+// forwarded returns each predict context's bytes for the router to
+// send to replicas: the client's, as the reader read them, or after the
+// encoding/json fallback the checked wire context marshaled, which
+// replicas read in one pass where they would decline the client's.
+func (q *request) forwarded() [][]byte {
+	for i, wc := range q.wire {
+		if b, err := json.Marshal(wc); err == nil {
+			q.raw[i] = b
+		}
+	}
+	return q.raw
+}
+
 // readPredict reads {"context":C} or {"contexts":[C,…]} in one pass. It
 // declines (ok false) what snapshot.Reader declines and a batch of more
 // than maxBatch contexts.

@@ -31,7 +31,6 @@ type decodeTier struct {
 	shard                   int
 	maxBatch                int
 	n                       int
-	shards                  int
 }
 
 func newDecodeTier(t *testing.T) *decodeTier {
@@ -39,7 +38,7 @@ func newDecodeTier(t *testing.T) *decodeTier {
 	whole := knn.New(ringTrainingSet(30), distance.TreeEdit{}, knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1})
 	info := ModelInfo{N: 4, Prior: whole.Prior(), Checksum: "cafe"}
 	tr := startRing(t, 3, 2, 3, whole, info, RouterOptions{})
-	dt := &decodeTier{whole: whole, server: New(whole, info, Options{}).Handler(), router: tr.rt.Handler(), n: info.N, shards: tr.r.Shards()}
+	dt := &decodeTier{whole: whole, server: New(whole, info, Options{}).Handler(), router: tr.rt.Handler(), n: info.N}
 	for _, r := range tr.replicas {
 		if sh := r.Status().Shards; len(sh) > 0 {
 			dt.replica, dt.shard, dt.maxBatch = r.Handler(), sh[0], r.opts.MaxBatch
@@ -263,9 +262,8 @@ func canonicalContextForms(t testing.TB) []string {
 // never reach encoding/json (serve.decode_fallback stays put). Bodies
 // only encoding/json reads (an upper-case key, an unknown field, a
 // repeated key, an explicit null) get the same answers through it, one
-// fallback per body decoded: one at a server or a replica, and at the
-// router one of its own plus one per shard, since it forwards the
-// client's bytes and this ring's replicas count in the same process.
+// fallback per body: a router forwards such contexts re-encoded, so its
+// replicas, which count in the same process, read them in one pass.
 func TestRequestDecodePaths(t *testing.T) {
 	dt := newDecodeTier(t)
 	qs := decodeQueries()
@@ -320,12 +318,8 @@ func TestRequestDecodePaths(t *testing.T) {
 		for form, rewrite := range canonical {
 			check(form, rewrite(compact), 0)
 		}
-		perBody := uint64(1)
-		if tg.name == "router" {
-			perBody += uint64(dt.shards)
-		}
 		for form, rewrite := range fallback {
-			check(form, rewrite(compact), perBody)
+			check(form, rewrite(compact), 1)
 		}
 	}
 }

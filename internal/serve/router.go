@@ -119,7 +119,8 @@ type RouterOptions struct {
 	// (staleness is still detected and counted).
 	ModelPath string
 
-	// Transport overrides the outbound HTTP transport (tests).
+	// Transport overrides the outbound HTTP transport (tests). Nil gives
+	// the router a pool of its own, sized to its concurrency.
 	Transport http.RoundTripper
 }
 
@@ -127,11 +128,15 @@ type RouterOptions struct {
 func NewRouter(r *ring.Ring, opts RouterOptions) *Router {
 	base := Options{MaxInFlight: opts.MaxInFlight, MaxBatch: opts.MaxBatch}.withDefaults()
 	opts.MaxBatch = base.MaxBatch
+	transport := opts.Transport
+	if transport == nil {
+		transport = replicaTransport(r, base.MaxInFlight)
+	}
 	rt := &Router{
 		envelope: newEnvelope("router", base.MaxInFlight),
 		ring:     r,
 		opts:     opts,
-		httpc:    &http.Client{Transport: opts.Transport},
+		httpc:    &http.Client{Transport: transport},
 		loadedAt: time.Now(),
 	}
 	if opts.HedgeFraction > 0 {
@@ -147,6 +152,21 @@ func NewRouter(r *ring.Ring, opts RouterOptions) *Router {
 	rt.mux.HandleFunc("/v1/predict/batch", func(w http.ResponseWriter, r *http.Request) { rt.routePrediction(w, r, true) })
 	rt.mux.HandleFunc("/v1/ring", rt.handleRing)
 	return rt
+}
+
+// replicaTransport is the router's connection pool when RouterOptions
+// names no transport: http.DefaultTransport's settings, keeping idle
+// every call the router can hold open to one replica. That is
+// maxInFlight requests times openAttempts calls per shard, and one node
+// may serve every shard. http.DefaultTransport's two idle connections
+// per host are fewer than one request's calls to a node serving two
+// shards, so under load it closes connections and dials new ones.
+func replicaTransport(r *ring.Ring, maxInFlight int) *http.Transport {
+	perNode := maxInFlight * r.Shards() * openAttempts
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = perNode
+	t.MaxIdleConns = perNode * len(r.Nodes())
+	return t
 }
 
 // Checker exposes the router's health view (tests and /v1/ring).
@@ -228,8 +248,9 @@ func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
 
 // routePrediction is the scatter-gather predict path. The router decodes
 // the query contexts only to validate them: it forwards the client's
-// bytes to replicas, one body per shard (candidatesBody), and works with
-// the candidate lists they return.
+// bytes to replicas (canonical ones when only encoding/json read the
+// client's), one body per shard (candidatesBody), and works with the
+// candidate lists they return.
 func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch bool) {
 	if !allowMethod(w, r, http.MethodPost) {
 		return
@@ -243,11 +264,12 @@ func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch 
 	tr := obs.TraceFrom(r.Context())
 
 	spDecode := stDecode.StartCtx(r.Context())
-	raw, ctxs, ok := decodeWireRequest(w, r, batch, rt.opts.MaxBatch, rt.opts.Info.N)
+	req, ctxs, ok := decodeWireRequest(w, r, batch, rt.opts.MaxBatch, rt.opts.Info.N)
 	spDecode.End()
 	if !ok {
 		return
 	}
+	raw := req.forwarded()
 
 	// Scatter: every shard in parallel; within a shard, replicas in the
 	// checker's preference order, then last-ditch ejected ones.
@@ -316,6 +338,10 @@ func (rt *Router) routePrediction(w http.ResponseWriter, r *http.Request, batch 
 	writePredictions(w, r.Context(), out, batch)
 }
 
+// openAttempts is the most attempts one shard call holds open at once:
+// the one in flight and its hedge. A failover replaces a failed attempt.
+const openAttempts = 2
+
 // shardOutcome is one replica attempt's result, as seen by the shard
 // call's select loop.
 type shardOutcome struct {
@@ -380,7 +406,9 @@ func (rt *Router) shardCandidates(ctx context.Context, shard int, first *session
 		}
 	}()
 	launch := func(i int) {
-		actx, cancel := context.WithCancel(ctx)
+		// One context per attempt: its cancel settles a hedge race, its
+		// deadline bounds the call and is the budget stamped on the hop.
+		actx, cancel := context.WithTimeout(ctx, replicaTimeout)
 		cancels[i] = cancel
 		flag := &atomic.Bool{}
 		abandoned[i] = flag
@@ -481,13 +509,12 @@ func (rt *Router) shardCandidates(ctx context.Context, shard int, first *session
 }
 
 // candidatesBody writes one shard's candidates request,
-// {"shard":N,"max_dist":L,"contexts":[…]}, around the contexts' bytes as
-// the client sent them: the router validated them, and re-encoding the
-// decoded form cost a marshal per replica call. max_dist is the
-// scan limit in shortest round-trip form — a candidate at exactly θ_δ
-// passes the gate, so the replica must scan under the same bits — and is
-// left out when the limit is +∞, which JSON cannot write and an absent
-// max_dist means.
+// {"shard":N,"max_dist":L,"contexts":[…]}, around the contexts' forwarded
+// bytes: the router validated them, and re-encoding the decoded form
+// cost a marshal per replica call. max_dist is the scan limit in
+// shortest round-trip form — a candidate at exactly θ_δ passes the gate,
+// so the replica must scan under the same bits — and is left out when
+// the limit is +∞, which JSON cannot write and an absent max_dist means.
 func candidatesBody(shard int, limit float64, raw [][]byte) []byte {
 	size := 64
 	for _, rc := range raw {
@@ -531,17 +558,15 @@ func (rt *Router) callCandidates(ctx context.Context, n ring.Node, shard int, fi
 			return nil, ferr
 		}
 	}
-	cctx, cancel := context.WithTimeout(ctx, replicaTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodPost, n.Addr+"/v1/knn/candidates", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.Addr+"/v1/knn/candidates", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	// Forward the remaining budget (the tighter of the caller's deadline
-	// and replicaTimeout is cctx's deadline) so the replica can fast-fail
-	// work it cannot finish in time.
-	stampDeadline(req, cctx)
+	// and replicaTimeout, the attempt's deadline) so the replica can
+	// fast-fail work it cannot finish in time.
+	stampDeadline(req, ctx)
 	if id := tr.ID(); id != "" {
 		// Propagate the request's correlation ID across the hop so the
 		// replica's trace log and access log stitch to the router's.
@@ -716,10 +741,12 @@ func (rt *Router) Run(ctx context.Context, addr string) error {
 }
 
 // RunListener is Run over an existing listener (tests use :0). The
-// prober and repair loop stop with ctx and have exited when it returns.
+// prober and repair loop stop with ctx and have exited when it returns,
+// and the idle replica connections are closed.
 func (rt *Router) RunListener(ctx context.Context, ln net.Listener) error {
 	bg, cancel := context.WithCancel(ctx)
 	var loops sync.WaitGroup
+	defer rt.httpc.CloseIdleConnections()
 	defer loops.Wait()
 	defer cancel()
 	loops.Add(2)

@@ -8,13 +8,16 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -781,6 +784,109 @@ func TestRouterSendsOneBodyPerShard(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRouterReusesReplicaConnections: a router answering concurrent
+// requests keeps its replica connections between calls. Each replica
+// counts the client addresses its requests arrive from, which must stay
+// within the router's idle pool per node. With http.DefaultTransport,
+// which keeps two idle connections per host, the router dialed for over
+// a third of its 600 calls here.
+func TestRouterReusesReplicaConnections(t *testing.T) {
+	const shards, callers, perCaller, maxInFlight = 3, 4, 50, 4
+	samples := ringTrainingSet(60)
+	whole := knn.New(samples, distance.NewMemoizedTreeEdit(nil), knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1})
+	info := ModelInfo{N: 6, Prior: whole.Prior(), Checksum: "cafe", TrainingSize: len(samples)}
+	tr := startRing(t, shards, 2, 3, whole, info, RouterOptions{MaxInFlight: maxInFlight})
+	var mu sync.Mutex
+	conns := make([]map[string]bool, len(tr.swaps))
+	for i, sw := range tr.swaps {
+		conns[i] = map[string]bool{}
+		inner := tr.replicas[i].Handler()
+		sw.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			conns[i][r.RemoteAddr] = true
+			mu.Unlock()
+			inner.ServeHTTP(w, r)
+		}))
+	}
+
+	var bodies []string
+	for _, q := range ringQueries() {
+		bodies = append(bodies, wireBody(t, false, q))
+	}
+	h := tr.rt.Handler()
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				if rec := post(t, h, "/v1/predict", bodies[(c+i)%len(bodies)]); rec.Code != http.StatusOK {
+					t.Errorf("caller %d, predict %d: %d %s", c, i, rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	bound := maxInFlight * shards * openAttempts
+	for i, seen := range conns {
+		t.Logf("n%d: %d connections", i, len(seen))
+		if len(seen) > bound {
+			t.Errorf("n%d saw %d connections from the router, more than its pool of %d per node", i, len(seen), bound)
+		}
+	}
+}
+
+// TestRouterRunListenerClosesIdleConnections: the router's replica
+// connections do not outlive RunListener. After it returns, a call
+// through the router's client finds no connection to reuse. The ring
+// has one node, so each predict makes one call and no dial started for
+// a call that then took another connection can finish after the close.
+func TestRouterRunListenerClosesIdleConnections(t *testing.T) {
+	samples := ringTrainingSet(30)
+	whole := knn.New(samples, distance.NewMemoizedTreeEdit(nil), knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1})
+	info := ModelInfo{N: 6, Prior: whole.Prior(), Checksum: "cafe", TrainingSize: len(samples)}
+	tr := startRing(t, 1, 1, 1, whole, info, RouterOptions{})
+	t.Cleanup(tr.rt.httpc.CloseIdleConnections)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- tr.rt.RunListener(ctx, ln) }()
+	if rec := post(t, tr.rt.Handler(), "/v1/predict", wireBody(t, false, chainCtx("q", 1, 3))); rec.Code != http.StatusOK {
+		t.Fatalf("predict: %d %s", rec.Code, rec.Body)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("RunListener returned %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("RunListener did not return after cancel")
+	}
+
+	var reused atomic.Bool
+	trace := &httptrace.ClientTrace{GotConn: func(c httptrace.GotConnInfo) { reused.Store(c.Reused) }}
+	n := tr.r.ReplicaGroup(0)[0]
+	req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace), http.MethodGet, n.Addr+"/readyz", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := tr.rt.httpc.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if reused.Load() {
+		t.Errorf("a connection to %s outlived RunListener", n.Name)
 	}
 }
 

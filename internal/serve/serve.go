@@ -459,37 +459,37 @@ func requestKey(sessionID string, t, n, size int) string {
 }
 
 // decodeWireRequest is the single/batch request decode shared by the
-// standalone Server and the ring Router. It returns each context's bytes
-// as the client sent them, which the router forwards to replicas without
-// re-encoding, and the decoded contexts. Both answer a malformed context,
-// or one with more than maxNodes nodes, with the same 400: forwarded,
-// every replica would refuse it, and the router would count each refusal
-// as a replica failure.
-func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBatch, maxNodes int) ([][]byte, []*session.Context, bool) {
+// standalone Server and the ring Router. It returns the request, whose
+// forwarded bytes the router sends to replicas, and the decoded
+// contexts. Both answer a malformed context, or one with more than
+// maxNodes nodes, with the same 400: forwarded, every replica would
+// refuse it, and the router would count each refusal as a replica
+// failure.
+func decodeWireRequest(w http.ResponseWriter, r *http.Request, batch bool, maxBatch, maxNodes int) (request, []*session.Context, bool) {
 	body, err := readBody(w, r)
 	if err != nil {
 		httpClientError(w, http.StatusRequestEntityTooLarge, err)
-		return nil, nil, false
+		return request{}, nil, false
 	}
 	req, ok := readPredict(body, batch, maxBatch, maxNodes)
 	if !ok {
 		mDecodeFallback.Inc()
 		if req, err = unmarshalPredict(body, batch); err != nil {
 			httpClientError(w, http.StatusBadRequest, err)
-			return nil, nil, false
+			return request{}, nil, false
 		}
 	}
 	if !batch && req.len() == 0 {
 		httpClientError(w, http.StatusBadRequest, errors.New(`missing "context"`))
-		return nil, nil, false
+		return request{}, nil, false
 	}
 	if !req.checkBatch(w, maxBatch) {
-		return nil, nil, false
+		return request{}, nil, false
 	}
 	ctxs, err := req.contexts(maxNodes)
 	if err != nil {
 		httpClientError(w, http.StatusBadRequest, err)
-		return nil, nil, false
+		return request{}, nil, false
 	}
-	return req.raw, ctxs, true
+	return req, ctxs, true
 }
