@@ -57,11 +57,11 @@ type EvalSet struct {
 	// neighbors[i] lists all other sample indices sorted by Dist[i][·].
 	neighbors [][]int32
 
-	// Workers bounds the LOOCV fan-out of EvaluateKNN: <1 means one worker
-	// per CPU, 1 forces the sequential path. The per-sample outcomes are
-	// pure reads over the precomputed matrix written to index-addressed
-	// slots, so metrics are bit-identical at every setting (DESIGN.md,
-	// "Determinism under fan-out").
+	// Workers bounds the LOOCV fan-out of EvaluateKNN and the fold
+	// fan-out of EvaluateSVM: <1 means one worker per CPU, 1 forces the
+	// sequential path. The per-sample and per-fold outcomes are written to
+	// index-addressed slots, so metrics are bit-identical at every setting
+	// (DESIGN.md, "Determinism under fan-out").
 	Workers int
 }
 
@@ -375,7 +375,10 @@ type SVMOptions struct {
 
 // EvaluateSVM scores the I-SVM baseline: a one-vs-rest SVM over the
 // distance-substitution kernel, k-fold cross-validated. It always has full
-// coverage.
+// coverage. The folds train across e.Workers, each seeding its own SMO,
+// and their outcomes are joined in fold order, so the metrics are the
+// same at every setting. Each running fold holds its own train×train
+// distance and kernel matrices.
 func (e *EvalSet) EvaluateSVM(thetaI float64, opts SVMOptions) (Metrics, error) {
 	folds := opts.Folds
 	if folds <= 0 {
@@ -402,40 +405,57 @@ func (e *EvalSet) EvaluateSVM(thetaI float64, opts SVMOptions) (Metrics, error) 
 	}
 
 	classes := e.I.Names()
+	outs := make([][]Outcome, folds)
+	errs := make([]error, folds)
+	// A nil ctx never cancels.
+	parallel.ForEachN(nil, folds, e.Workers, func(f int) {
+		outs[f], errs[f] = e.svmFold(idx, foldOf, f, classes, opts.Config)
+	})
 	var outcomes []Outcome
-	for f := 0; f < folds; f++ {
-		var trainIdx, testIdx []int
-		for li, gi := range idx {
-			if foldOf[li] == f {
-				testIdx = append(testIdx, gi)
-			} else {
-				trainIdx = append(trainIdx, gi)
-			}
+	for f, out := range outs {
+		if errs[f] != nil {
+			return Metrics{}, errs[f]
 		}
-		if len(trainIdx) == 0 || len(testIdx) == 0 {
-			continue
-		}
-		sub := make([][]float64, len(trainIdx))
-		y := make([]string, len(trainIdx))
-		for a, ga := range trainIdx {
-			sub[a] = make([]float64, len(trainIdx))
-			for b, gb := range trainIdx {
-				sub[a][b] = e.Dist[ga][gb]
-			}
-			y[a] = e.Samples[ga].Label()
-		}
-		model, err := svm.Train(sub, y, classes, opts.Config)
-		if err != nil {
-			return Metrics{}, err
-		}
-		for _, gt := range testIdx {
-			row := make([]float64, len(trainIdx))
-			for a, ga := range trainIdx {
-				row[a] = e.Dist[gt][ga]
-			}
-			pred, _ := model.Predict(row)
-			outcomes = append(outcomes, Outcome{Predicted: pred, Actual: e.Samples[gt].Labels, Covered: true})
-		}
+		outcomes = append(outcomes, out...)
 	}
 	return Compute(outcomes, classes), nil
+}
+
+// svmFold trains the SVM on the samples idx holds outside fold f and
+// predicts the ones inside it, in idx order.
+func (e *EvalSet) svmFold(idx, foldOf []int, f int, classes []string, cfg svm.Config) ([]Outcome, error) {
+	var trainIdx, testIdx []int
+	for li, gi := range idx {
+		if foldOf[li] == f {
+			testIdx = append(testIdx, gi)
+		} else {
+			trainIdx = append(trainIdx, gi)
+		}
+	}
+	if len(trainIdx) == 0 || len(testIdx) == 0 {
+		return nil, nil
+	}
+	sub := make([][]float64, len(trainIdx))
+	y := make([]string, len(trainIdx))
+	for a, ga := range trainIdx {
+		sub[a] = make([]float64, len(trainIdx))
+		for b, gb := range trainIdx {
+			sub[a][b] = e.Dist[ga][gb]
+		}
+		y[a] = e.Samples[ga].Label()
+	}
+	model, err := svm.Train(sub, y, classes, cfg)
+	if err != nil {
+		return nil, err
+	}
+	outcomes := make([]Outcome, 0, len(testIdx))
+	for _, gt := range testIdx {
+		row := make([]float64, len(trainIdx))
+		for a, ga := range trainIdx {
+			row[a] = e.Dist[gt][ga]
+		}
+		pred, _ := model.Predict(row)
+		outcomes = append(outcomes, Outcome{Predicted: pred, Actual: e.Samples[gt].Labels, Covered: true})
+	}
+	return outcomes, nil
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/distance"
 	"repro/internal/measures"
 	"repro/internal/offline"
+	"repro/internal/svm"
 )
 
 // TestPairwiseDistancesWorkersEquivalence checks the parallel matrix fill
@@ -59,6 +60,37 @@ func TestEvaluateKNNWorkersEquivalence(t *testing.T) {
 				if got, _ := es.knnOutcomes(nil, cfg); !reflect.DeepEqual(got, wantOut) {
 					t.Fatalf("%v workers=%d cfg=%+v: outcome order diverged", method, workers, cfg)
 				}
+			}
+		}
+	}
+}
+
+// TestEvaluateSVMWorkersEquivalence pins the fold fan-out: the folds
+// trained across four workers give the Metrics one worker gives, for
+// both methods, several fold counts and seeds, and θ_I filters.
+func TestEvaluateSVMWorkersEquivalence(t *testing.T) {
+	a := smallAnalysis(t)
+	for _, method := range offline.Methods {
+		base := BuildEvalSet(a, measures.DefaultSet(), method, 2, nil)
+		for _, c := range []struct {
+			thetaI float64
+			opts   SVMOptions
+		}{
+			{-100, SVMOptions{Folds: 4, Seed: 5}},
+			{0, SVMOptions{Folds: 8, Seed: 1, Config: svm.Config{C: 2}}},
+			{0.7, SVMOptions{Seed: 9}},
+		} {
+			seq := *base
+			seq.Workers = 1
+			want, wantErr := seq.EvaluateSVM(c.thetaI, c.opts)
+			if wantErr != nil || want.Coverage != 1 {
+				t.Fatalf("%v θ_I=%v %+v: one worker gave %+v (err %v), want a full-coverage result", method, c.thetaI, c.opts, want, wantErr)
+			}
+			par := *base
+			par.Workers = 4
+			got, err := par.EvaluateSVM(c.thetaI, c.opts)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v θ_I=%v %+v, 4 workers:\n got %+v (err %v)\nwant %+v", method, c.thetaI, c.opts, got, err, want)
 			}
 		}
 	}

@@ -457,8 +457,15 @@ func (rt *Router) shardCandidates(ctx context.Context, shard int, first *session
 		case o := <-outc:
 			pending--
 			if o.err != nil {
-				rt.checker.ReportFailure(o.n.Name)
-				tr.Hop(fmt.Sprintf("shard%d→%s fail", shard, o.n.Name))
+				// A shed says the replica is at its in-flight limit, not
+				// that it failed: fail over, and leave judging the node to
+				// the prober and the latency detector.
+				if errors.Is(o.err, errShed) {
+					tr.Hop(fmt.Sprintf("shard%d→%s shed", shard, o.n.Name))
+				} else {
+					rt.checker.ReportFailure(o.n.Name)
+					tr.Hop(fmt.Sprintf("shard%d→%s fail", shard, o.n.Name))
+				}
 				lastErr = o.err
 				if ctx.Err() != nil {
 					return nil, ctx.Err()
@@ -537,6 +544,10 @@ func candidatesBody(shard int, limit float64, raw [][]byte) []byte {
 	return append(b, "]}"...)
 }
 
+// errShed marks a candidates call the replica answered 503: its
+// admission limiter shed the call, the only 503 that endpoint sends.
+var errShed = errors.New("shed by the replica's admission limit")
+
 // callCandidates performs one replica candidates call behind the
 // ring.route fault probe. The probe key is (first query's identity,
 // batch size, shard, replica) with the failover position as the attempt
@@ -580,6 +591,9 @@ func (rt *Router) callCandidates(ctx context.Context, n ring.Node, shard int, fi
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if err != nil {
 		return nil, err
+	}
+	if resp.StatusCode == http.StatusServiceUnavailable {
+		return nil, fmt.Errorf("%s: %s: %s: %w", n.Name, resp.Status, firstLine(raw), errShed)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%s: %s: %s", n.Name, resp.Status, firstLine(raw))

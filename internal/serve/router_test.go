@@ -841,6 +841,83 @@ func TestRouterReusesReplicaConnections(t *testing.T) {
 	}
 }
 
+// TestRouterShedIsNotFailure: replicas at an in-flight limit of one shed
+// the router's concurrent candidates calls with 503. The router fails
+// over on a shed without reporting the node failed, so load alone ejects
+// no replica, and every answered prediction is the whole model's. The
+// model has no prior, so a shard whose every attempt was shed answers
+// 503, never a prior in place of the merge.
+func TestRouterShedIsNotFailure(t *testing.T) {
+	const callers, perCaller = 6, 30
+	samples := ringTrainingSet(60)
+	whole := knn.New(samples, distance.NewMemoizedTreeEdit(nil), knn.Config{K: 3, ThetaDelta: 0.3, Workers: 1})
+	info := ModelInfo{N: 6, Checksum: "cafe", TrainingSize: len(samples)}
+	tr := startRing(t, 3, 2, 3, whole, info, RouterOptions{MaxInFlight: callers})
+	var sheds atomic.Int64
+	for i, sw := range tr.swaps {
+		inner := New(whole, info, Options{Ring: tr.r, NodeName: fmt.Sprintf("n%d", i), MaxInFlight: 1}).Handler()
+		sw.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			inner.ServeHTTP(rec, r)
+			if rec.Code == http.StatusServiceUnavailable {
+				sheds.Add(1)
+			}
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			_, _ = w.Write(rec.Body.Bytes())
+		}))
+	}
+
+	queries := ringQueries()
+	var bodies []string
+	for _, q := range queries {
+		bodies = append(bodies, wireBody(t, false, q))
+	}
+	h := tr.rt.Handler()
+	var answered atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				qi := (c + i) % len(queries)
+				rec := post(t, h, "/v1/predict", bodies[qi])
+				if rec.Code != http.StatusOK {
+					continue
+				}
+				answered.Add(1)
+				var got predictResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+					t.Errorf("caller %d: decode: %v", c, err)
+					return
+				}
+				want := whole.Predict(queries[qi])
+				if got.Measure != want.Label || got.OK != want.Covered || got.Fallback != want.Fallback {
+					t.Errorf("query %d: router (%q, %v, %v) != whole model (%q, %v, %v)",
+						qi, got.Measure, got.OK, got.Fallback, want.Label, want.Covered, want.Fallback)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	t.Logf("%d of %d predictions answered, %d candidates calls shed", answered.Load(), callers*perCaller, sheds.Load())
+	if sheds.Load() == 0 {
+		t.Fatal("no replica shed a call, so the test exercised nothing")
+	}
+	if answered.Load() == 0 {
+		t.Fatal("no prediction was answered")
+	}
+	for name, st := range tr.rt.Checker().States() {
+		if st == ring.Ejected {
+			t.Errorf("%s reads ejected after sheds alone", name)
+		}
+	}
+}
+
 // TestRouterRunListenerClosesIdleConnections: the router's replica
 // connections do not outlive RunListener. After it returns, a call
 // through the router's client finds no connection to reuse. The ring

@@ -51,7 +51,7 @@ func KLDivergence(p, q []float64, eps float64) float64 {
 	qs := smooth(q, eps)
 	d := 0.0
 	for i := range ps {
-		d += ps[i] * math.Log(ps[i]/qs[i])
+		d += klTerm(ps[i], qs[i])
 	}
 	if d < 0 {
 		// Guard against tiny negative values from floating-point error.
@@ -122,172 +122,197 @@ func (h *IDHist) Key(i int) string { return h.Dict[h.IDs[i]] }
 // Reference is a histogram prepared once to be the second argument of
 // AlignedDistributions for many first arguments: its keys in the sorted
 // order AlignedDistributions gives the union, and its weights normalized
-// in that order. Reference.KL then scores a histogram against it without
-// building the union's map, its key slice or its sort. A Reference is
-// immutable and safe for concurrent use.
+// in that order, stored as a table of their distinct values. Reference.KL
+// then scores a histogram against it without building the union's map,
+// its key slice, its sort or any vector. A Reference is immutable and
+// safe for concurrent use.
 type Reference struct {
 	// dict and ids are the keys of the histogram it was prepared from, in
-	// ascending order; pos[id] is the position of dict[id] among them, or
-	// -1 when the histogram lacks it.
+	// ascending order. pos[id] is the position of dict[id] among them, or
+	// ^p when the histogram lacks it and its first key above dict[id] is
+	// at position p.
 	dict []string
 	ids  []uint32
 	pos  []int32
-	// p is Normalize of the weights in key order, or nil when they sum to
-	// zero: Normalize then makes the reference uniform over the union,
-	// whose size depends on the other histogram.
-	p []float64
+	// vals holds the distinct values, by bits, of Normalize of the weights
+	// in key order, in order of first appearance, and val[i] indexes the
+	// i-th key's value. vals is nil when the weights sum to zero:
+	// Normalize then makes the reference uniform over the union, whose
+	// size depends on the other histogram, and every val is 0.
+	vals []float64
+	val  []uint32
 }
 
 // NewReference prepares h as a reference histogram. It keeps h's
 // dictionary and ids, not copies.
 func NewReference(h *IDHist) *Reference {
-	r := &Reference{dict: h.Dict, ids: h.IDs, pos: make([]int32, len(h.Dict))}
-	for i := range r.pos {
-		r.pos[i] = -1
+	r := &Reference{dict: h.Dict, ids: h.IDs, pos: make([]int32, len(h.Dict)), val: make([]uint32, len(h.IDs))}
+	next := 0
+	for id := range r.pos {
+		if next < len(h.IDs) && h.IDs[next] == uint32(id) {
+			r.pos[id] = int32(next)
+			next++
+		} else {
+			r.pos[id] = ^int32(next)
+		}
 	}
 	sum := 0.0
-	for i, id := range h.IDs {
-		r.pos[id] = int32(i)
-		if w := h.Weights[i]; w > 0 {
+	for _, w := range h.Weights {
+		if w > 0 {
 			sum += w
 		}
 	}
 	if sum == 0 {
 		return r
 	}
-	r.p = make([]float64, len(h.IDs))
+	index := make(map[uint64]uint32)
 	for i, w := range h.Weights {
+		p := 0.0
 		if w > 0 {
-			r.p[i] = w / sum
+			p = w / sum
 		}
+		bits := math.Float64bits(p)
+		v, ok := index[bits]
+		if !ok {
+			v = uint32(len(r.vals))
+			index[bits] = v
+			r.vals = append(r.vals, p)
+		}
+		r.val[i] = v
 	}
 	return r
 }
 
+// klSlots is how many of a reference's distinct values KL keeps the
+// term of a missing cell for, on its stack. D distinct positive counts
+// sum to at least 1+2+…+D, so a histogram of counts over fewer than
+// klSlots·(klSlots+1)/2 = 8,256 rows has fewer than klSlots distinct
+// weights.
+const klSlots = 128
+
 // KL returns KLDivergence(AlignedDistributions(a, h), eps) for the
 // histogram h the reference was prepared from, each histogram read as a
 // map from key to weight, equal to the bit: it visits the union in the
-// same order and repeats the same float operations. When a is over h's
-// dictionary and holds no key h lacks, the union is h's keys, and a's
-// weights drop into place through the reference's id table. Otherwise
-// the two ascending key lists are merged by string.
+// same order and repeats the same float operations, except that a term
+// whose operands it has already met is added again, not computed again.
+// a's keys find their place among h's through the position table when a
+// is over h's dictionary, and by binary search on the key string
+// otherwise. KL allocates nothing.
 func (r *Reference) KL(a *IDHist, eps float64) float64 {
-	if !r.covers(a) {
-		return r.klMerged(a, eps)
-	}
-	n := len(r.ids)
-	if n == 0 {
-		return math.Inf(1)
-	}
-	pb := r.p
-	if pb == nil {
-		pb = uniform(n)
-	}
-	wa := make([]float64, n)
-	for i, id := range a.IDs {
-		wa[r.pos[id]] = a.Weights[i]
-	}
-	return klNormalizing(wa, pb, eps)
-}
-
-// covers reports whether a is over the reference's dictionary and holds
-// no key the reference lacks.
-func (r *Reference) covers(a *IDHist) bool {
-	if len(a.Dict) != len(r.dict) || (len(r.dict) > 0 && &a.Dict[0] != &r.dict[0]) {
-		return false
-	}
-	for _, id := range a.IDs {
-		if r.pos[id] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// klMerged is KL over the union of the reference's keys and a's, merged
-// in ascending byte order, each side weighing 0 on the keys it lacks.
-func (r *Reference) klMerged(a *IDHist, eps float64) float64 {
-	n, k := len(r.ids), a.Len()
-	wa := make([]float64, 0, n+k)
-	var pb []float64
-	if r.p != nil {
-		pb = make([]float64, 0, n+k)
-	}
-	for i, j := 0, 0; i < n || j < k; {
-		// c orders the reference's next key against a's: below 0 only
-		// the reference holds the key, above 0 only a, at 0 both.
-		c := -1
-		switch {
-		case i == n:
-			c = 1
-		case j < k:
-			c = strings.Compare(r.dict[r.ids[i]], a.Key(j))
-		}
-		w, q := 0.0, 0.0
-		if c >= 0 {
-			w = a.Weights[j]
-			j++
-		}
-		if c <= 0 {
-			if r.p != nil {
-				q = r.p[i]
-			}
-			i++
-		}
-		wa = append(wa, w)
-		if r.p != nil {
-			pb = append(pb, q)
-		}
-	}
-	if len(wa) == 0 {
-		return math.Inf(1)
-	}
-	if pb == nil {
-		pb = uniform(len(wa))
-	}
-	return klNormalizing(wa, pb, eps)
-}
-
-// uniform returns the uniform distribution over m cells.
-func uniform(m int) []float64 {
-	out := make([]float64, m)
-	u := 1 / float64(m)
-	for i := range out {
-		out[i] = u
-	}
-	return out
-}
-
-// klNormalizing returns KLDivergence(Normalize(wa), pb, eps) for an
-// already normalized pb, without materializing either intermediate
-// vector: each cell's value is recomputed with the same operations
-// Normalize and smooth apply, so the sums and the result match to the bit.
-func klNormalizing(wa, pb []float64, eps float64) float64 {
 	if eps <= 0 {
 		eps = 1e-9
 	}
-	sumA := 0.0
-	for _, w := range wa {
-		if w > 0 {
+	byID := len(a.Dict) == len(r.dict) && (len(r.dict) == 0 || &a.Dict[0] == &r.dict[0])
+	n, k := len(r.ids), a.Len()
+	// The union holds h's n keys and those of a's that h lacks.
+	m, sumA := n, 0.0
+	for j, at := 0, 0; j < k; j++ {
+		if w := a.Weights[j]; w > 0 {
 			sumA += w
 		}
+		p, both := r.seek(a, j, at, byID)
+		if !both {
+			m++
+		}
+		at = p
 	}
-	uniform := 1 / float64(len(wa))
+	if m == 0 {
+		return math.Inf(1)
+	}
+	u := 1 / float64(m)
+	vals, absent := r.vals, 0.0 // absent is h's normalized weight on a key it lacks
+	if vals == nil {
+		vals, absent = []float64{u}, u
+	}
+	// missing is a's smoothed cell on a key it lacks.
+	missing := normalizedCell(0, sumA, u) + eps
+
+	// First pass: the two smoothing sums, cell by cell in union order.
 	sa, sb := 0.0, 0.0
-	for i, w := range wa {
-		sa += normalizedCell(w, sumA, uniform) + eps
-		sb += pb[i] + eps
+	i := 0
+	for j := 0; j <= k; j++ {
+		end, both := n, false
+		if j < k {
+			end, both = r.seek(a, j, i, byID)
+		}
+		for ; i < end; i++ {
+			sa += missing
+			sb += vals[r.val[i]] + eps
+		}
+		if j == k {
+			break
+		}
+		q := absent
+		if both {
+			q = vals[r.val[i]]
+			i++
+		}
+		sa += normalizedCell(a.Weights[j], sumA, u) + eps
+		sb += q + eps
 	}
+
+	// Second pass: the KL sum. A cell a lacks has the same ps in every
+	// such cell, so its term depends only on h's value there: it is
+	// computed once per value and slot, where a zero slot is one not yet
+	// computed (or a zero term, which computing again reproduces).
+	var terms [klSlots]float64
+	ps := missing / sa
 	d := 0.0
-	for i, w := range wa {
-		ps := (normalizedCell(w, sumA, uniform) + eps) / sa
-		qs := (pb[i] + eps) / sb
-		d += ps * math.Log(ps/qs)
+	i = 0
+	for j := 0; j <= k; j++ {
+		end, both := n, false
+		if j < k {
+			end, both = r.seek(a, j, i, byID)
+		}
+		for ; i < end; i++ {
+			v := r.val[i]
+			if v >= klSlots {
+				d += klTerm(ps, (vals[v]+eps)/sb)
+				continue
+			}
+			if terms[v] == 0 {
+				terms[v] = klTerm(ps, (vals[v]+eps)/sb)
+			}
+			d += terms[v]
+		}
+		if j == k {
+			break
+		}
+		q := absent
+		if both {
+			q = vals[r.val[i]]
+			i++
+		}
+		d += klTerm((normalizedCell(a.Weights[j], sumA, u)+eps)/sa, (q+eps)/sb)
 	}
 	if d < 0 {
 		d = 0
 	}
 	return d
+}
+
+// seek places a's j-th key among the reference's keys: it returns the
+// position of the reference's first key not below it, searching from
+// position from on, and whether that key is a's.
+func (r *Reference) seek(a *IDHist, j, from int, byID bool) (int, bool) {
+	if byID {
+		p := r.pos[a.IDs[j]]
+		if p < 0 {
+			return int(^p), false
+		}
+		return int(p), true
+	}
+	key := a.Key(j)
+	p := from + sort.Search(len(r.ids)-from, func(x int) bool { return r.dict[r.ids[from+x]] >= key })
+	return p, p < len(r.ids) && r.dict[r.ids[p]] == key
+}
+
+// klTerm is one cell's term of the KL sum. The conversion rounds the
+// product before the caller adds it, so that a term computed once and
+// added at several cells adds the bits a term computed in place does,
+// also where the compiler would fuse a multiply into an add.
+func klTerm(ps, qs float64) float64 {
+	return float64(ps * math.Log(ps/qs))
 }
 
 // Histogram is a fixed-width binned summary of a sample, used for the

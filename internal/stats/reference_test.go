@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -225,7 +226,133 @@ func FuzzReferenceKL(f *testing.F) {
 	f.Add([]byte{}, []byte{1, 'a', 5}, 1e-6)
 	f.Add([]byte{0, 7}, []byte{}, 0.0)
 	f.Add([]byte{2, 'a', 'b', 0, 1, 'a', 0}, []byte{1, 'b', 0}, -1.0)
+	// References whose weights tie, as counts over n do: many keys
+	// sharing few weights, with displays at either end and outside.
+	var tied, mixed []byte
+	for i := 0; i < 60; i++ {
+		tied = append(tied, 2, byte('a'+i/26), byte('a'+i%26), 20)
+		mixed = append(mixed, 2, byte('a'+i/26), byte('a'+i%26), byte(2+i%3))
+	}
+	f.Add([]byte{2, 'a', 'a', 5, 2, 'c', 'h', 9}, tied, 1e-6)
+	f.Add([]byte{0, 3, 2, 'z', 'z', 1}, mixed, 1e-6)
+	f.Add([]byte{2, 'b', 'a', 0, 2, 'b', 'b', 0}, mixed, 0.0)
 	f.Fuzz(func(t *testing.T, a, b []byte, eps float64) {
 		checkReferenceKL(t, decodeHist(a), decodeHist(b), eps)
 	})
+}
+
+// tiedHist returns n keys "k0000".."k<n-1>" weighing weight(i).
+func tiedHist(n int, weight func(i int) float64) map[string]float64 {
+	h := make(map[string]float64, n)
+	for i := 0; i < n; i++ {
+		h[fmt.Sprintf("k%04d", i)] = weight(i)
+	}
+	return h
+}
+
+// TestReferenceKLTiedWeights scores displays against references whose
+// weights repeat, as counts over n do, and against references with more
+// distinct weights than KL keeps terms for, so that cells past its slots
+// compute their term in place between cells that reuse one.
+func TestReferenceKLTiedWeights(t *testing.T) {
+	refs := map[string]map[string]float64{
+		"three counts":   tiedHist(600, func(i int) float64 { return float64(1 + i%3) }),
+		"one count":      tiedHist(300, func(int) float64 { return 7 }),
+		"past the slots": tiedHist(3*klSlots, func(i int) float64 { return float64(1 + i%(2*klSlots+5)) }),
+		"all distinct":   tiedHist(2*klSlots+1, func(i int) float64 { return 1 + float64(i)/7 }),
+		"ties and zeros": tiedHist(400, func(i int) float64 { return float64(i % 4) }),
+		// Weights one ulp apart stay distinct values: a table keyed by
+		// anything coarser than the bits would merge them.
+		"ulp neighbours": tiedHist(300, func(i int) float64 { return math.Nextafter(1, 2) + float64(i%3)*0x1p-52 }),
+	}
+	for name, b := range refs {
+		t.Run(name, func(t *testing.T) {
+			keys := dictOf(nil, b)
+			first, last := keys[0], keys[len(keys)-1]
+			displays := []map[string]float64{
+				{},
+				{keys[len(keys)/2]: 3},
+				{first: 1}, // the first union position
+				{last: 2},  // the last union position
+				{first: 1, last: 1, keys[len(keys)/3]: 5}, // both ends and a middle cell
+				{first: 0, last: 0},                       // an all-zero display
+				{first: 0, keys[len(keys)/2]: -1},         // all-zero with a negative weight
+				{keys[7]: 0, "outside": 0},                // all-zero with an outside key
+				{"": 2, last: 1},                          // an outside key before every key
+				{first: 4, "zzz": 1},                      // an outside key after every key
+				{first: 1, "k0000x": 0, "zzz": 0},         // zero-weight outside keys
+				{keys[3] + "a": 0},                        // a lone zero-weight outside key
+			}
+			for _, a := range displays {
+				for _, eps := range []float64{1e-6, 0, 0.5} {
+					checkReferenceKL(t, a, b, eps)
+				}
+			}
+		})
+	}
+}
+
+// TestReferenceKLAllocatesNothing checks that scoring allocates nothing
+// in any layout: by id, with a key outside the reference, and by string,
+// against a weighted and a uniform reference.
+func TestReferenceKLAllocatesNothing(t *testing.T) {
+	for _, b := range []map[string]float64{
+		tiedHist(400, func(i int) float64 { return float64(1 + i%(klSlots+40)) }),
+		tiedHist(400, func(int) float64 { return 0 }),
+	} {
+		dict := dictOf([]string{"outside"}, b)
+		r := NewReference(histOver(dict, b))
+		for name, a := range map[string]*IDHist{
+			"by id":       histOver(dict, map[string]float64{"k0001": 2, "k0300": 1}),
+			"outside key": histOver(dict, map[string]float64{"k0001": 2, "outside": 1}),
+			"by string":   histOver(dictOf(nil, map[string]float64{"k0002": 1, "z": 3}), map[string]float64{"k0002": 1, "z": 3}),
+		} {
+			if allocs := testing.AllocsPerRun(20, func() { r.KL(a, 1e-6) }); allocs != 0 {
+				t.Errorf("%s: KL allocates %v times per call", name, allocs)
+			}
+		}
+	}
+}
+
+// TestReferenceKLRace scores many displays concurrently against one
+// shared reference, in every layout, and checks each against the bits
+// a lone call gave.
+func TestReferenceKLRace(t *testing.T) {
+	b := tiedHist(300, func(i int) float64 { return float64(1 + i%9) })
+	dict := dictOf([]string{"a", "zz"}, b)
+	r := NewReference(histOver(dict, b))
+	rng := NewRNG(28)
+	var displays []*IDHist
+	var want []float64
+	for i := 0; i < 40; i++ {
+		a := map[string]float64{}
+		for _, k := range dict {
+			if rng.Float64() < 0.05 {
+				a[k] = float64(rng.Intn(4))
+			}
+		}
+		h := histOver(dict, a)
+		if i%2 == 1 {
+			h = histOver(dictOf(nil, a), a)
+		}
+		displays = append(displays, h)
+		want = append(want, klOracle(a, b, 1e-6))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				for i := range displays {
+					j := (i + g) % len(displays)
+					if got := r.KL(displays[j], 1e-6); !sameBits(got, want[j]) {
+						t.Errorf("goroutine %d: display %d: KL = %v, want %v", g, j, got, want[j])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
