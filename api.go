@@ -24,12 +24,10 @@ package repro
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 
-	"repro/internal/checkpoint"
 	"repro/internal/dataset"
 	"repro/internal/distance"
 	"repro/internal/engine"
@@ -241,11 +239,6 @@ type Predictor struct {
 	checksum string
 }
 
-// ckptStageTrain is the training-stage checkpoint record: the complete
-// snapshot.Model, written once training finishes. Named after the
-// "api.train" pipeline stage it protects.
-const ckptStageTrain = "api.train"
-
 // TrainPredictor builds the labeled training set for (I, method) and
 // constructs the kNN model. RunOfflineAnalysis must have been called.
 func (f *Framework) TrainPredictor(I MeasureSet, method Method, cfg PredictorConfig) (*Predictor, error) {
@@ -274,10 +267,6 @@ func (f *Framework) TrainPredictorContext(ctx context.Context, I MeasureSet, met
 		cfg = DefaultPredictorConfig(method)
 		cfg.Fallback = fallback
 	}
-	ck := f.Analysis.Checkpoint
-	if p := resumeTrainedModel(ck, I, method, cfg); p != nil {
-		return p, nil
-	}
 	samples := offline.BuildTrainingSet(f.Analysis, I, offline.TrainingOptions{
 		N:              cfg.N,
 		Method:         method,
@@ -295,52 +284,7 @@ func (f *Framework) TrainPredictorContext(ctx context.Context, I MeasureSet, met
 		ThetaDelta: cfg.ThetaDelta,
 		Fallback:   cfg.Fallback,
 	})
-	p = &Predictor{clf: clf, I: I, method: method, cfg: cfg, norm: f.Analysis.Normalizer}
-	if ck != nil {
-		// Persist the finished model so a killed-and-resumed run skips
-		// training entirely and re-serializes these exact bytes.
-		_ = ck.Update(ckptStageTrain, checkpoint.Progress{Done: 1, Total: 1, Complete: true}, p.buildModel())
-		_ = ck.Sync()
-	}
-	return p, nil
-}
-
-// resumeTrainedModel restores a predictor from a completed train-stage
-// checkpoint, or returns nil when there is none (or it was taken under a
-// different model configuration — the analysis fingerprint already
-// matched, so a config echo mismatch means the caller changed the train
-// request, and the honest move is to retrain, not to resume the wrong
-// model). Restore failures, a model Validate refuses included, also fall
-// back to retraining: the checkpoint is advisory, never load-bearing for
-// correctness.
-func resumeTrainedModel(ck *checkpoint.Manager, I MeasureSet, method Method, cfg PredictorConfig) *Predictor {
-	if ck == nil || !ck.Resumed() {
-		return nil
-	}
-	raw, prog, ok := ck.Stage(ckptStageTrain)
-	if !ok || !prog.Complete {
-		return nil
-	}
-	var m snapshot.Model
-	if err := json.Unmarshal(raw, &m); err != nil || m.Validate() != nil {
-		return nil
-	}
-	names := I.Names()
-	if m.Method != method.String() || len(m.Measures) != len(names) ||
-		m.N != cfg.N || m.K != cfg.K || m.ThetaDelta != cfg.ThetaDelta ||
-		m.ThetaI != cfg.ThetaI || m.Fallback != cfg.Fallback.String() {
-		return nil
-	}
-	for i, n := range names {
-		if m.Measures[i] != n {
-			return nil
-		}
-	}
-	p, err := predictorFromModel(&m)
-	if err != nil {
-		return nil
-	}
-	return p
+	return &Predictor{clf: clf, I: I, method: method, cfg: cfg, norm: f.Analysis.Normalizer}, nil
 }
 
 // TrainingSize returns the number of labeled samples behind the model.

@@ -30,8 +30,8 @@ func cmdTrain(ctx context.Context, args []string) error {
 	fallbackName := fs.String("fallback", "abstain", "abstention degradation policy: abstain, nearest or prior")
 	ctxOut := fs.String("contexts", "", "also export up to -ctxlimit wire contexts (server request bodies) to this path")
 	ctxLimit := fs.Int("ctxlimit", 64, "cap on exported wire contexts")
-	ckptDir := fs.String("checkpoint", "", "persist crash-safe analysis/training progress under this directory")
-	resume := fs.Bool("resume", false, "resume from a compatible checkpoint in -checkpoint DIR, skipping completed work")
+	ckptDir := fs.String("checkpoint", "", "persist crash-safe reference-pass progress under this directory (-method ref; norm has none)")
+	resume := fs.Bool("resume", false, "resume from a compatible checkpoint in -checkpoint DIR, skipping the reference-pass nodes it records")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -61,7 +61,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 		return err
 	}
 	if ck := fw.Analysis.Checkpoint; ck != nil && ck.Resumed() {
-		fmt.Fprintf(os.Stderr, "train: resumed from checkpoint %s (completed stages skipped)\n", *ckptDir)
+		fmt.Fprintf(os.Stderr, "train: resumed from checkpoint %s (recorded reference-pass nodes skipped)\n", *ckptDir)
 	}
 	cfg := repro.DefaultPredictorConfig(method)
 	cfg.Fallback = fb

@@ -1,5 +1,5 @@
-// Package checkpoint persists the progress of long-running pipeline
-// phases (offline analysis, kNN training) so a crash, SIGKILL, or
+// Package checkpoint persists the progress of a long-running pipeline
+// phase (the offline analysis's reference pass) so a crash, SIGKILL, or
 // cancellation can resume instead of restarting from zero. The design
 // contract, enforced by the root kill-resume-compare chaos test, is that
 // a resumed run produces output *bit-identical* to an uninterrupted one:

@@ -92,8 +92,8 @@ const (
 	// layer (degrades to a 503 the client can retry; the server itself
 	// stays up).
 	SiteServePredict = "serve.predict"
-	// SiteCheckpointWrite guards one checkpoint flush of the crash-safe
-	// training layer (degrades to a skipped write: progress stays dirty in
+	// SiteCheckpointWrite guards one checkpoint flush of the offline
+	// reference pass (degrades to a skipped write: progress stays dirty in
 	// memory and the next flush retries it; the run itself continues).
 	SiteCheckpointWrite = "checkpoint.write"
 	// SiteServeReload guards one hot model reload of the serving layer

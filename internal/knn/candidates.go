@@ -1,6 +1,8 @@
 package knn
 
 import (
+	"context"
+
 	"repro/internal/parallel"
 	"repro/internal/session"
 )
@@ -31,10 +33,11 @@ type Candidate struct {
 // that are also inside), so a list scanned under θ_δ decides the gated
 // vote exactly, and +∞ also serves FallbackNearest's re-vote.
 //
-// Indexes are positions in this classifier's own sample slice.
-func (c *Classifier) Candidates(query *session.Context, limit float64) []Candidate {
-	cands, _ := c.scan(nil, query, limit, parallel.Workers(c.cfg.Workers))
-	return cands
+// Indexes are positions in this classifier's own sample slice. A ctx
+// that ends mid-scan stops it and returns the "knn.predict" stage error;
+// a nil ctx never cancels.
+func (c *Classifier) Candidates(ctx context.Context, query *session.Context, limit float64) ([]Candidate, error) {
+	return c.scan(ctx, query, limit, parallel.Workers(c.cfg.Workers))
 }
 
 // MergeCandidates folds per-shard candidate lists into the global top-k

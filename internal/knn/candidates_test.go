@@ -1,13 +1,17 @@
 package knn
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/offline"
+	"repro/internal/pipeline"
 	"repro/internal/session"
 	"repro/internal/stats"
 )
@@ -59,6 +63,73 @@ func remapGlobal(cds []Candidate, globals []int) []Candidate {
 	return out
 }
 
+// candidates is Candidates under a context that never ends.
+func candidates(t *testing.T, c *Classifier, q *session.Context, limit float64) []Candidate {
+	t.Helper()
+	cds, err := c.Candidates(context.Background(), q, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cds
+}
+
+// cancelAt is stubMetric that cancels a context at its at-th distance.
+type cancelAt struct {
+	calls  *atomic.Int64
+	at     int64
+	cancel context.CancelFunc
+}
+
+func (cancelAt) Name() string { return "cancel-at" }
+
+func (m cancelAt) Distance(a, b *session.Context) float64 {
+	if m.calls.Add(1) == m.at {
+		m.cancel()
+	}
+	return stubMetric{}.Distance(a, b)
+}
+
+// TestScanStopsWhenContextEnds: a context that ends mid-scan stops the
+// sequential scan and every chunk of the chunked one within
+// scanCheckEvery candidates, and the scan returns its error and counts
+// as abandoned. A batch whose last query's scan is cut returns the
+// batch error, the queries before it answered and the cut one zero.
+func TestScanStopsWhenContextEnds(t *testing.T) {
+	samples := candTrainingSet(2 * minParallelScan)
+	q := &session.Context{SessionID: "q", T: 2, N: 3}
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		calls := new(atomic.Int64)
+		clf := New(samples, cancelAt{calls, 100, cancel}, Config{K: 3, ThetaDelta: 0.05, Workers: workers})
+		abandoned := mScansAbandoned.Load()
+		cds, err := clf.Candidates(ctx, q, math.Inf(1))
+		cancel()
+		var pe *pipeline.Error
+		if !errors.Is(err, context.Canceled) || !errors.As(err, &pe) || pe.Stage != "knn.predict" || cds != nil {
+			t.Fatalf("workers=%d: Candidates = %d candidates, %v; want the knn.predict cancellation", workers, len(cds), err)
+		}
+		if n, most := calls.Load(), int64(100+workers*scanCheckEvery); n > most {
+			t.Errorf("workers=%d: %d distances measured for a context cancelled at the 100th, want at most %d", workers, n, most)
+		}
+		if d := mScansAbandoned.Load() - abandoned; d != 1 {
+			t.Errorf("workers=%d: knn.scans_abandoned moved by %d, want 1", workers, d)
+		}
+	}
+
+	cfg := Config{K: 3, ThetaDelta: 0.05, Workers: 1}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	clf := New(samples, cancelAt{new(atomic.Int64), int64(len(samples)) + 100, cancel}, cfg)
+	out, err := clf.PredictAllCtx(ctx, []*session.Context{q, q})
+	var pe *pipeline.Error
+	if !errors.As(err, &pe) || pe.Stage != "knn.predict_all" || pe.Done != 1 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("PredictAllCtx err = %v, want the knn.predict_all cancellation after 1 query", err)
+	}
+	if want := New(samples, stubMetric{}, cfg).Predict(q); !predictionsEqual(out[0], want) || !predictionsEqual(out[1], Prediction{}) {
+		t.Errorf("PredictAllCtx = %+v, want [%+v, zero]", out, want)
+	}
+}
+
 // The distributed path — per-shard Candidates, global merge, gate, vote,
 // fallback — must be bit-identical to the single-process Predict across
 // fallback policies and gate widths.
@@ -90,7 +161,7 @@ func TestPredictFromCandidatesMatchesPredict(t *testing.T) {
 				want := whole.Predict(q)
 				lists := make([][]Candidate, len(shardClfs))
 				for i, sc := range shardClfs {
-					lists[i] = remapGlobal(sc.Candidates(q, tc.cfg.ScanLimit()), globals[i])
+					lists[i] = remapGlobal(candidates(t, sc, q, tc.cfg.ScanLimit()), globals[i])
 				}
 				merged := MergeCandidates(tc.cfg.K, lists...)
 				got := PredictFromCandidates(merged, tc.cfg, whole.Prior())
@@ -119,7 +190,7 @@ func TestCandidatesOrderAndContent(t *testing.T) {
 		cfg := Config{K: 8, ThetaDelta: 0.05, Workers: workers}
 		clf := New(samples, stubMetric{}, cfg)
 		for _, limit := range []float64{cfg.ThetaDelta, math.Inf(1)} {
-			cds := clf.Candidates(q, limit)
+			cds := candidates(t, clf, q, limit)
 			want := referencePredict(samples, stubMetric{}, Config{K: cfg.K, ThetaDelta: limit}, q).Neighbors
 			if len(cds) != len(want) {
 				t.Fatalf("workers=%d limit=%v: %d candidates, want %d", workers, limit, len(cds), len(want))
@@ -135,7 +206,7 @@ func TestCandidatesOrderAndContent(t *testing.T) {
 				}
 			}
 		}
-		if gated, all := clf.Candidates(q, cfg.ThetaDelta), clf.Candidates(q, math.Inf(1)); len(gated) >= len(all) {
+		if gated, all := candidates(t, clf, q, cfg.ThetaDelta), candidates(t, clf, q, math.Inf(1)); len(gated) >= len(all) {
 			t.Fatalf("workers=%d: θ_δ list has %d candidates and the +∞ list %d; the fixture must tell them apart", workers, len(gated), len(all))
 		}
 	}
@@ -198,12 +269,12 @@ func TestMergeCandidatesSplitWidthsByteIdentical(t *testing.T) {
 		{SessionID: "q6", T: 6, N: 3},
 	} {
 		want := whole.Predict(q)
-		wantList := MergeCandidates(cfg.K, whole.Candidates(q, cfg.ScanLimit()))
+		wantList := MergeCandidates(cfg.K, candidates(t, whole, q, cfg.ScanLimit()))
 		for shards := 1; shards <= 3; shards++ {
 			parts, globals := shardSamples(samples, shards)
 			lists := make([][]Candidate, len(parts))
 			for i, part := range parts {
-				lists[i] = remapGlobal(New(part, stubMetric{}, cfg).Candidates(q, cfg.ScanLimit()), globals[i])
+				lists[i] = remapGlobal(candidates(t, New(part, stubMetric{}, cfg), q, cfg.ScanLimit()), globals[i])
 			}
 			// Merge repeatedly and under every rotation of list order: the
 			// result must never move.

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/distance"
@@ -28,7 +29,9 @@ import (
 var (
 	mScans     = obs.C("knn.scans")
 	mDistEvals = obs.C("knn.distance_evals")
-	stPredict  = obs.S("predict")
+	// mScansAbandoned counts scans a done context cut short.
+	mScansAbandoned = obs.C("knn.scans_abandoned")
+	stPredict       = obs.S("predict")
 )
 
 // Neighbor pairs a training sample with its distance from a query context.
@@ -133,6 +136,11 @@ func (c Config) ScanLimit() float64 {
 // sequential regardless of Workers: under a few hundred samples the
 // fan-out costs more than the scan.
 const minParallelScan = 512
+
+// scanCheckEvery is how many candidates a scan measures between checks of
+// its context: a check takes a lock, so it is paid once per run of
+// candidates, and the candidates between checks test nothing.
+const scanCheckEvery = 64
 
 // Classifier is an instance-based (lazy) classifier over labeled
 // n-contexts.
@@ -243,8 +251,8 @@ func (c *Classifier) Predict(query *session.Context) Prediction {
 }
 
 // PredictCtx is Predict with cancellation: a canceled ctx aborts the scan
-// between chunks and returns a typed *pipeline.Error for the
-// "knn.predict" stage. A nil ctx never cancels.
+// and returns a typed *pipeline.Error for the "knn.predict" stage. A nil
+// ctx never cancels.
 func (c *Classifier) PredictCtx(ctx context.Context, query *session.Context) (Prediction, error) {
 	sp := stPredict.StartCtx(ctx)
 	defer sp.End()
@@ -328,20 +336,28 @@ func (c *Classifier) predict(ctx context.Context, query *session.Context, w int)
 // the set is large enough to repay the fan-out and w > 1, w workers scan
 // contiguous chunks whose top-k lists merge like shards
 // (MergeCandidates), so the result is the sequential scan's at every
-// worker count. A canceled ctx stops the chunked scan between chunks with
-// the "knn.predict" stage error; the sequential scan does not check it.
+// worker count. A ctx that ends mid-scan stops it within scanCheckEvery
+// candidates of every range being scanned, and the scan returns the
+// "knn.predict" stage error; a nil ctx never cancels.
 func (c *Classifier) scan(ctx context.Context, query *session.Context, limit float64, w int) ([]Candidate, error) {
 	mScans.Inc()
 	mDistEvals.Add(uint64(len(c.samples)))
 	if w <= 1 || len(c.samples) < minParallelScan {
-		return c.scanRange(query, 0, len(c.samples), limit), nil
+		cands, err := c.scanRange(ctx, query, 0, len(c.samples), limit)
+		if err != nil {
+			mScansAbandoned.Inc()
+			return nil, pipeline.Wrap("knn.predict", 0, 1, err)
+		}
+		return cands, nil
 	}
 	chunks := parallel.Chunks(len(c.samples), w)
 	lists := make([][]Candidate, len(chunks))
+	// A chunk cut short leaves ctx done, which ForEachN then reports.
 	done, err := parallel.ForEachN(ctx, len(chunks), w, func(ci int) {
-		lists[ci] = c.scanRange(query, chunks[ci][0], chunks[ci][1], limit)
+		lists[ci], _ = c.scanRange(ctx, query, chunks[ci][0], chunks[ci][1], limit)
 	})
 	if err != nil {
+		mScansAbandoned.Inc()
 		return nil, pipeline.Wrap("knn.predict", done, len(chunks), err)
 	}
 	return MergeCandidates(c.cfg.K, lists...), nil
@@ -359,36 +375,40 @@ func (c *Classifier) scan(ctx context.Context, query *session.Context, limit flo
 // distance.Evaluator over the prepared contexts, whose telemetry tallies
 // reach the shared counters once, at the end of the range; any other
 // metric (the ablations) computes the exact distance and compares it with
-// the bound.
-func (c *Classifier) scanRange(query *session.Context, lo, hi int, limit float64) []Candidate {
+// the bound. A non-nil ctx is checked before every scanCheckEvery
+// candidates; once it is done the range returns ctx.Err() and no list.
+func (c *Classifier) scanRange(ctx context.Context, query *session.Context, lo, hi int, limit float64) ([]Candidate, error) {
 	var ev *distance.Evaluator
 	if c.prepared != nil {
 		ev = c.metric.(distance.TreeEdit).NewEvaluator(query)
+		defer ev.Flush()
 	}
 	acc := newTopK(c.cfg.K, hi-lo)
-	for i := lo; i < hi; i++ {
-		bound := limit
-		if acc.full() {
-			if b := acc.bound(); b < bound {
-				bound = b
+	for i := lo; i < hi; {
+		if ctx != nil && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		for end := min(i+scanCheckEvery, hi); i < end; i++ {
+			bound := limit
+			if acc.full() {
+				if b := acc.bound(); b < bound {
+					bound = b
+				}
+			}
+			var d float64
+			var ok bool
+			if ev != nil {
+				d, ok = ev.DistanceWithin(c.prepared[i], bound)
+			} else {
+				d = c.metric.Distance(query, c.samples[i].Context)
+				ok = d <= bound
+			}
+			if ok {
+				acc.add(Candidate{Index: i, Dist: d, Labels: c.samples[i].Labels})
 			}
 		}
-		var d float64
-		var ok bool
-		if ev != nil {
-			d, ok = ev.DistanceWithin(c.prepared[i], bound)
-		} else {
-			d = c.metric.Distance(query, c.samples[i].Context)
-			ok = d <= bound
-		}
-		if ok {
-			acc.add(Candidate{Index: i, Dist: d, Labels: c.samples[i].Labels})
-		}
 	}
-	if ev != nil {
-		ev.Flush()
-	}
-	return acc.drain()
+	return acc.drain(), nil
 }
 
 // PredictAll classifies a batch of queries, fanning the batch out across
@@ -401,9 +421,10 @@ func (c *Classifier) PredictAll(queries []*session.Context) []Prediction {
 }
 
 // PredictAllCtx is PredictAll with cancellation: a canceled ctx stops the
-// batch between queries and returns the typed "knn.predict_all" stage
-// error carrying how many predictions completed. The returned slice is
-// always len(queries); entries past the cancellation point are zero.
+// batch, between queries and inside each query's scan, and returns the
+// typed "knn.predict_all" stage error carrying how many predictions
+// completed. The returned slice is always len(queries); entries the
+// cancellation cut off are zero.
 func (c *Classifier) PredictAllCtx(ctx context.Context, queries []*session.Context) ([]Prediction, error) {
 	tr := obs.TraceFrom(ctx)
 	var t0 time.Time
@@ -412,11 +433,20 @@ func (c *Classifier) PredictAllCtx(ctx context.Context, queries []*session.Conte
 	}
 	out := make([]Prediction, len(queries))
 	evals := make([]uint64, len(queries))
+	var cut atomic.Int64
 	done, err := parallel.ForEachN(ctx, len(queries), c.cfg.Workers, func(i int) {
-		// The batch is the fan-out, so each query scans with one worker;
-		// a one-worker scan never checks a context and cannot fail.
-		out[i], evals[i], _ = c.predict(nil, queries[i], 1)
+		// The batch is the fan-out, so each query scans with one worker.
+		var qerr error
+		if out[i], evals[i], qerr = c.predict(ctx, queries[i], 1); qerr != nil {
+			cut.Add(1)
+		}
 	})
+	if n := int(cut.Load()); n > 0 {
+		// A scan fails only once ctx is done, and ForEachN's one-worker
+		// path does not report a cut inside its last query.
+		done -= n
+		err = ctx.Err()
+	}
 	if tr != nil {
 		tr.AddStage("knn.predict_all", time.Since(t0))
 		for i := 0; i < done && i < len(out); i++ {

@@ -181,7 +181,7 @@ func TestHugeKAllocatesBySamples(t *testing.T) {
 	if got.Label != want.Label || !reflect.DeepEqual(got.Votes, want.Votes) || len(got.Neighbors) != len(want.Neighbors) {
 		t.Errorf("k = %d answered %+v, k = 3 answered %+v", huge, got, want)
 	}
-	a, b := clf.Candidates(q, clf.Config().ScanLimit()), clf.Candidates(&session.Context{T: 8}, clf.Config().ScanLimit())
+	a, b := candidates(t, clf, q, clf.Config().ScanLimit()), candidates(t, clf, &session.Context{T: 8}, clf.Config().ScanLimit())
 	var merged []Candidate
 	if n := allocated(func() { merged = MergeCandidates(huge, a, b) }); n >= 1<<20 {
 		t.Errorf("MergeCandidates at k = %d allocated %d bytes, want under 1 MB", huge, n)

@@ -75,7 +75,7 @@ func TestTreeEditScanEquivalence(t *testing.T) {
 				}
 				for _, limit := range []float64{cfg.ThetaDelta, math.Inf(1)} {
 					top := referencePredict(samples, exact, Config{K: cfg.K, ThetaDelta: limit}, q)
-					cands := clf.Candidates(q, limit)
+					cands := candidates(t, clf, q, limit)
 					if len(cands) != len(top.Neighbors) {
 						t.Fatalf("cfg=%+v workers=%d limit=%v query %d: %d candidates, want %d", cfg, workers, limit, qi, len(cands), len(top.Neighbors))
 					}

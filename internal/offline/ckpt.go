@@ -14,14 +14,13 @@ import (
 	"repro/internal/session"
 )
 
-// Checkpoint stage names. They match the pipeline.Error stage tags of the
-// phases they protect, so an interrupted run's error and its resumable
-// checkpoint describe the same place.
-const (
-	ckptStageRaw  = "offline.raw_scores"
-	ckptStageNorm = "offline.normalize"
-	ckptStageRef  = "offline.reference"
-)
+// ckptStageRef is the one stage a progress file records, named after the
+// pipeline.Error stage tag of the reference pass, so an interrupted run's
+// error and its resumable checkpoint describe the same place. The raw
+// scores, the normalizer fit and the trained model are deterministic and
+// cheap next to the reference pass, so a resumed run recomputes them
+// (DESIGN.md §9); records of theirs in an older file are never read.
+const ckptStageRef = "offline.reference"
 
 // defaultCheckpointEvery is the reference-pass flush cadence: completed
 // nodes between checkpoint writes. Reference execution dominates analysis
@@ -30,18 +29,6 @@ const (
 const defaultCheckpointEvery = 32
 
 var mCkptNodesSkipped = obs.C("checkpoint.ref_nodes_skipped")
-
-// rawCkpt is the raw-scores stage payload: one score map per node, in
-// repository order (the stable index every stage shares).
-type rawCkpt struct {
-	Scores []map[string]float64 `json:"scores"`
-}
-
-// normCkpt is the normalize stage payload: the fitted Box-Cox λs, shifts
-// and moments per measure.
-type normCkpt struct {
-	Params map[string]MeasureNorm `json:"params"`
-}
 
 // refCkpt is the reference stage payload. Done/Rel are indexed by node
 // position (not work order): a resumed run restores exactly the completed
@@ -85,69 +72,6 @@ func openCheckpoint(repo *session.Repository, opts Options, msrs []measures.Meas
 		return nil, nil
 	}
 	return checkpoint.Open(opts.CheckpointDir, analysisFingerprint(repo, opts, msrs), opts.Resume)
-}
-
-// restoreRawStage loads a completed raw-scores stage into the assembled
-// nodes, reporting whether the stage can be skipped.
-func restoreRawStage(ck *checkpoint.Manager, a *Analysis) bool {
-	if ck == nil || !ck.Resumed() {
-		return false
-	}
-	raw, p, ok := ck.Stage(ckptStageRaw)
-	if !ok || !p.Complete {
-		return false
-	}
-	var rc rawCkpt
-	if err := json.Unmarshal(raw, &rc); err != nil || len(rc.Scores) != len(a.Nodes) {
-		return false // advisory payload: recompute instead of resuming garbage
-	}
-	for i, ns := range a.Nodes {
-		m := rc.Scores[i]
-		if m == nil {
-			m = map[string]float64{}
-		}
-		ns.Raw = m
-	}
-	return true
-}
-
-func saveRawStage(ck *checkpoint.Manager, a *Analysis) {
-	if ck == nil {
-		return
-	}
-	rc := rawCkpt{Scores: make([]map[string]float64, len(a.Nodes))}
-	for i, ns := range a.Nodes {
-		rc.Scores[i] = ns.Raw
-	}
-	n := len(a.Nodes)
-	_ = ck.Update(ckptStageRaw, checkpoint.Progress{Done: n, Total: n, Complete: true}, rc)
-}
-
-// restoreNormStage loads fitted normalizer parameters, reporting whether
-// the fit can be skipped (Apply is cheap and always re-runs).
-func restoreNormStage(ck *checkpoint.Manager, a *Analysis) bool {
-	if ck == nil || !ck.Resumed() {
-		return false
-	}
-	raw, p, ok := ck.Stage(ckptStageNorm)
-	if !ok || !p.Complete {
-		return false
-	}
-	var nc normCkpt
-	if err := json.Unmarshal(raw, &nc); err != nil || nc.Params == nil {
-		return false
-	}
-	a.Normalizer = &Normalizer{Params: nc.Params}
-	return true
-}
-
-func saveNormStage(ck *checkpoint.Manager, norm *Normalizer) {
-	if ck == nil {
-		return
-	}
-	n := len(norm.Params)
-	_ = ck.Update(ckptStageNorm, checkpoint.Progress{Done: n, Total: n, Complete: true},
-		normCkpt{Params: norm.Params})
 }
 
 // loadRefStage returns the reference-pass progress record, sized to the

@@ -1,14 +1,20 @@
 package offline
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/frame"
 	"repro/internal/measures"
 	"repro/internal/netlog"
 	"repro/internal/obs"
@@ -56,77 +62,118 @@ func assertAnalysesEqual(t *testing.T, want, got *Analysis) {
 // TestResumeFromPartialCheckpoint crafts a half-finished checkpoint from a
 // complete run's results — exactly what a kill mid-reference-pass leaves
 // behind — and asserts the resumed analysis is identical to the
-// uninterrupted one while actually skipping the checkpointed nodes.
+// uninterrupted one while actually skipping the checkpointed nodes. The
+// second input adds the records an older build wrote beside the
+// reference pass, in their old shapes but with values that would change
+// the analysis if a resume read them. The uninterrupted run checkpoints
+// too, and must record the reference pass alone.
 func TestResumeFromPartialCheckpoint(t *testing.T) {
 	repo := ckptRepo(t)
 	opts := Options{RefLimit: 12, Seed: 5, Workers: 2}
-	want, err := Analyze(repo, opts)
+	fresh := opts
+	fresh.CheckpointDir = t.TempDir()
+	want, err := Analyze(repo, fresh)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := fileStages(t, fresh.CheckpointDir); !reflect.DeepEqual(got, []string{ckptStageRef}) {
+		t.Fatalf("a checkpointed run recorded stages %q, want only %q", got, ckptStageRef)
 	}
 
-	// Build the partial checkpoint: raw and normalize complete, the
-	// reference pass done for even-indexed nodes only.
-	dir := t.TempDir()
-	fp := analysisFingerprint(repo, opts, measures.BuiltinMeasures())
-	m, err := checkpoint.Open(dir, fp, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawPay := rawCkpt{Scores: make([]map[string]float64, len(want.Nodes))}
-	refPay := refCkpt{Done: make([]bool, len(want.Nodes)), Rel: make([]map[string]float64, len(want.Nodes))}
+	n := len(want.Nodes)
+	refPay := refCkpt{Done: make([]bool, n), Rel: make([]map[string]float64, n)}
 	for i, ns := range want.Nodes {
-		rawPay.Scores[i] = ns.Raw
 		if i%2 == 0 {
 			refPay.Done[i] = true
 			refPay.Rel[i] = ns.RefRelative
 		}
 	}
-	n := len(want.Nodes)
-	if err := m.Update(ckptStageRaw, checkpoint.Progress{Done: n, Total: n, Complete: true}, rawPay); err != nil {
-		t.Fatal(err)
+	older := []struct {
+		stage   string
+		payload json.RawMessage
+	}{
+		{"offline.raw_scores", json.RawMessage(`{"scores":[` +
+			strings.TrimSuffix(strings.Repeat(`{"variance":1e9},`, n), ",") + `]}`)},
+		{"offline.normalize", json.RawMessage(`{"params":{}}`)},
+		{"api.train", json.RawMessage(`{"method":"reference-based","n":1,"k":1}`)},
 	}
-	if err := m.Update(ckptStageNorm, checkpoint.Progress{Done: 1, Total: 1, Complete: true},
-		normCkpt{Params: want.Normalizer.Params}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Update(ckptStageRef, checkpoint.Progress{Done: n / 2, Total: n}, refPay); err != nil {
-		t.Fatal(err)
-	}
+	fp := analysisFingerprint(repo, opts, measures.BuiltinMeasures())
+	for _, withOlder := range []bool{false, true} {
+		dir := t.TempDir()
+		m, err := checkpoint.Open(dir, fp, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if withOlder {
+			for _, st := range older {
+				if err := m.Update(st.stage, checkpoint.Progress{Done: 1, Total: 1, Complete: true}, st.payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := m.Update(ckptStageRef, checkpoint.Progress{Done: n / 2, Total: n}, refPay); err != nil {
+			t.Fatal(err)
+		}
 
-	skippedBefore := obs.C("checkpoint.ref_nodes_skipped").Load()
+		skippedBefore := obs.C("checkpoint.ref_nodes_skipped").Load()
+		ropts := opts
+		ropts.CheckpointDir = dir
+		ropts.Resume = true
+		got, err := Analyze(repo, ropts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertAnalysesEqual(t, want, got)
+		if skipped := obs.C("checkpoint.ref_nodes_skipped").Load() - skippedBefore; skipped == 0 {
+			t.Fatalf("older stages %v: resume recomputed every node; the checkpoint was ignored", withOlder)
+		}
 
-	ropts := opts
-	ropts.CheckpointDir = dir
-	ropts.Resume = true
-	got, err := Analyze(repo, ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertAnalysesEqual(t, want, got)
-	if skipped := obs.C("checkpoint.ref_nodes_skipped").Load() - skippedBefore; skipped == 0 {
-		t.Fatal("resume recomputed every node; the checkpoint was ignored")
-	}
-
-	// After the resumed run the checkpoint must record a complete
-	// reference stage.
-	r, err := checkpoint.Open(dir, fp, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, p, ok := r.Stage(ckptStageRef)
-	if !ok || !p.Complete {
-		t.Fatalf("reference stage after resume: %+v ok=%v, want complete", p, ok)
-	}
-	var rc refCkpt
-	if err := json.Unmarshal(raw, &rc); err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range rc.Done {
-		if !d {
-			t.Fatalf("node %d not marked done in the completed checkpoint", i)
+		// After the resumed run the checkpoint must record a complete
+		// reference stage.
+		r, err := checkpoint.Open(dir, fp, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, p, ok := r.Stage(ckptStageRef)
+		if !ok || !p.Complete {
+			t.Fatalf("reference stage after resume: %+v ok=%v, want complete", p, ok)
+		}
+		var rc refCkpt
+		if err := json.Unmarshal(raw, &rc); err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range rc.Done {
+			if !d {
+				t.Fatalf("node %d not marked done in the completed checkpoint", i)
+			}
 		}
 	}
+}
+
+// fileStages lists, in name order, the stages the progress file in dir
+// records.
+func fileStages(t *testing.T, dir string) []string {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join(dir, checkpoint.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := frame.Read(bytes.NewReader(blob), "IDACKPTv", checkpoint.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		Stages map[string]json.RawMessage `json:"stages"`
+	}
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(f.Stages))
+	for name := range f.Stages {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // TestCancelThenResumeMatchesUninterrupted interrupts a checkpointing run

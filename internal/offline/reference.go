@@ -194,7 +194,7 @@ func applyReferenceBased(ctx context.Context, a *Analysis, opts Options) error {
 
 	type nodeWork struct {
 		ns   *NodeScores
-		idx  int // position in a.Nodes — the index every checkpoint stage shares
+		idx  int // position in a.Nodes — the index the checkpoint records nodes by
 		refs []refAction
 	}
 	work := make([]nodeWork, 0, len(a.Nodes))

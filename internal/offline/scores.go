@@ -197,8 +197,8 @@ type Analysis struct {
 	RefTimings  Timings
 	NormTimings Timings
 	// Checkpoint is the progress manager when the analysis ran with
-	// Options.CheckpointDir; the training layer reuses it for its own
-	// stage (see repro.TrainPredictorContext).
+	// Options.CheckpointDir, nil otherwise; it records the reference
+	// pass.
 	Checkpoint *checkpoint.Manager
 }
 
@@ -234,15 +234,16 @@ type Options struct {
 	// "Determinism under fan-out").
 	Workers int
 	// CheckpointDir, when non-empty, persists crash-safe progress
-	// checkpoints (internal/checkpoint) under this directory: completed
-	// raw scores, fitted normalizer parameters, and per-node
-	// reference-pass results, each behind an atomic checksummed write.
+	// checkpoints (internal/checkpoint) under this directory: the
+	// reference pass's per-node results, behind an atomic checksummed
+	// write. A run with SkipReference writes none.
 	CheckpointDir string
 	// Resume loads a compatible checkpoint from CheckpointDir and skips
-	// the work it records. Resume eligibility is fingerprinted over the
-	// repository content and every result-affecting option; a mismatch
-	// fails loudly rather than blending results from different inputs. A
-	// resumed analysis is bit-identical to an uninterrupted one.
+	// the reference-pass nodes it records; the cheaper stages rerun.
+	// Resume eligibility is fingerprinted over the repository content
+	// and every result-affecting option; a mismatch fails loudly rather
+	// than blending results from different inputs. A resumed analysis is
+	// bit-identical to an uninterrupted one.
 	Resume bool
 	// CheckpointEvery overrides the reference-pass flush cadence
 	// (completed nodes between checkpoint writes). <1 means 32.
@@ -300,15 +301,12 @@ func AnalyzeContext(ctx context.Context, repo *session.Repository, opts Options)
 			a.byNode[n] = ns
 		}
 	}
-	if !restoreRawStage(ck, a) {
-		done, rawErr := parallel.ForEachN(ctx, len(a.Nodes), opts.Workers, func(i int) {
-			scoreActionGuarded(ctx, msrs, a.Nodes[i], i)
-		})
-		if rawErr != nil {
-			spRaw.End()
-			return nil, pipeline.Wrap("offline.raw_scores", done, len(a.Nodes), rawErr)
-		}
-		saveRawStage(ck, a)
+	done, rawErr := parallel.ForEachN(ctx, len(a.Nodes), opts.Workers, func(i int) {
+		scoreActionGuarded(ctx, msrs, a.Nodes[i], i)
+	})
+	if rawErr != nil {
+		spRaw.End()
+		return nil, pipeline.Wrap("offline.raw_scores", done, len(a.Nodes), rawErr)
 	}
 	rawDur := time.Since(t0)
 	spRaw.End()
@@ -319,16 +317,12 @@ func AnalyzeContext(ctx context.Context, repo *session.Repository, opts Options)
 
 	// Normalized comparison (Algorithm 2).
 	spNorm := stNormalize.Start()
-	if !restoreNormStage(ck, a) {
-		norm, err := FitNormalizer(ctx, msrs, a.Nodes, opts.Workers)
-		if err != nil {
-			spNorm.End()
-			return nil, err
-		}
-		a.Normalizer = norm
-		saveNormStage(ck, norm)
+	norm, err := FitNormalizer(ctx, msrs, a.Nodes, opts.Workers)
+	if err != nil {
+		spNorm.End()
+		return nil, err
 	}
-	norm := a.Normalizer
+	a.Normalizer = norm
 	t1 := time.Now()
 	done, applyErr := parallel.ForEachN(ctx, len(a.Nodes), opts.Workers, func(i int) {
 		norm.Apply(a.Nodes[i].Raw, a.Nodes[i].NormRelative)

@@ -14,6 +14,8 @@ import (
 	"repro/internal/distance"
 	"repro/internal/faults"
 	"repro/internal/knn"
+	"repro/internal/obs"
+	"repro/internal/session"
 	"repro/internal/snapshot"
 )
 
@@ -204,14 +206,47 @@ func TestInjectedLatencyEndsWithCaller(t *testing.T) {
 	samples := ringTrainingSet(20)
 	clf := knn.New(samples, distance.TreeEdit{}, knn.Config{K: 1, ThetaDelta: 0.3, Workers: 1})
 	tr := startRing(t, 1, 1, 1, clf, ModelInfo{N: 6, Checksum: "cafe"}, RouterOptions{})
+	faults.Enable(faults.Config{Prob: 1, Seed: 1, Kinds: faults.KindLatency,
+		Sites: []string{faults.SiteServeSlow + "." + tr.nodes[0].Name}, MaxLatency: 30 * time.Second})
+	abandonCandidates(t, tr)
+}
+
+// slowMetric is the tree-edit distance after a fixed sleep per pair.
+type slowMetric struct{ d time.Duration }
+
+func (slowMetric) Name() string { return "slow" }
+
+func (m slowMetric) Distance(a, b *session.Context) float64 {
+	time.Sleep(m.d)
+	return distance.TreeEdit{}.Distance(a, b)
+}
+
+// TestCancelledScanEndsWithCaller: a replica whose sequential shard scan
+// would take over 5 s (5,000 samples at 1 ms each) stops scanning when
+// its caller gives up after 50 ms, frees its in-flight slot and counts
+// the scan as abandoned.
+func TestCancelledScanEndsWithCaller(t *testing.T) {
+	samples := ringTrainingSet(5000)
+	clf := knn.New(samples, slowMetric{time.Millisecond}, knn.Config{K: 1, ThetaDelta: 0.3, Workers: 1})
+	tr := startRing(t, 1, 1, 1, clf, ModelInfo{N: 6, Checksum: "cafe"}, RouterOptions{})
+	abandoned := obs.C("knn.scans_abandoned").Load()
+	abandonCandidates(t, tr)
+	if obs.C("knn.scans_abandoned").Load() == abandoned {
+		t.Error("knn.scans_abandoned did not move")
+	}
+}
+
+// abandonCandidates sends the one-node ring's replica a candidates call
+// from a client that gives up after 50 ms, and asserts that the handler
+// returns soon after with its in-flight slot free.
+func abandonCandidates(t *testing.T, tr *testRing) {
+	t.Helper()
 	rep := tr.replicas[0]
 	returned := make(chan struct{})
 	tr.swaps[0].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rep.Handler().ServeHTTP(w, r)
 		close(returned)
 	}))
-	faults.Enable(faults.Config{Prob: 1, Seed: 1, Kinds: faults.KindLatency,
-		Sites: []string{faults.SiteServeSlow + "." + tr.nodes[0].Name}, MaxLatency: 30 * time.Second})
 
 	body := `{"shard":0,"contexts":[` + mustJSON(t, snapshot.EncodeContext(chainCtx("q", 1, 2), nil)) + `]}`
 	client := &http.Client{Timeout: 50 * time.Millisecond}
@@ -224,7 +259,7 @@ func TestInjectedLatencyEndsWithCaller(t *testing.T) {
 	select {
 	case <-returned:
 	case <-time.After(5 * time.Second):
-		t.Fatal("the handler still sleeps 5 s after its caller gave up")
+		t.Fatal("the handler still runs 5 s after its caller gave up")
 	}
 	if waited := time.Since(t0); waited > 2*time.Second {
 		t.Errorf("the handler returned %v after the call began, want soon after the client's 50 ms", waited)

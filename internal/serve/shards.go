@@ -170,14 +170,14 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 
 	results := make([][]knn.Candidate, len(ctxs))
 	for i, q := range ctxs {
-		// Honor budget exhaustion between per-query scans: a cancelled
-		// caller gains nothing from the remaining queries, and the 504
+		// A scan stops once the budget is spent or the caller gives up:
+		// a cancelled caller gains nothing from the rest, and the 504
 		// tells a still-listening router the failure is retryable.
-		if rctx.Err() != nil {
+		cds, err := sm.clf.Candidates(rctx, q, limit)
+		if err != nil {
 			deadlineExceeded(w, tr)
 			return
 		}
-		cds := sm.clf.Candidates(q, limit)
 		for j := range cds {
 			cds[j].Index = sm.global[cds[j].Index]
 		}

@@ -126,7 +126,7 @@ var fallbackNames = map[string]bool{"": true, "abstain": true, "nearest": true, 
 // fallback or measure name; n or k below 1; a negative θ_δ; no samples;
 // a null or oversized display in the pool; a sample context that is null
 // or has more than n nodes. Read runs it; a model decoded another way
-// (a training checkpoint) must run it before use.
+// must run it before use.
 func (m *Model) Validate() error {
 	if _, err := offline.ParseMethod(m.Method); err != nil {
 		return fmt.Errorf("snapshot: %w", err)

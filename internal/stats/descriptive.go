@@ -114,25 +114,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Extent returns the minimum and maximum of xs and reports whether xs was
-// non-empty. It is the error-free counterpart of Min/Max for call sites
-// that can see user-controlled (possibly empty) input.
-func Extent(xs []float64) (min, max float64, ok bool) {
-	if len(xs) == 0 {
-		return 0, 0, false
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, true
-}
-
 // NormalCDF returns Φ(z), the standard normal cumulative distribution
 // function, computed via the complementary error function. The degradation
 // ladder uses it to map a z-score from the Normalized method onto the
@@ -225,31 +206,6 @@ func selectKth(xs []float64, k int) float64 {
 		}
 	}
 	return xs[k]
-}
-
-// Quantile returns the q-th quantile (0<=q<=1) of xs using linear
-// interpolation between order statistics, or 0 for an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if q <= 0 {
-		return cp[0]
-	}
-	if q >= 1 {
-		return cp[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return cp[lo]
-	}
-	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
 }
 
 // MAD returns the median absolute deviation of xs (a robust scale

@@ -38,7 +38,7 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-func TestMedianAndQuantile(t *testing.T) {
+func TestMedian(t *testing.T) {
 	odd := []float64{5, 1, 3}
 	if got := Median(odd); got != 3 {
 		t.Errorf("Median(odd) = %v", got)
@@ -46,16 +46,6 @@ func TestMedianAndQuantile(t *testing.T) {
 	even := []float64{4, 1, 3, 2}
 	if got := Median(even); got != 2.5 {
 		t.Errorf("Median(even) = %v", got)
-	}
-	xs := []float64{0, 10, 20, 30}
-	if got := Quantile(xs, 0.5); got != 15 {
-		t.Errorf("Quantile(0.5) = %v", got)
-	}
-	if Quantile(xs, 0) != 0 || Quantile(xs, 1) != 30 {
-		t.Error("quantile extremes wrong")
-	}
-	if got := Quantile(xs, 0.25); !almostEq(got, 7.5, 1e-12) {
-		t.Errorf("Quantile(0.25) = %v", got)
 	}
 	// Median must not mutate its input.
 	if odd[0] != 5 {
